@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .operators import pauli_string
+# XOR4, pauli_digits and pauli_label are re-exported for existing importers.
+from .pauli import XOR4, pauli_digits, pauli_expectations, pauli_label  # noqa: F401
 from .statevec import (
     ATOL,
     CLUSTER_RTOL,
@@ -32,39 +34,6 @@ from .statevec import (
     schmidt_decomposition,
     schmidt_spectrum,
 )
-
-# Composition table of Pauli indices up to phase: sigma_a sigma_b is
-# proportional to sigma_{XOR4[a][b]}.  Coincides with bitwise xor.
-XOR4: tuple[tuple[int, ...], ...] = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-
-
-def pauli_digits(label: int, length: int) -> tuple[int, ...]:
-    """Base-4 digits of a Pauli-string label, most significant digit first."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if not 0 <= label < 4**length:
-        raise ValueError(f"label {label} out of range for {length} factors")
-    digits = []
-    for _ in range(length):
-        digits.append(label % 4)
-        label //= 4
-    return tuple(reversed(digits))
-
-
-def pauli_label(digits: Sequence[int]) -> int:
-    """Inverse of pauli_digits."""
-    label = 0
-    for d in digits:
-        if d not in (0, 1, 2, 3):
-            raise ValueError(f"Pauli digits must be 0..3, got {tuple(digits)}")
-        label = label * 4 + d
-    return label
-
 
 def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
@@ -301,40 +270,28 @@ def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ..
     return qubits
 
 
-def _pauli_expectations(state: PureState, qubits: tuple[int, ...]) -> np.ndarray:
-    """|<psi| P_d |psi>| for every Pauli-string label d on the given qubits."""
-    s = len(qubits)
-    out = np.empty(4**s)
-    for d in range(4**s):
-        moved = apply_local(state, pauli_string(pauli_digits(d, s)), qubits)
-        out[d] = abs(np.vdot(state.amplitudes, moved.amplitudes))
-    return out
-
-
-def _orthogonality_adjacency(
-    state: PureState, qubits: tuple[int, ...], tol: float
-) -> list[int]:
+def _orthogonality_adjacency(expect: np.ndarray, tol: float) -> list[int]:
     """Bitmask adjacency of the graph joining labels with orthogonal encodings.
 
-    Labels p, q are adjacent iff |<psi|P_{p xor q}|psi>| <= tol; the encoded
-    overlap equals that difference expectation up to phase.
+    ``expect[d]`` is |<psi|P_d|psi>|.  Labels p, q are adjacent iff
+    expect[p xor q] <= tol; the encoded overlap equals that difference
+    expectation up to phase.
     """
-    nverts = 4 ** len(qubits)
-    expect = _pauli_expectations(state, qubits)
-    ortho = [expect[d] <= tol for d in range(nverts)]
-    adj = [0] * nverts
-    for p in range(nverts):
-        row = 0
-        for q in range(nverts):
-            if q != p and ortho[p ^ q]:
-                row |= 1 << q
-        adj[p] = row
-    return adj
+    labels = np.arange(expect.size)
+    rows = (expect <= tol)[labels ^ labels[:, None]]
+    rows[labels, labels] = False
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _max_clique(adj: list[int]) -> tuple[int, ...]:
+def _max_clique(adj: list[int], bound: int) -> tuple[int, ...]:
     """Exact maximum clique, deterministic: branch-and-bound with greedy
-    coloring bounds, vertices explored in a fixed order."""
+    coloring bounds, vertices explored in a fixed order.
+
+    ``bound`` must be at least the clique number.  The search stops once a
+    clique reaches it; since the best clique is replaced only on a strict
+    increase, the answer is the one the full search would return.
+    """
     best: list[int] = []
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
@@ -352,43 +309,74 @@ def _max_clique(adj: list[int]) -> tuple[int, ...]:
                 order.append((v, color))
         return order
 
-    def expand(cand: int, cur: list[int]) -> None:
+    def expand(cand: int, cur: list[int]) -> bool:
         nonlocal best
         for v, color in reversed(color_sort(cand)):
             if len(cur) + color <= len(best):
-                return
+                return False
             cur.append(v)
             nxt = cand & adj[v]
             if nxt:
-                expand(nxt, cur)
+                if expand(nxt, cur):
+                    return True
             elif len(cur) > len(best):
                 best = list(cur)
+                if len(best) >= bound:
+                    return True
             cur.pop()
             cand &= ~(1 << v)
+        return False
 
     expand((1 << len(adj)) - 1, [])
     return tuple(sorted(best))
 
 
-def _maximally_mixed(state: PureState, qubits: tuple[int, ...], tol: float) -> bool:
-    rho = partial_trace(state, qubits).matrix
+def _maximally_mixed(rho: np.ndarray, tol: float) -> bool:
     dim = rho.shape[0]
     return bool(np.max(np.abs(rho - np.eye(dim) / dim)) <= tol)
+
+
+def _dimension_bounds_hold(tol: float, num_senders: int) -> bool:
+    """Whether ``tol`` is fine enough that orthogonality at ``tol`` obeys the
+    dimension bounds on message counts.
+
+    A set of m unit vectors with pairwise overlaps at most tol has a
+    positive-definite Gram matrix when (m - 1) tol < 1, so m is at most the
+    dimension they span.  The m <= 4^s encodings span at most 2^s r
+    dimensions, r the rank of the sender marginal; dropping its eigenvalues
+    below EXACT_ATOL moves each Gram entry by at most 2^s EXACT_ATOL.  The
+    same condition keeps the flat-marginal test from passing a rank-deficient
+    marginal, whose largest entry deviation is at least 4^-s.
+    """
+    verts = 4**num_senders
+    return verts * (tol + 2**num_senders * EXACT_ATOL) < 1.0
 
 
 def sdc_orthogonal_labels(
     state: PureState, sender_set: Iterable[int], tol: float = ATOL
 ) -> tuple[int, ...]:
-    """A maximum set of Pauli-string labels with pairwise orthogonal encodings.
+    """A maximum set of Pauli-string labels with pairwise orthogonal encodings,
+    in ascending order.
 
     Fast path: a maximally mixed sender marginal makes all 4^s encodings
     orthogonal.  Otherwise the exact clique search runs on the orthogonality
-    graph; ties resolve by lexicographic label order.
+    graph; when ``tol`` is fine enough it stops at the dimension bound
+    min(4^s, 2^s r).  Among
+    maximum sets the first one the search meets wins.  It branches on labels
+    in reverse greedy-coloring order: color classes are filled from the
+    lowest label up, then tried last class first and highest label first.
+    So an edgeless graph gives the highest label, (4^s - 1,), not (0,).
     """
     qubits = _sender_qubits(state, sender_set)
-    if _maximally_mixed(state, qubits, tol):
-        return tuple(range(4 ** len(qubits)))
-    return _max_clique(_orthogonality_adjacency(state, qubits, tol))
+    s = len(qubits)
+    rho = partial_trace(state, qubits).matrix
+    if _maximally_mixed(rho, tol):
+        return tuple(range(4**s))
+    bound = 4**s
+    if _dimension_bounds_hold(tol, s):
+        rank = int(np.count_nonzero(np.linalg.eigvalsh(rho) > EXACT_ATOL))
+        bound = min(bound, 2**s * rank)
+    return _max_clique(_orthogonality_adjacency(pauli_expectations(rho), tol), bound)
 
 
 def sdc_max_messages(
@@ -489,7 +477,9 @@ def is_tmes(
     An n-qubit state passes iff some partition with a ceil(n/2)-qubit sender
     can teleport floor(n/2) qubits, and some such sender set carries 2^n
     messages.  The reported figures are the best found; the witnessing
-    partition meets both thresholds when one exists.
+    partition meets both thresholds when one exists.  When ``tol`` is fine
+    enough for the dimension bounds, the scan stops at the first such
+    partition, since no later one can raise either figure.
     """
     n = state.num_qubits
     if n < 2:
@@ -510,6 +500,10 @@ def is_tmes(
             teleport_witness = part
         if cap >= payload_threshold and msgs >= message_threshold and joint is None:
             joint = part
+            # cap <= |receiver| = floor(n/2) and, under the dimension
+            # bounds, msgs <= 2^n: no later cut can change a figure.
+            if _dimension_bounds_hold(tol, len(combo)):
+                break
     verdict = best_cap >= payload_threshold and best_msgs >= message_threshold
     witness = joint if joint is not None else (teleport_witness if verdict else None)
     return TmesVerdict(verdict, best_cap, best_msgs, witness)

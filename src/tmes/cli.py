@@ -17,7 +17,6 @@ import numpy as np
 from .capacity import (
     default_partition,
     is_tmes,
-    pauli_digits,
     sdc_orthogonal_labels,
     simulate_teleportation,
     teleport_capacity,
@@ -25,6 +24,7 @@ from .capacity import (
 from .claims import ClaimConfig, run_claim_suite, suite_report_doc
 from .invariants import conversion_obstruction
 from .operators import operator_family
+from .pauli import pauli_digits
 from .serialize import (
     load_state,
     operator_set_to_dict,

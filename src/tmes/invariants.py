@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .capacity import pauli_digits
 from .operators import pauli_string
+from .pauli import pauli_digits
 from .statevec import (
     ATOL,
     CLUSTER_RTOL,

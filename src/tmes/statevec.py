@@ -71,7 +71,8 @@ class PureState:
                 f"{self.num_qubits} qubits, got {amps.size}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL:
+        # Written so that a NaN or inf amplitude (hence norm) fails too.
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: norm = {norm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -133,6 +134,8 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a NaN or infinite entry")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
@@ -178,7 +181,8 @@ class SchmidtSpectrum:
             raise ValueError(f"negative eigenvalue {vals[-1]!r}")
         vals = tuple(max(v, 0.0) for v in vals)
         total = sum(vals)
-        if abs(total - 1.0) > ATOL:
+        # A NaN or inf eigenvalue makes the sum NaN or inf, which fails.
+        if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"eigenvalues sum to {total!r}, expected 1")
         object.__setattr__(self, "eigenvalues", vals)
 

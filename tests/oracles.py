@@ -85,6 +85,49 @@ def brute_negativity(amps, num_qubits: int, transpose_qubits) -> float:
     return float(-np.sum(eigs[eigs < 0]))
 
 
+def brute_pauli_expectations(amps, num_qubits: int, qubits) -> np.ndarray:
+    """|<psi|P_d|psi>| for every Pauli-string label d on the ordered 1-based
+    ``qubits``: base-4 digits of d, most significant first, pick I, X, Y, Z.
+
+    Each factor flips and signs basis indices bit by bit: X|b> = |1-b>,
+    Y|b> = i(-1)^b |1-b>, Z|b> = (-1)^b |b>.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    s = len(qubits)
+    index = np.arange(2**num_qubits)
+    out = np.empty(4**s)
+    for label in range(4**s):
+        image = index.copy()
+        coeff = np.ones(index.size, dtype=complex)
+        for pos, q in enumerate(qubits):
+            digit = (label >> (2 * (s - 1 - pos))) & 3
+            shift = num_qubits - q
+            sign = 1 - 2 * ((index >> shift) & 1)
+            if digit in (1, 2):
+                image ^= 1 << shift
+            if digit == 2:
+                coeff *= 1j * sign
+            elif digit == 3:
+                coeff *= sign
+        # P|psi> puts coeff[i] * amps[i] at basis index image[i]
+        out[label] = abs(np.vdot(amps[image], coeff * amps))
+    return out
+
+
+def brute_orthogonality_adjacency(expect, tol: float) -> list[int]:
+    """Bitmask rows of the graph joining labels p != q with
+    expect[p xor q] <= tol, built pair by pair."""
+    nverts = len(expect)
+    adj = [0] * nverts
+    for p in range(nverts):
+        row = 0
+        for q in range(nverts):
+            if q != p and expect[p ^ q] <= tol:
+                row |= 1 << q
+        adj[p] = row
+    return adj
+
+
 def brute_max_orthogonal(vectors, tol: float = 1e-9) -> int:
     """Largest pairwise-orthogonal subset by exhaustive search with a simple
     bound; safe for up to ~16 vectors."""

@@ -14,11 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_max_orthogonal, two_adic
+from oracles import (
+    brute_max_orthogonal,
+    brute_orthogonality_adjacency,
+    brute_pauli_expectations,
+    two_adic,
+)
+from tmes import capacity
 from tmes.capacity import (
     XOR4,
     SdcCodebook,
     TmesVerdict,
+    _dimension_bounds_hold,
     _max_clique,
     _orthogonality_adjacency,
     _two_adic_valuation,
@@ -37,7 +44,16 @@ from tmes.capacity import (
     teleport_capacity,
 )
 from tmes.operators import pauli_string
-from tmes.statevec import LocalOperator, Partition, PureState, apply_local
+from tmes.pauli import pauli_expectations
+from tmes.statevec import (
+    ATOL,
+    LocalOperator,
+    Partition,
+    PureState,
+    apply_local,
+    partial_trace,
+    tensor,
+)
 from tmes.states import (
     basis_state,
     bell,
@@ -47,8 +63,10 @@ from tmes.states import (
     cluster5,
     ghz,
     hs,
+    make_state,
     odd_resource,
     omega,
+    parse_spec,
     w_state,
 )
 
@@ -299,8 +317,8 @@ class TestSdcCounts:
         # branch-and-bound search must reproduce that answer
         labels = sdc_orthogonal_labels(cluster4(), (1, 3))
         assert labels == tuple(range(16))
-        adj = _orthogonality_adjacency(cluster4(), (1, 3), 1e-9)
-        assert len(_max_clique(adj)) == 16
+        adj = _orthogonality_adjacency(_expectations(cluster4(), (1, 3)), 1e-9)
+        assert len(_max_clique(adj, len(adj))) == 16
 
     def test_cluster5_saturates_dimension_bound(self):
         # 64 encodings in a 32-dimensional space: 32 is the ceiling
@@ -318,6 +336,78 @@ class TestSdcCounts:
             sdc_max_messages(bell(), (1, 2))
         with pytest.raises(ValueError):
             sdc_max_messages(bell(), (3,))
+
+
+def _expectations(state: PureState, sender) -> np.ndarray:
+    return pauli_expectations(partial_trace(state, sender).matrix)
+
+
+GRAPH_CASES = [
+    (cluster4(), (1, 2)),
+    (cluster5(), (1, 3, 5)),
+    (chi(), (1, 4)),
+    (ghz(6), (1, 2, 3)),
+    (w_state(2), (1, 2)),
+    (odd_resource(2), (1, 2, 3)),
+    (haar_random_state(5, seed=4), (2, 3, 5)),
+]
+
+
+class TestOrthogonalityGraph:
+    @pytest.mark.parametrize("state,sender", GRAPH_CASES)
+    def test_adjacency_matches_dense_loop(self, state, sender):
+        expect = brute_pauli_expectations(state.amplitudes, state.num_qubits, sender)
+        got = _orthogonality_adjacency(expect, ATOL)
+        assert got == brute_orthogonality_adjacency(expect, ATOL)
+
+    @pytest.mark.parametrize("state,sender", GRAPH_CASES)
+    def test_dimension_bound_keeps_the_full_search_answer(self, state, sender):
+        rho = partial_trace(state, sender).matrix
+        rank = int(np.count_nonzero(np.linalg.eigvalsh(rho) > 1e-12))
+        adj = _orthogonality_adjacency(_expectations(state, sender), ATOL)
+        full = _max_clique(adj, len(adj))
+        assert len(full) <= 2 ** len(sender) * rank
+        assert _max_clique(adj, 2 ** len(sender) * rank) == full
+
+    def test_bound_skipped_when_tol_exceeds_orthogonality(self):
+        # a pure sender marginal (rank 1) caps exact orthogonality at 8
+        # encodings; at tol 0.4 the graph has a 16-clique, and a search cut
+        # off at 8 would return a 12-clique instead
+        state = tensor(haar_random_state(3, seed=254), basis_state("0"))
+        assert not _dimension_bounds_hold(0.4, 3)
+        assert _dimension_bounds_hold(ATOL, 6)
+        assert sdc_max_messages(state, (1, 2, 3), tol=0.4) == 16
+        assert sdc_max_messages(state, (1, 2, 3)) == 1
+
+    def test_adjacency_has_no_self_loops(self):
+        expect = np.zeros(16)
+        got = _orthogonality_adjacency(expect, ATOL)
+        assert got == brute_orthogonality_adjacency(expect, ATOL)
+        assert all(not (row >> p) & 1 for p, row in enumerate(got))
+
+    # These tuples reach `tmes sdc` output, codebooks and claim data.  The
+    # search keeps the first maximum clique it meets, branching from the
+    # highest labels down, so an edgeless graph yields the top label.
+    PINNED_LABELS = [
+        ("cluster4", (1, 3), tuple(range(16))),
+        (
+            "cluster5",
+            (1, 3, 5),
+            tuple(range(8, 16)) + tuple(range(24, 32)) + tuple(range(40, 48))
+            + tuple(range(56, 64)),
+        ),
+        ("chi", (1, 4), tuple(range(8, 16))),
+        ("ghz:6", (1, 2, 3), tuple(range(40, 48)) + tuple(range(56, 64))),
+    ]
+
+    @pytest.mark.parametrize("spec,sender,labels", PINNED_LABELS)
+    def test_label_tuples_pinned(self, spec, sender, labels):
+        state = make_state(parse_spec(spec))
+        assert sdc_orthogonal_labels(state, sender) == labels
+
+    def test_edgeless_graph_yields_highest_label(self):
+        state = haar_random_state(4, seed=0)
+        assert sdc_orthogonal_labels(state, (1, 2)) == (15,)
 
 
 class TestSdcCodebook:
@@ -373,12 +463,24 @@ VERDICT_TABLE = [
     (odd_resource(1), True, 1, 8, {1, 3}),
     (odd_resource(2), True, 2, 32, {1, 3, 5}),
     (basis_state("0000"), False, 0, 4, None),
+    # Recorded while is_tmes scanned every balanced cut; it now stops at the
+    # first cut meeting both thresholds and must report the same figures.
+    (bell("psi-"), True, 1, 4, {1}),
+    (ghz(6), False, 1, 16, None),
+    (w_state(1), True, 1, 8, {1, 2}),
+    (bell_product(3), True, 3, 64, {1, 3, 5}),
+    (basis_state("01101"), False, 0, 8, None),
+] + [
+    (haar_random_state(n, seed=seed), False, 0, 1, None)
+    for n in (4, 5, 6, 7)
+    for seed in (0, 1)
 ]
 
 VERDICT_IDS = [
     "bell", "ghz3", "ghz4", "ghz5", "chi", "omega", "cluster4", "cluster5",
-    "hs", "w2", "bp2", "odd1", "odd2", "basis0000",
-]
+    "hs", "w2", "bp2", "odd1", "odd2", "basis0000", "bell-psi-", "ghz6", "w1",
+    "bp3", "basis01101",
+] + [f"haar{n}-seed{seed}" for n in (4, 5, 6, 7) for seed in (0, 1)]
 
 
 class TestMaximalityVerdicts:
@@ -395,6 +497,18 @@ class TestMaximalityVerdicts:
         else:
             assert verdict.witnessing_partition is not None
             assert verdict.witnessing_partition.sender == witness
+
+    def test_scan_stops_at_first_joint_witness(self, monkeypatch):
+        calls = []
+
+        def counting(state, sender, tol):
+            calls.append(tuple(sender))
+            return sdc_max_messages(state, sender, tol)
+
+        monkeypatch.setattr(capacity, "sdc_max_messages", counting)
+        verdict = is_tmes(cluster4())
+        assert verdict.witnessing_partition.sender == {1, 3}
+        assert calls == [(1, 2), (1, 3)]
 
     def test_thresholds_encoded_in_verdict(self):
         n = 4

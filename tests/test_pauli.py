@@ -1,0 +1,67 @@
+"""Symplectic Pauli layer: (x, z) masks and all-label expectations.
+
+Expectations are checked against an oracle that applies each Pauli string
+to the full state vector by index arithmetic, never through the reduced
+density matrix or a Walsh-Hadamard transform.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_pauli_expectations
+from tmes.capacity import haar_random_state
+from tmes.operators import pauli_string
+from tmes.pauli import pauli_digits, pauli_expectations, xz_masks
+from tmes.states import chi, cluster5, ghz
+from tmes.statevec import EXACT_ATOL, partial_trace
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_masks_match_pauli_string_matrices(length):
+    dim = 2**length
+    j = np.arange(dim)
+    x, z = xz_masks(np.arange(4**length), length)
+    for label in range(4**length):
+        signs = [(-1.0) ** bin(int(z[label]) & int(b)).count("1") for b in j]
+        xz = np.zeros((dim, dim))
+        xz[j ^ x[label], j] = signs
+        mat = pauli_string(pauli_digits(label, length)).matrix
+        phase = mat[x[label], 0]
+        assert abs(abs(phase) - 1.0) <= EXACT_ATOL
+        assert np.max(np.abs(mat - phase * xz)) <= EXACT_ATOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_expectations_match_oracle_on_random_states(data):
+    n = data.draw(st.integers(min_value=2, max_value=8), label="n")
+    seed = data.draw(st.integers(min_value=0, max_value=10**6), label="seed")
+    sender = sorted(
+        data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=min(n - 1, 5)),
+            label="sender",
+        )
+    )
+    state = haar_random_state(n, seed)
+    got = pauli_expectations(partial_trace(state, sender).matrix)
+    want = brute_pauli_expectations(state.amplitudes, n, sender)
+    assert np.max(np.abs(got - want)) <= EXACT_ATOL
+
+
+@pytest.mark.parametrize(
+    "state,sender", [(ghz(6), (1, 2, 3)), (cluster5(), (1, 3, 5)), (chi(), (1, 4))]
+)
+def test_expectations_match_oracle_on_structured_states(state, sender):
+    got = pauli_expectations(partial_trace(state, sender).matrix)
+    want = brute_pauli_expectations(state.amplitudes, state.num_qubits, sender)
+    assert np.max(np.abs(got - want)) <= EXACT_ATOL
+
+
+def test_expectations_reject_non_qubit_shapes():
+    for shape in [(3, 3), (2, 4), (1, 1), (4,)]:
+        with pytest.raises(ValueError):
+            pauli_expectations(np.zeros(shape))

@@ -18,6 +18,7 @@ from tmes.capacity import haar_random_state, haar_random_unitary
 from tmes.statevec import (
     ATOL,
     EXACT_ATOL,
+    DensityMatrix,
     LocalOperator,
     Partition,
     PureState,
@@ -61,6 +62,21 @@ class TestPureState:
         state = bell()
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(1, np.array([bad, 0.0]))
+
+
+class TestDensityMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_rejects_non_finite(self, bad, entry):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[entry] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityMatrix(1, mat)
 
 
 class TestPartition:
@@ -179,6 +195,13 @@ class TestSchmidt:
         state = haar_random_state(4, seed=13)
         spec = schmidt_spectrum(state, Partition.from_sender((1,), 4))
         assert abs(sum(spec.eigenvalues) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "values", [(np.nan,), (0.5, np.nan, 0.5), (np.inf,), (np.inf, 0.5)]
+    )
+    def test_spectrum_rejects_non_finite(self, values):
+        with pytest.raises(ValueError):
+            SchmidtSpectrum(values)
 
     def test_both_sides_agree(self):
         state = haar_random_state(5, seed=3)
