@@ -14,35 +14,26 @@ from itertools import combinations
 
 from tmes.capacity import is_tmes, sdc_max_messages, teleport_capacity
 from tmes.statevec import Partition, schmidt_spectrum
-from tmes.states import (
-    basis_state,
-    bell,
-    bell_product,
-    chi,
-    cluster4,
-    cluster5,
-    ghz,
-    hs,
-    odd_resource,
-    omega,
-    w_state,
-)
+from tmes.states import make_state, parse_spec
 
 CATALOG = [
-    ("bell", bell()),
-    ("ghz3", ghz(3)),
-    ("ghz4", ghz(4)),
-    ("ghz5", ghz(5)),
-    ("omega", omega()),
-    ("chi", chi()),
-    ("hs", hs()),
-    ("w2", w_state(2)),
-    ("bell_product2", bell_product(2)),
-    ("odd_resource1", odd_resource(1)),
-    ("odd_resource2", odd_resource(2)),
-    ("cluster4", cluster4()),
-    ("cluster5", cluster5()),
-    ("basis0000", basis_state("0000")),
+    (name, make_state(parse_spec(spec)))
+    for name, spec in (
+        ("bell", "bell"),
+        ("ghz3", "ghz:3"),
+        ("ghz4", "ghz:4"),
+        ("ghz5", "ghz:5"),
+        ("omega", "omega"),
+        ("chi", "chi"),
+        ("hs", "hs"),
+        ("w2", "w:2"),
+        ("bell_product2", "bell_product:2"),
+        ("odd_resource1", "odd_resource:1"),
+        ("odd_resource2", "odd_resource:2"),
+        ("cluster4", "cluster4"),
+        ("cluster5", "cluster5"),
+        ("basis0000", "basis:0000"),
+    )
 ]
 
 

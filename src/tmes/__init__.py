@@ -17,8 +17,6 @@ from .capacity import (
     haar_random_state,
     haar_random_unitary,
     is_tmes,
-    pauli_digits,
-    pauli_label,
     sdc_max_messages,
     sdc_orthogonal_labels,
     simulate_sdc,
@@ -55,6 +53,7 @@ from .operators import (
     u_y,
     u_z,
 )
+from .pauli import pauli_digits, pauli_label
 from .serialize import (
     load_operator,
     load_operator_set,

@@ -18,9 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .operators import pauli_string
-# XOR4, pauli_digits and pauli_label are re-exported for existing importers.
-from .pauli import XOR4, pauli_digits, pauli_expectations, pauli_label  # noqa: F401
+from .pauli import apply_paulis, pauli_expectations, pauli_rows
 from .statevec import (
     ATOL,
     CLUSTER_RTOL,
@@ -28,11 +26,10 @@ from .statevec import (
     LocalOperator,
     Partition,
     PureState,
-    apply_local,
-    overlap,
     partial_trace,
     schmidt_decomposition,
     schmidt_spectrum,
+    tensor,
 )
 
 def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
@@ -136,32 +133,26 @@ def build_teleport_protocol(
     rank = coeffs.size
     block = 2**n_payload
     nblocks = rank // block
-    sender_dim = a_vecs.shape[0]
     recv_dim = b_vecs.shape[1]
     anc_dim = recv_dim // block
 
     # Receiver relabeling: Schmidt vector (m, j) goes to basis state m|j.
     relabel = np.zeros((recv_dim, recv_dim), dtype=complex)
     conj_rows = np.conjugate(b_vecs)
-    used = set()
-    for k in range(rank):
-        j, m = divmod(k, block)
-        idx = m * anc_dim + j
-        relabel[idx, :] = conj_rows[k, :]
-        used.add(idx)
+    k = np.arange(rank)
+    used = (k % block) * anc_dim + k // block
+    relabel[used] = conj_rows
     if rank < recv_dim:
+        # The complement of the Schmidt vectors fills the free rows in order.
         _, _, vh = np.linalg.svd(conj_rows, full_matrices=True)
-        free = [i for i in range(recv_dim) if i not in used]
-        for row, i in zip(vh[rank:, :], free):
-            relabel[i, :] = row
+        relabel[np.setdiff1d(np.arange(recv_dim), used)] = vh[rank:, :]
 
-    paulis = [
-        pauli_string(pauli_digits(q, n_payload)).matrix for q in range(4**n_payload)
-    ]
-    eye_anc = np.eye(anc_dim)
+    # Payload Pauli q acts on the in-block index m, both on the measurement
+    # rows and on the relabeled receiver basis m|j>: P_q (x) I_anc @ relabel.
+    src, phase = pauli_rows(np.arange(4**n_payload), n_payload)
+    moved = phase[:, :, None, None] * relabel.reshape(block, anc_dim, recv_dim)[src]
     corrections = [
-        LocalOperator(len(cut.receiver), np.kron(p, eye_anc) @ relabel)
-        for p in paulis
+        LocalOperator(len(cut.receiver), m.reshape(recv_dim, recv_dim)) for m in moved
     ]
 
     scale = 1.0 / math.sqrt(block)
@@ -170,10 +161,10 @@ def build_teleport_protocol(
     labels: list[tuple[int, int]] = []
     probs: list[float] = []
     meas_qubits = n_payload + len(cut.sender)
-    for q, p_mat in enumerate(paulis):
+    for q in range(4**n_payload):
         for j in range(nblocks):
             base = a_vecs[:, j * block : (j + 1) * block].T * scale
-            vec = (p_mat @ base.reshape(block, sender_dim)).reshape(-1)
+            vec = (phase[q][:, None] * base[src[q]]).reshape(-1)
             family.append(PureState(meas_qubits, vec))
             corr_per_outcome.append(corrections[q])
             labels.append((q, j))
@@ -230,7 +221,7 @@ def simulate_teleportation(
     p = payload.num_qubits
     n = state.num_qubits
     sender, receiver = cut.sides()
-    joint = np.kron(payload.amplitudes, state.amplitudes)
+    joint = tensor(payload, state).amplitudes
     perm = (
         list(range(p))
         + [p + q - 1 for q in sender]
@@ -392,14 +383,13 @@ class SdcCodebook:
 
     sender_set: frozenset[int]
     labels: tuple[int, ...]
-    encodings: tuple[LocalOperator, ...]
     encoded_states: tuple[PureState, ...]
 
     def __post_init__(self) -> None:
         labels = tuple(int(x) for x in self.labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("codebook labels must be distinct and non-empty")
-        if not len(labels) == len(self.encodings) == len(self.encoded_states):
+        if len(labels) != len(self.encoded_states):
             raise ValueError("codebook fields must have equal length")
         stack = np.stack([s.amplitudes for s in self.encoded_states])
         gram = stack.conj() @ stack.T
@@ -435,9 +425,9 @@ def build_sdc_codebook(
             f"pairwise-orthogonal encodings exist on sender {qubits}"
         )
     chosen = labels[:num_messages]
-    encodings = tuple(pauli_string(pauli_digits(d, len(qubits))) for d in chosen)
-    encoded = tuple(apply_local(state, op, qubits) for op in encodings)
-    return SdcCodebook(frozenset(qubits), chosen, encodings, encoded)
+    stack = apply_paulis(state.amplitudes, qubits, chosen)
+    encoded = tuple(PureState(state.num_qubits, amps) for amps in stack)
+    return SdcCodebook(frozenset(qubits), chosen, encoded)
 
 
 def simulate_sdc(
@@ -454,8 +444,8 @@ def simulate_sdc(
         raise ValueError(
             f"message index {message_index} out of range 0..{len(codebook) - 1}"
         )
-    sent = apply_local(state, codebook.encodings[message_index], qubits)
-    probs = [abs(overlap(enc, sent)) ** 2 for enc in codebook.encoded_states]
+    sent = apply_paulis(state.amplitudes, qubits, [codebook.labels[message_index]])[0]
+    probs = [abs(np.vdot(e.amplitudes, sent)) ** 2 for e in codebook.encoded_states]
     return int(np.argmax(probs))
 
 

@@ -11,7 +11,6 @@ families).  Reports are deterministic given the configuration.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable
@@ -19,13 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .capacity import (
-    XOR4,
     build_sdc_codebook,
     build_teleport_protocol,
     haar_random_state,
     haar_random_unitary,
     is_tmes,
-    pauli_digits,
     sdc_max_messages,
     sdc_orthogonal_labels,
     simulate_sdc,
@@ -50,6 +47,7 @@ from .operators import (
     u_chi,
     u_w2,
 )
+from .pauli import pauli_digits
 from .serialize import (
     operator_set_from_dict,
     operator_set_to_dict,
@@ -85,14 +83,17 @@ from .statevec import (
 )
 
 
+# Seeded payloads per teleport claim and random unitaries per invariance claim.
+PAYLOAD_TRIALS = 20
+INVARIANCE_TRIALS = 50
+
+
 @dataclass(frozen=True)
 class ClaimConfig:
     """Knobs for the claim suite; defaults reproduce the reference run."""
 
     tolerance: float = 1e-9
     seed: int = 0
-    payload_trials: int = 20
-    invariance_trials: int = 50
     claim_ids: tuple[str, ...] | None = None
 
 
@@ -628,7 +629,7 @@ def _teleport_trials(state, sender, n_payload, config):
     worst_prob_dev = 0.0
     worst_total_dev = 0.0
     count = None
-    for t in range(config.payload_trials):
+    for t in range(PAYLOAD_TRIALS):
         res = simulate_teleportation(state, cut, haar_random_state(n_payload, config.seed + t))
         count = len(res.outcomes)
         uniform = 1.0 / count
@@ -645,7 +646,7 @@ def _teleport_trials(state, sender, n_payload, config):
         bad.append(f"total probability off by {worst_total_dev:.2e}")
     data = {
         "outcomes": count,
-        "trials": config.payload_trials,
+        "trials": PAYLOAD_TRIALS,
         "worst_fidelity": worst_fid,
         "worst_probability_deviation": worst_prob_dev,
     }
@@ -785,7 +786,7 @@ def _sender_invariance(config: ClaimConfig):
     cut = _cut((1, 3), 4)
     caps = set()
     msgs = set()
-    for _ in range(config.invariance_trials):
+    for _ in range(INVARIANCE_TRIALS):
         u = LocalOperator(2, haar_random_unitary(4, rng))
         moved = apply_local(state, u, (1, 3))
         caps.add(teleport_capacity(moved, cut))
@@ -795,8 +796,8 @@ def _sender_invariance(config: ClaimConfig):
         bad.append(f"capacities drifted to {sorted(caps)}")
     if msgs != {16}:
         bad.append(f"message counts drifted to {sorted(msgs)}")
-    data = {"trials": config.invariance_trials, "capacities": sorted(caps), "messages": sorted(msgs)}
-    return _finish(bad, f"{config.invariance_trials} random sender unitaries leave both figures fixed", data)
+    data = {"trials": INVARIANCE_TRIALS, "capacities": sorted(caps), "messages": sorted(msgs)}
+    return _finish(bad, f"{INVARIANCE_TRIALS} random sender unitaries leave both figures fixed", data)
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +962,7 @@ def _pauli_base(config: ClaimConfig):
     for a in range(4):
         for b in range(4):
             prod = sigma(a).matrix @ sigma(b).matrix
-            worst = min(worst, abs(np.trace(sigma(XOR4[a][b]).matrix.conj().T @ prod)) / 2)
+            worst = min(worst, abs(np.trace(sigma(a ^ b).matrix.conj().T @ prod)) / 2)
     if worst < 1.0 - config.tolerance:
         bad.append(f"label composition broke down (worst witness {worst})")
     data = {"rank_singles": rank1, "rank_pairs": rank2, "composition_witness": worst}
@@ -994,21 +995,17 @@ def _gamma_certification(config: ClaimConfig):
 
 @_register("family-rank-level-3", "The recursion yields 64 three-qubit unitaries; their independence rank is recorded.")
 def _family_level3(config: ClaimConfig):
-    start = time.perf_counter()
     fam = operator_family(3)
     rank = independence_rank(fam.members)
-    elapsed = time.perf_counter() - start
-    data = {"members": len(fam.members), "rank": rank, "seconds": round(elapsed, 3)}
+    data = {"members": len(fam.members), "rank": rank}
     return "recorded", f"64 unitaries at arity 3; independence rank {rank}", data
 
 
 @_register("family-rank-level-4", "The recursion yields 256 four-qubit unitaries; their independence rank is recorded.")
 def _family_level4(config: ClaimConfig):
-    start = time.perf_counter()
     fam = operator_family(4)
     rank = independence_rank(fam.members)
-    elapsed = time.perf_counter() - start
-    data = {"members": len(fam.members), "rank": rank, "seconds": round(elapsed, 3)}
+    data = {"members": len(fam.members), "rank": rank}
     return "recorded", f"256 unitaries at arity 4; independence rank {rank}", data
 
 
@@ -1154,8 +1151,8 @@ def suite_report_doc(
         "config": {
             "tolerance": config.tolerance,
             "seed": config.seed,
-            "payload_trials": config.payload_trials,
-            "invariance_trials": config.invariance_trials,
+            "payload_trials": PAYLOAD_TRIALS,
+            "invariance_trials": INVARIANCE_TRIALS,
             "claim_ids": list(config.claim_ids) if config.claim_ids else None,
         },
         "summary": counts,

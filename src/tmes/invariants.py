@@ -15,8 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .operators import pauli_string
-from .pauli import pauli_digits
+from .pauli import apply_paulis
 from .statevec import (
     ATOL,
     CLUSTER_RTOL,
@@ -24,7 +23,6 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
-    apply_local,
     schmidt_spectrum,
 )
 
@@ -164,11 +162,7 @@ def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFami
         raise ValueError("subset is empty")
     if qubits[0] < 1 or qubits[-1] > n:
         raise ValueError(f"subset out of range 1..{n}: {qubits}")
-    s = len(qubits)
-    states = tuple(
-        apply_local(state, pauli_string(pauli_digits(d, s)), qubits)
-        for d in range(4**s)
-    )
-    stack = np.stack([st.amplitudes for st in states])
+    stack = apply_paulis(state.amplitudes, qubits, range(4 ** len(qubits)))
+    states = tuple(PureState(n, amps) for amps in stack)
     gram = stack.conj() @ stack.T
     return OrthogonalFamily(frozenset(qubits), states, gram)

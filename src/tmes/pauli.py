@@ -4,8 +4,8 @@ A label is a base-4 integer whose digits, most significant first, name the
 Pauli factor on each qubit: 0 is I, 1 is X, 2 is Y and 3 is Z.  Up to a
 phase every string equals X^x Z^z for two s-bit masks, with the first qubit
 on the most significant bit (Aaronson & Gottesman, PRA 70, 052328, 2004).
-Phases never matter here: the callers need |Tr(rho P)| and products of
-strings up to phase, which is bitwise xor of labels.
+Up to phase, the product of two strings is the xor of their labels.  Every
+action of a label on amplitudes goes through ``pauli_rows``.
 """
 
 from __future__ import annotations
@@ -13,16 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-# Composition table of Pauli indices up to phase: sigma_a sigma_b is
-# proportional to sigma_{XOR4[a][b]}.  Coincides with bitwise xor.
-XOR4: tuple[tuple[int, ...], ...] = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-
 
 def pauli_digits(label: int, length: int) -> tuple[int, ...]:
     """Base-4 digits of a Pauli-string label, most significant digit first."""
@@ -61,6 +51,45 @@ def xz_masks(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         x |= ((digit == 1) | (digit == 2)).astype(np.int64) << k
         z |= (digit >> 1) << k
     return x, z
+
+
+def pauli_rows(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase of every label's action on rows.
+
+    P_d = i^{|x & z|} X^x Z^z, so for any M with 2^s rows
+    (P_d M)[r] = phase[d, r] M[src[d, r]] with src = r xor x and
+    phase = i^{|x & z|} (-1)^{z.src}; both have shape (len(labels), 2^s).
+    """
+    x, z = xz_masks(labels, length)
+    src = x[:, None] ^ np.arange(2**length)
+    y_count = np.zeros_like(x)
+    parity = np.zeros_like(src)
+    for k in range(length):
+        y_count += (x & z) >> k & 1
+        parity ^= (z[:, None] & src) >> k & 1
+    phase = np.array([1, 1j, -1, -1j])[y_count % 4][:, None] * (1 - 2 * parity)
+    return src, phase
+
+
+def apply_paulis(
+    amplitudes: np.ndarray, qubits: Sequence[int], labels: Sequence[int]
+) -> np.ndarray:
+    """Amplitudes of P_d|psi> for every label d, one row per label.
+
+    The labels act on the listed 1-based qubits in the given order: the first
+    digit of a label acts on the first listed qubit.
+    """
+    amps = np.asarray(amplitudes)
+    n = amps.size.bit_length() - 1
+    axes = [int(q) - 1 for q in qubits]
+    if len(set(axes)) != len(axes) or not all(0 <= a < n for a in axes):
+        raise ValueError(f"qubits must be distinct and in 1..{n}, got {tuple(qubits)}")
+    s = len(axes)
+    front = np.moveaxis(amps.reshape((2,) * n), axes, range(s)).reshape(2**s, -1)
+    src, phase = pauli_rows(np.asarray(labels), s)
+    out = (phase[:, :, None] * front[src]).reshape((len(src),) + (2,) * n)
+    out = np.moveaxis(out, range(1, s + 1), [a + 1 for a in axes])
+    return out.reshape(len(src), amps.size)
 
 
 def pauli_expectations(rho: np.ndarray) -> np.ndarray:

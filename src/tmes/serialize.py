@@ -1,7 +1,9 @@
 """JSON round-trip for states, single operators, and operator families.
 
 Amplitudes and matrix entries are stored as [re, im] pairs.  Python float
-repr round-trips IEEE doubles exactly, so save/load is bit-exact.
+repr round-trips IEEE doubles exactly, so save/load is bit-exact.  Loading
+checks the shape of a document before building anything from it, so a
+malformed file fails with a ValueError that names the offending field.
 """
 
 from __future__ import annotations
@@ -23,8 +25,35 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _unpairs(pairs: Any) -> np.ndarray:
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _unpairs(pairs: Any, field: str) -> np.ndarray:
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and _is_real(p[0]) and _is_real(p[1])
+        for p in pairs
+    ):
+        raise ValueError(f"{field} must be a list of [re, im] pairs of real numbers")
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def _field(data: dict, key: str) -> Any:
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
+def _positive_int(data: dict, key: str) -> int:
+    value = _field(data, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+    return value
+
+
+def _is_power_of_two(size: int, exponent: int) -> bool:
+    """size == 2**exponent, decided without computing the power."""
+    return size.bit_length() == exponent + 1 and size & (size - 1) == 0
 
 
 def _check_header(data: dict, kind: str) -> None:
@@ -52,9 +81,9 @@ def state_from_dict(data: dict) -> PureState:
     _check_header(data, "state")
     if data.get("convention") != CONVENTION:
         raise ValueError(f"unsupported convention {data.get('convention')!r}")
-    n = data["num_qubits"]
-    amps = _unpairs(data["amplitudes"])
-    if amps.shape != (2**n,):
+    n = _positive_int(data, "num_qubits")
+    amps = _unpairs(_field(data, "amplitudes"), "amplitudes")
+    if not _is_power_of_two(amps.size, n):
         raise ValueError(
             f"state claims {n} qubits but carries {amps.shape[0]} amplitudes"
         )
@@ -66,14 +95,15 @@ def _matrix_to_rows(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def _matrix_from_rows(rows: Any, arity: int) -> np.ndarray:
-    dim = 2**arity
-    mat = np.array([_unpairs(row) for row in rows], dtype=complex)
-    if mat.shape != (dim, dim):
+    if not isinstance(rows, list):
+        raise ValueError("matrix must be a list of rows")
+    mat = [_unpairs(row, "matrix rows") for row in rows]
+    if not _is_power_of_two(len(mat), arity) or any(r.size != len(mat) for r in mat):
         raise ValueError(
-            f"operator of arity {arity} needs a {dim}x{dim} matrix, "
-            f"got shape {mat.shape}"
+            f"operator of arity {arity} needs a 2^{arity} x 2^{arity} matrix, "
+            f"got {len(mat)} rows of lengths {sorted({r.size for r in mat})}"
         )
-    return mat
+    return np.array(mat, dtype=complex)
 
 
 def operator_to_dict(op: LocalOperator) -> dict:
@@ -87,8 +117,8 @@ def operator_to_dict(op: LocalOperator) -> dict:
 
 def operator_from_dict(data: dict) -> LocalOperator:
     _check_header(data, "operator")
-    arity = data["arity"]
-    return LocalOperator(arity, _matrix_from_rows(data["matrix"], arity))
+    arity = _positive_int(data, "arity")
+    return LocalOperator(arity, _matrix_from_rows(_field(data, "matrix"), arity))
 
 
 def operator_set_to_dict(ops: OperatorSet) -> dict:
@@ -102,10 +132,14 @@ def operator_set_to_dict(ops: OperatorSet) -> dict:
 
 def operator_set_from_dict(data: dict) -> OperatorSet:
     _check_header(data, "operator_set")
-    level = data["level"]
+    level = _positive_int(data, "level")
+    operators = _field(data, "operators")
+    if not isinstance(operators, list):
+        raise ValueError("operators must be a list of matrices")
+    if not _is_power_of_two(len(operators), 2 * level):
+        raise ValueError(f"operators must hold 4^{level} matrices, got {len(operators)}")
     members = tuple(
-        LocalOperator(level, _matrix_from_rows(rows, level))
-        for rows in data["operators"]
+        LocalOperator(level, _matrix_from_rows(rows, level)) for rows in operators
     )
     return OperatorSet(level, members)
 

@@ -22,7 +22,6 @@ from oracles import (
 )
 from tmes import capacity
 from tmes.capacity import (
-    XOR4,
     SdcCodebook,
     TmesVerdict,
     _dimension_bounds_hold,
@@ -35,8 +34,6 @@ from tmes.capacity import (
     haar_random_state,
     haar_random_unitary,
     is_tmes,
-    pauli_digits,
-    pauli_label,
     sdc_max_messages,
     sdc_orthogonal_labels,
     simulate_sdc,
@@ -44,7 +41,7 @@ from tmes.capacity import (
     teleport_capacity,
 )
 from tmes.operators import pauli_string
-from tmes.pauli import pauli_expectations
+from tmes.pauli import pauli_digits, pauli_expectations, pauli_label
 from tmes.statevec import (
     ATOL,
     LocalOperator,
@@ -106,14 +103,6 @@ class TestLabelArithmetic:
             pauli_digits(0, 0)
         with pytest.raises(ValueError):
             pauli_label((0, 4))
-
-    def test_xor_table_is_bitwise_xor(self):
-        for a in range(4):
-            for b in range(4):
-                assert XOR4[a][b] == a ^ b
-                assert XOR4[a][b] == XOR4[b][a]
-            assert XOR4[a][0] == a
-            assert XOR4[a][a] == 0
 
     def test_two_adic_valuation_matches_oracle(self):
         for x in range(1, 65):
@@ -229,6 +218,33 @@ class TestTeleportProtocol:
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
         labels = [out.block_index for out in result.outcomes]
         assert sorted(labels) == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "state,sender,n_payload",
+        [
+            (bell_product(4), (1, 3, 5, 7), 1),
+            (bell_product(4), (1, 3, 5, 7), 2),
+            (bell_product(4), (1, 3, 5, 7), 3),
+            (_nonuniform_state(), (1, 2), 1),
+        ],
+        ids=["bp4-p1", "bp4-p2", "bp4-p3", "two-block"],
+    )
+    def test_paulis_match_dense_strings(self, state, sender, n_payload):
+        # Outcome (q, j) measures P_q on the payload qubits of outcome (0, j)
+        # and corrects with (P_q x I_anc) times the q = 0 relabeling, with
+        # the exact phases of the Kronecker-product strings.
+        cut = _cut(sender, state.num_qubits)
+        proto = build_teleport_protocol(state, cut, n_payload)
+        outcome = {lab: i for i, lab in enumerate(proto.outcome_labels)}
+        anc = np.eye(2 ** (len(cut.receiver) - n_payload))
+        for (q, j), i in outcome.items():
+            p_q = pauli_string(pauli_digits(q, n_payload))
+            base = proto.measurement_family[outcome[(0, j)]]
+            moved = apply_local(base, p_q, range(1, n_payload + 1)).amplitudes
+            assert np.array_equal(proto.measurement_family[i].amplitudes, moved)
+            relabel = proto.corrections[outcome[(0, j)]].matrix
+            dense = np.kron(p_q.matrix, anc) @ relabel
+            assert np.array_equal(proto.corrections[i].matrix, dense)
 
     def test_protocol_probabilities_match_simulation(self):
         state = _nonuniform_state()
@@ -436,14 +452,41 @@ class TestSdcCodebook:
             simulate_sdc(cluster4(), (1, 3), 16, book)
 
     def test_direct_construction_validates(self):
-        ops = (pauli_string((0,)), pauli_string((0,)))
         states = (bell(), bell())
         with pytest.raises(ValueError, match="orthogonal"):
-            SdcCodebook(frozenset({1}), (0, 1), ops, states)
+            SdcCodebook(frozenset({1}), (0, 1), states)
         with pytest.raises(ValueError, match="distinct"):
-            SdcCodebook(frozenset({1}), (0, 0), ops, states)
+            SdcCodebook(frozenset({1}), (0, 0), states)
         with pytest.raises(ValueError, match="equal length"):
-            SdcCodebook(frozenset({1}), (0,), ops, states)
+            SdcCodebook(frozenset({1}), (0,), states)
+
+    @pytest.mark.parametrize(
+        "state,sender,size",
+        [
+            (cluster5(), (1, 3, 5), 32),
+            # A Haar unitary on the receivers keeps the sender marginal
+            # maximally mixed, so all 16 labels, Y phases included, are in
+            # the codebook while the amplitudes are random.
+            (
+                apply_local(
+                    bell_product(2),
+                    LocalOperator(2, haar_random_unitary(4, np.random.default_rng(5))),
+                    (2, 4),
+                ),
+                (1, 3),
+                16,
+            ),
+        ],
+        ids=["cluster5", "haar-dressed"],
+    )
+    def test_encoded_states_match_dense_strings(self, state, sender, size):
+        book = build_sdc_codebook(state, sender)
+        assert len(book) == size
+        for label, enc in zip(book.labels, book.encoded_states):
+            op = pauli_string(pauli_digits(label, len(sender)))
+            assert np.array_equal(
+                enc.amplitudes, apply_local(state, op, sender).amplitudes
+            )
 
 
 # verdict, best teleport payload, best message count, witnessing sender set

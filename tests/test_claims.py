@@ -14,17 +14,15 @@ from tmes.claims import (
     suite_report_doc,
 )
 
-DETERMINISTIC_SUBSET = (
-    "bell-catalog",
-    "chi-construction-discrepancy",
-    "diagnostics",
-    "sdc-roundtrip",
-    "teleport-bell",
-)
-
 
 @pytest.fixture(scope="module")
 def full_suite():
+    return run_claim_suite()
+
+
+@pytest.fixture(scope="module")
+def rerun_suite():
+    """A second, independent run of the whole suite."""
     return run_claim_suite()
 
 
@@ -77,9 +75,8 @@ class TestFullSuite:
             assert r.anchor and r.detail
             assert isinstance(r.data, dict)
 
-    def test_deterministic_reruns(self):
-        config = ClaimConfig(claim_ids=DETERMINISTIC_SUBSET)
-        assert run_claim_suite(config) == run_claim_suite(config)
+    def test_deterministic_reruns(self, full_suite, rerun_suite):
+        assert rerun_suite == full_suite
 
 
 class TestRecordedEvidence:
@@ -112,14 +109,13 @@ class TestRecordedEvidence:
         data = by_id[claim].data
         assert data["members"] == members
         assert data["rank"] == members
-        assert data["seconds"] >= 0.0
 
 
 class TestReportDocument:
-    def test_pinned_timestamp_makes_bytes_reproducible(self, full_suite):
+    def test_pinned_timestamp_makes_bytes_reproducible(self, full_suite, rerun_suite):
         config = ClaimConfig()
         doc_a = suite_report_doc(full_suite, config, generated_at="run-0")
-        doc_b = suite_report_doc(full_suite, config, generated_at="run-0")
+        doc_b = suite_report_doc(rerun_suite, config, generated_at="run-0")
         assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
     def test_header_and_summary(self, full_suite):
@@ -131,6 +127,8 @@ class TestReportDocument:
         assert len(doc["claims"]) == 45
         assert doc["config"]["tolerance"] == 1e-9
         assert doc["config"]["claim_ids"] is None
+        assert doc["config"]["payload_trials"] == 20
+        assert doc["config"]["invariance_trials"] == 50
 
     def test_claims_serialize_to_plain_json(self, full_suite):
         doc = suite_report_doc(full_suite, ClaimConfig(), generated_at="t")

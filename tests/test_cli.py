@@ -57,6 +57,30 @@ class TestStateCommands:
         assert main(["state", "build", "septet:7"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"amplitudes": [["NaN", 0], [0, 0]]},
+            {"amplitudes": [1, 0]},
+            {"num_qubits": "1"},
+            {"num_qubits": None},
+        ],
+        ids=["string-amplitude", "bare-numbers", "string-count", "missing-count"],
+    )
+    def test_malformed_state_file_fails_cleanly(self, tmp_path, capsys, patch):
+        doc = {
+            "format_version": 1, "kind": "state", "convention": "q1-msb",
+            "num_qubits": 1, "amplitudes": [[1, 0], [0, 0]],
+        }
+        doc.update(patch)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["tmes", "--state", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_show_missing_file(self, capsys):
         assert main(["state", "show", "/nonexistent/state.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""Symplectic Pauli layer: (x, z) masks and all-label expectations.
+"""Symplectic Pauli layer: (x, z) masks, the row action of every label and
+all-label expectations.
 
 Expectations are checked against an oracle that applies each Pauli string
 to the full state vector by index arithmetic, never through the reduced
-density matrix or a Walsh-Hadamard transform.
+density matrix or a Walsh-Hadamard transform.  The row action is checked
+against dense Kronecker-product strings, phases included.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from hypothesis import strategies as st
 from oracles import brute_pauli_expectations
 from tmes.capacity import haar_random_state
 from tmes.operators import pauli_string
-from tmes.pauli import pauli_digits, pauli_expectations, xz_masks
+from tmes.pauli import (
+    apply_paulis,
+    pauli_digits,
+    pauli_expectations,
+    pauli_rows,
+    xz_masks,
+)
 from tmes.states import chi, cluster5, ghz
-from tmes.statevec import EXACT_ATOL, partial_trace
+from tmes.statevec import EXACT_ATOL, apply_local, partial_trace
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -33,6 +41,53 @@ def test_masks_match_pauli_string_matrices(length):
         phase = mat[x[label], 0]
         assert abs(abs(phase) - 1.0) <= EXACT_ATOL
         assert np.max(np.abs(mat - phase * xz)) <= EXACT_ATOL
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_rows_rebuild_pauli_string_matrices(length):
+    dim = 2**length
+    src, phase = pauli_rows(np.arange(4**length), length)
+    for label in range(4**length):
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[np.arange(dim), src[label]] = phase[label]
+        assert np.array_equal(mat, pauli_string(pauli_digits(label, length)).matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_paulis_matches_dense_strings(data):
+    n = data.draw(st.integers(min_value=1, max_value=7), label="n")
+    seed = data.draw(st.integers(min_value=0, max_value=10**6), label="seed")
+    qubits = data.draw(
+        st.permutations(range(1, n + 1)).flatmap(
+            lambda perm: st.integers(1, min(n, 4)).map(lambda s: tuple(perm[:s]))
+        ),
+        label="qubits",
+    )
+    state = haar_random_state(n, seed)
+    s = len(qubits)
+    got = apply_paulis(state.amplitudes, qubits, range(4**s))
+    for label in range(4**s):
+        op = pauli_string(pauli_digits(label, s))
+        assert np.array_equal(got[label], apply_local(state, op, qubits).amplitudes)
+
+
+def test_apply_paulis_keeps_the_listed_qubit_order():
+    # Label 4 * X + Z: X on the first listed qubit, Z on the second.
+    state = haar_random_state(3, seed=1)
+    got = apply_paulis(state.amplitudes, (3, 1), [4 * 1 + 3])[0]
+    want = apply_local(state, pauli_string((1, 3)), (3, 1)).amplitudes
+    assert np.array_equal(got, want)
+    assert not np.array_equal(
+        got, apply_local(state, pauli_string((1, 3)), (1, 3)).amplitudes
+    )
+
+
+def test_apply_paulis_rejects_bad_qubits():
+    amps = haar_random_state(3, seed=0).amplitudes
+    for qubits in [(0,), (4,), (1, 1)]:
+        with pytest.raises(ValueError):
+            apply_paulis(amps, qubits, [0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tmes.capacity import haar_random_state
-from tmes.operators import gamma_set, operator_family, u_chi, u_w2
+from tmes.operators import gamma_set, operator_family, pauli_set, u_chi, u_w2
 from tmes.serialize import (
     CONVENTION,
     FORMAT_VERSION,
@@ -25,7 +25,7 @@ from tmes.serialize import (
     state_from_dict,
     state_to_dict,
 )
-from tmes.states import bell, chi, cluster5, hs, w_state
+from tmes.states import basis_state, bell, chi, cluster5, hs, w_state
 
 
 class TestStateRoundTrip:
@@ -72,6 +72,81 @@ class TestStateRoundTrip:
                 state_from_dict(broken)
         with pytest.raises(ValueError):
             state_from_dict([1, 2, 3])
+
+
+class TestMalformedDocuments:
+    """Each document is refused with a ValueError naming the bad field."""
+
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"amplitudes": [["NaN", 0], [0, 0]]}, "amplitudes"),
+            ({"amplitudes": [1, 0]}, "amplitudes"),
+            ({"amplitudes": [[1, 0, 0], [0, 0]]}, "amplitudes"),
+            ({"amplitudes": [[True, 0], [0, 0]]}, "amplitudes"),
+            ({"amplitudes": "10"}, "amplitudes"),
+            ({"num_qubits": "1"}, "num_qubits"),
+            ({"num_qubits": True}, "num_qubits"),
+            ({"num_qubits": 0}, "num_qubits"),
+            ({"num_qubits": 1.0}, "num_qubits"),
+        ],
+    )
+    def test_state_fields(self, patch, field):
+        doc = {**state_to_dict(basis_state("0")), **patch}
+        with pytest.raises(ValueError, match=field):
+            state_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["num_qubits", "amplitudes"])
+    def test_state_missing_field(self, field):
+        doc = state_to_dict(basis_state("0"))
+        del doc[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            state_from_dict(doc)
+
+    def test_huge_qubit_count_is_refused_by_arithmetic(self):
+        # 2**(10**18) is never formed: the check compares bit lengths.
+        doc = {**state_to_dict(basis_state("0")), "num_qubits": 10**18}
+        with pytest.raises(ValueError, match="carries 2 amplitudes"):
+            state_from_dict(doc)
+
+    def test_non_finite_amplitude_is_refused_by_the_state(self):
+        doc = {**state_to_dict(basis_state("0")), "amplitudes": [[float("nan"), 0], [0, 0]]}
+        with pytest.raises(ValueError, match="not normalized"):
+            state_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"arity": False}, "arity"),
+            ({"arity": "1"}, "arity"),
+            ({"matrix": [[[1, 0]], [[0, 0], [1, 0]]]}, "arity"),
+            ({"matrix": [[1, 0], [0, 1]]}, "matrix"),
+            ({"matrix": {"rows": []}}, "matrix"),
+        ],
+    )
+    def test_operator_fields(self, patch, field):
+        doc = {**operator_to_dict(pauli_set().members[1]), **patch}
+        with pytest.raises(ValueError, match=field):
+            operator_from_dict(doc)
+
+    def test_operator_missing_matrix(self):
+        doc = operator_to_dict(pauli_set().members[1])
+        del doc["matrix"]
+        with pytest.raises(ValueError, match="missing field 'matrix'"):
+            operator_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"level": 1.5}, "level"),
+            ({"level": 10**18}, "operators"),
+            ({"operators": None}, "operators"),
+        ],
+    )
+    def test_operator_set_fields(self, patch, field):
+        doc = {**operator_set_to_dict(pauli_set()), **patch}
+        with pytest.raises(ValueError, match=field):
+            operator_set_from_dict(doc)
 
 
 class TestOperatorRoundTrip:
