@@ -23,9 +23,10 @@ from .statevec import (
     ATOL,
     CLUSTER_RTOL,
     EXACT_ATOL,
-    LocalOperator,
     Partition,
     PureState,
+    _freeze,
+    check_qubits,
     partial_trace,
     schmidt_decomposition,
     schmidt_spectrum,
@@ -68,47 +69,50 @@ def teleport_capacity(
 class TeleportProtocol:
     """Measurement family and corrections for perfect teleportation.
 
-    Measurement states live on payload+sender qubits, payload first.  Each
-    outcome is labeled (pauli label, Schmidt block); its correction relabels
-    the receiver's Schmidt basis to the computational basis and undoes the
-    Pauli, parking the payload on the first n_payload receiver qubits.  With
-    a single block (rank exactly 2^n_payload) the family has 4^n_payload
-    members and outcome probabilities are uniform 4^{-n_payload}.
+    Row i of ``measurement_family`` (read-only, k x 2^(p+s)) is a measurement
+    state on payload+sender qubits, payload first, and ``corrections[i]``
+    (read-only, k x 2^r x 2^r) its receiver unitary.  Outcome i is labeled
+    (pauli label, Schmidt block); its correction relabels the receiver's
+    Schmidt basis to the computational basis and undoes the Pauli, parking
+    the payload on the first n_payload receiver qubits.  With a single block
+    (rank exactly 2^n_payload) the family has 4^n_payload members and outcome
+    probabilities are uniform 4^{-n_payload}.
     """
 
     cut: Partition
     n_payload: int
-    measurement_family: tuple[PureState, ...]
-    corrections: tuple[LocalOperator, ...]
+    measurement_family: np.ndarray
+    corrections: np.ndarray
     outcome_labels: tuple[tuple[int, int], ...]
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_payload < 1:
             raise ValueError("payload must hold at least one qubit")
-        fam = tuple(self.measurement_family)
-        corr = tuple(self.corrections)
+        fam = np.asarray(self.measurement_family, dtype=complex)
+        corr = np.asarray(self.corrections, dtype=complex)
         labels = tuple(self.outcome_labels)
         probs = tuple(float(p) for p in self.probabilities)
-        if not fam or not len(fam) == len(corr) == len(labels) == len(probs):
-            raise ValueError("per-outcome fields must have equal nonzero length")
-        meas_qubits = self.n_payload + len(self.cut.sender)
-        stack = np.stack([m.amplitudes for m in fam])
-        if any(m.num_qubits != meas_qubits for m in fam):
+        recv_dim = 2 ** len(self.cut.receiver)
+        if fam.ndim != 2 or fam.shape[1] != 2 ** (self.n_payload + len(self.cut.sender)):
             raise ValueError("measurement states must cover payload plus sender")
-        gram = stack.conj() @ stack.T
-        if np.max(np.abs(gram - np.eye(len(fam)))) > ATOL:
+        if corr.shape[1:] != (recv_dim, recv_dim):
+            raise ValueError("corrections must act on the receiver side")
+        k = len(labels)
+        if not k or not len(fam) == len(corr) == k == len(probs):
+            raise ValueError("per-outcome fields must have equal nonzero length")
+        if not (np.isfinite(fam).all() and np.isfinite(corr).all()):
+            raise ValueError("protocol has a NaN or infinite entry")
+        if np.max(np.abs(fam.conj() @ fam.T - np.eye(k))) > ATOL:
             raise ValueError("measurement family is not orthonormal")
-        recv = len(self.cut.receiver)
-        for i, c in enumerate(corr):
-            if c.arity != recv:
-                raise ValueError(f"correction {i} must act on the receiver side")
-            if not c.is_unitary():
-                raise ValueError(f"correction {i} is not unitary")
+        unitarity = np.abs(corr.conj().transpose(0, 2, 1) @ corr - np.eye(recv_dim))
+        bad = np.flatnonzero(np.max(unitarity, axis=(1, 2)) > ATOL)
+        if bad.size:
+            raise ValueError(f"correction {bad[0]} is not unitary")
         if any(p < -EXACT_ATOL for p in probs) or abs(sum(probs) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must be a distribution")
-        object.__setattr__(self, "measurement_family", fam)
-        object.__setattr__(self, "corrections", corr)
+        object.__setattr__(self, "measurement_family", _freeze(fam))
+        object.__setattr__(self, "corrections", _freeze(corr))
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "probabilities", probs)
 
@@ -120,7 +124,8 @@ def build_teleport_protocol(
 
     Requires teleport_capacity(state, cut) >= n_payload.  The Schmidt rank
     splits into blocks of 2^n_payload equal coefficients; each block
-    contributes one measurement state per payload Pauli string.
+    contributes one measurement state per payload Pauli string.  Outcome
+    (q, j) sits at index q * nblocks + j.
     """
     if n_payload < 1:
         raise ValueError("payload must hold at least one qubit")
@@ -133,6 +138,7 @@ def build_teleport_protocol(
     rank = coeffs.size
     block = 2**n_payload
     nblocks = rank // block
+    npaulis = 4**n_payload
     recv_dim = b_vecs.shape[1]
     anc_dim = recv_dim // block
 
@@ -149,30 +155,17 @@ def build_teleport_protocol(
 
     # Payload Pauli q acts on the in-block index m, both on the measurement
     # rows and on the relabeled receiver basis m|j>: P_q (x) I_anc @ relabel.
-    src, phase = pauli_rows(np.arange(4**n_payload), n_payload)
+    src, phase = pauli_rows(np.arange(npaulis), n_payload)
     moved = phase[:, :, None, None] * relabel.reshape(block, anc_dim, recv_dim)[src]
-    corrections = [
-        LocalOperator(len(cut.receiver), m.reshape(recv_dim, recv_dim)) for m in moved
-    ]
-
-    scale = 1.0 / math.sqrt(block)
-    family: list[PureState] = []
-    corr_per_outcome: list[LocalOperator] = []
-    labels: list[tuple[int, int]] = []
-    probs: list[float] = []
-    meas_qubits = n_payload + len(cut.sender)
-    for q in range(4**n_payload):
-        for j in range(nblocks):
-            base = a_vecs[:, j * block : (j + 1) * block].T * scale
-            vec = (phase[q][:, None] * base[src[q]]).reshape(-1)
-            family.append(PureState(meas_qubits, vec))
-            corr_per_outcome.append(corrections[q])
-            labels.append((q, j))
-            t_block = float(np.mean(coeffs[j * block : (j + 1) * block]))
-            probs.append(t_block * t_block / block)
+    bases = a_vecs.T.reshape(nblocks, block, -1) * (1.0 / math.sqrt(block))
+    family = phase[:, None, :, None] * np.swapaxes(bases[:, src], 0, 1)
+    means = [float(np.mean(c)) for c in coeffs.reshape(nblocks, block)]
+    block_probs = tuple(t * t / block for t in means)
+    corrections = np.repeat(moved.reshape(npaulis, recv_dim, recv_dim), nblocks, axis=0)
+    labels = tuple((q, j) for q in range(npaulis) for j in range(nblocks))
     return TeleportProtocol(
-        cut, n_payload, tuple(family), tuple(corr_per_outcome), tuple(labels),
-        tuple(probs),
+        cut, n_payload, family.reshape(len(labels), -1), corrections, labels,
+        block_probs * npaulis,
     )
 
 
@@ -232,20 +225,23 @@ def simulate_teleportation(
         .transpose(perm)
         .reshape(2 ** (p + len(sender)), 2 ** len(receiver))
     )
-    anc_dim = 2 ** len(receiver) // 2**p
-    outcomes = []
-    for i, meas in enumerate(protocol.measurement_family):
-        v = meas.amplitudes.conj() @ mat
-        prob = float(np.real(np.vdot(v, v)))
-        if prob > EXACT_ATOL:
-            corrected = protocol.corrections[i].matrix @ (v / math.sqrt(prob))
-            reduced = corrected.reshape(2**p, anc_dim)
-            rho = reduced @ reduced.conj().T
-            fid = float(np.real(np.vdot(payload.amplitudes, rho @ payload.amplitudes)))
-        else:
-            prob, fid = 0.0, 1.0
-        q, j = protocol.outcome_labels[i]
-        outcomes.append(TeleportOutcome(i, q, j, prob, fid))
+    # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
+    # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
+    v = protocol.measurement_family.conj()[:, None, :] @ mat
+    prob = np.real(v.conj() @ v.transpose(0, 2, 1))[:, 0, 0]
+    ok = prob > EXACT_ATOL
+    unit = v[:, 0, :] / np.sqrt(np.where(ok, prob, 1.0))[:, None]
+    corrected = protocol.corrections @ unit[:, :, None]
+    reduced = corrected.reshape(len(prob), 2**p, -1)
+    rho = reduced @ reduced.conj().transpose(0, 2, 1)
+    amps = payload.amplitudes
+    fid = np.real(amps.conj() @ (rho @ amps)[:, :, None])[:, 0]
+    prob = np.where(ok, prob, 0.0)
+    fid = np.where(ok, fid, 1.0)
+    outcomes = [
+        TeleportOutcome(i, q, j, float(prob[i]), float(fid[i]))
+        for i, (q, j) in enumerate(protocol.outcome_labels)
+    ]
     return TeleportResult(payload, protocol, tuple(outcomes))
 
 
@@ -474,6 +470,7 @@ def is_tmes(
     n = state.num_qubits
     if n < 2:
         raise ValueError("the maximal-task test needs at least two qubits")
+    check_qubits(n, "the maximal-task test")
     payload_threshold = n // 2
     message_threshold = 2**n
     best_cap = 0

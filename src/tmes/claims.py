@@ -720,16 +720,18 @@ def _teleport_rejects(config: ClaimConfig):
 def _protocol_structure(config: ClaimConfig):
     proto = build_teleport_protocol(cluster4(), _cut((1, 3), 4), 2)
     bad = []
-    if len(proto.measurement_family) != 16:
-        bad.append(f"family size {len(proto.measurement_family)} != 16")
-    stack = np.stack([m.amplitudes for m in proto.measurement_family])
-    gram_dev = float(np.max(np.abs(stack.conj() @ stack.T - np.eye(len(proto.measurement_family)))))
+    fam, corr = proto.measurement_family, proto.corrections
+    if len(fam) != 16:
+        bad.append(f"family size {len(fam)} != 16")
+    gram_dev = float(np.max(np.abs(fam.conj() @ fam.T - np.eye(len(fam)))))
     if gram_dev > config.tolerance:
         bad.append(f"measurement family departs orthonormality by {gram_dev:.2e}")
     prob_dev = float(max(abs(p - 1 / 16) for p in proto.probabilities))
     if prob_dev > config.tolerance:
         bad.append(f"outcome weights deviate from 1/16 by {prob_dev:.2e}")
-    if any(c.arity != 2 or not c.is_unitary(config.tolerance) for c in proto.corrections):
+    if corr.shape[1:] != (4, 4) or np.max(
+        np.abs(corr.conj().transpose(0, 2, 1) @ corr - np.eye(4))
+    ) > config.tolerance:
         bad.append("corrections are not two-qubit unitaries")
     if [lab for lab in proto.outcome_labels] != [(q, 0) for q in range(16)]:
         bad.append("outcome labels are not the sixteen Pauli labels")

@@ -23,12 +23,9 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
+    check_qubits,
     schmidt_spectrum,
 )
-
-# Spectra enumeration is exponential in qubit count; this guard keeps calls
-# comfortably interactive.
-MAX_QUBITS = 12
 
 
 def all_bipartitions(num_qubits: int) -> tuple[Partition, ...]:
@@ -52,11 +49,7 @@ def all_bipartition_spectra(
     state: PureState,
 ) -> dict[Partition, SchmidtSpectrum]:
     """Schmidt spectrum of every bipartition, keyed by canonical partition."""
-    if state.num_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"spectra enumeration is capped at {MAX_QUBITS} qubits, "
-            f"got {state.num_qubits}"
-        )
+    check_qubits(state.num_qubits, "spectra enumeration")
     return {
         cut: schmidt_spectrum(state, cut)
         for cut in all_bipartitions(state.num_qubits)

@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import ATOL, LocalOperator, PureState, apply_local, overlap
+from .statevec import (
+    ATOL,
+    MAX_DENSE_BYTES,
+    MAX_QUBITS,
+    LocalOperator,
+    PureState,
+    apply_local,
+    overlap,
+)
 
 _S0 = np.eye(2, dtype=complex)
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -191,10 +199,25 @@ def sigma_construct(base: OperatorSet) -> OperatorSet:
     return OperatorSet(lvl, tuple(LocalOperator(lvl, m) for m in blocks))
 
 
+def family_bytes(level: int) -> int:
+    """Bytes of the level-``level`` family: 4^level complex matrices of
+    2^level x 2^level entries, 16 bytes each."""
+    return 16 * 16**level
+
+
 def operator_family(level: int) -> OperatorSet:
-    """Level-``level`` family obtained by iterating the recursion on the Paulis."""
+    """Level-``level`` family obtained by iterating the recursion on the Paulis.
+
+    Refused before allocating when the family would exceed MAX_DENSE_BYTES.
+    """
     if level < 1:
         raise ValueError("level must be at least 1")
+    # The first test keeps an absurd level from forming a huge integer.
+    if level > MAX_QUBITS or family_bytes(level) > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a level-{level} family needs 16^{level + 1} bytes, above the "
+            f"{MAX_DENSE_BYTES // 2**20} MiB cap"
+        )
     fam = pauli_set()
     for _ in range(level - 1):
         fam = sigma_construct(fam)

@@ -85,6 +85,51 @@ def brute_negativity(amps, num_qubits: int, transpose_qubits) -> float:
     return float(-np.sum(eigs[eigs < 0]))
 
 
+def brute_teleport_outcome(
+    resource, num_qubits: int, sender, payload, measurement, correction
+) -> tuple[float, float]:
+    """Probability and payload fidelity of one teleport outcome.
+
+    The joint state is the payload (most significant qubits) then the
+    ``num_qubits``-qubit resource.  ``measurement`` is a state on the payload
+    qubits followed by the sorted ``sender`` qubits; ``correction`` acts on the
+    sorted receiver qubits, and the payload must land on the first of them.
+    Every index is formed by bit arithmetic on the joint basis index.
+    """
+    resource = np.asarray(resource, dtype=complex)
+    payload = np.asarray(payload, dtype=complex)
+    p = len(payload).bit_length() - 1
+    n = num_qubits
+    sender = sorted(sender)
+    receiver = [q for q in range(1, n + 1) if q not in sender]
+    joint_index = np.arange(2 ** (p + n))
+    pay_index = joint_index >> n
+    res_index = joint_index & (2**n - 1)
+    joint = payload[pay_index] * resource[res_index]
+    meas_row = (pay_index << len(sender)) | sub_index(res_index, sender, n)
+    recv_row = sub_index(res_index, receiver, n)
+    post = np.zeros(2 ** len(receiver), dtype=complex)
+    np.add.at(post, recv_row, np.conj(np.asarray(measurement))[meas_row] * joint)
+    prob = float(np.sum(np.abs(post) ** 2))
+    if prob <= 1e-12:
+        return 0.0, 1.0
+    corrected = np.zeros_like(post)
+    for row in range(post.size):
+        corrected[row] = np.sum(np.asarray(correction)[row] * post)
+    corrected /= math.sqrt(prob)
+    # Receiver index = payload bits then ancilla bits; the fidelity sums
+    # |<payload|ancilla slice>|^2 over the ancilla values.
+    anc_bits = len(receiver) - p
+    recv_index = np.arange(post.size)
+    slices = np.zeros(2**anc_bits, dtype=complex)
+    np.add.at(
+        slices,
+        recv_index & (2**anc_bits - 1),
+        np.conj(payload[recv_index >> anc_bits]) * corrected,
+    )
+    return prob, float(np.sum(np.abs(slices) ** 2))
+
+
 def brute_pauli_expectations(amps, num_qubits: int, qubits) -> np.ndarray:
     """|<psi|P_d|psi>| for every Pauli-string label d on the ordered 1-based
     ``qubits``: base-4 digits of d, most significant first, pick I, X, Y, Z.

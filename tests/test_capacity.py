@@ -18,6 +18,7 @@ from oracles import (
     brute_max_orthogonal,
     brute_orthogonality_adjacency,
     brute_pauli_expectations,
+    brute_teleport_outcome,
     two_adic,
 )
 from tmes import capacity
@@ -44,6 +45,7 @@ from tmes.operators import pauli_string
 from tmes.pauli import pauli_digits, pauli_expectations, pauli_label
 from tmes.statevec import (
     ATOL,
+    MAX_QUBITS,
     LocalOperator,
     Partition,
     PureState,
@@ -170,11 +172,18 @@ def _nonuniform_state() -> PureState:
 class TestTeleportProtocol:
     def test_bell_protocol_structure(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        assert len(proto.measurement_family) == 4
+        assert proto.measurement_family.shape == (4, 4)
+        assert proto.corrections.shape == (4, 2, 2)
         assert proto.outcome_labels == ((0, 0), (1, 0), (2, 0), (3, 0))
         assert proto.probabilities == pytest.approx((0.25,) * 4, abs=1e-12)
-        assert all(m.num_qubits == 2 for m in proto.measurement_family)
-        assert all(c.arity == 1 for c in proto.corrections)
+        # every row is a normalized 2-qubit state, every correction a
+        # 1-qubit unitary, and neither stack can be written through
+        assert all(PureState(2, m).num_qubits == 2 for m in proto.measurement_family)
+        assert all(LocalOperator(1, c).is_unitary() for c in proto.corrections)
+        with pytest.raises(ValueError):
+            proto.measurement_family[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            proto.corrections[0, 0, 0] = 0.0
 
     def test_rejects_payload_beyond_capacity(self):
         with pytest.raises(ValueError, match="supports teleporting 1"):
@@ -186,15 +195,66 @@ class TestTeleportProtocol:
 
     def test_validation_catches_corrupted_fields(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        with pytest.raises(ValueError):
+        fam, corr = proto.measurement_family, proto.corrections
+        with pytest.raises(ValueError, match="distribution"):
             dataclasses.replace(proto, probabilities=(0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            dataclasses.replace(proto, measurement_family=np.stack([fam[0]] * 4))
+        broken = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="correction 0 is not unitary"):
+            dataclasses.replace(proto, corrections=np.stack([broken] * 4))
+        # the first bad index is named
+        later = corr.copy()
+        later[2] = broken
+        later[3] = broken
+        with pytest.raises(ValueError, match="correction 2 is not unitary"):
+            dataclasses.replace(proto, corrections=later)
+
+    @pytest.mark.parametrize("field", ["measurement_family", "corrections"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validation_refuses_non_finite_entries(self, field, bad):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        arr = getattr(proto, field).copy()
+        arr.reshape(-1)[1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dataclasses.replace(proto, **{field: arr})
+
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            (lambda f, c: {"measurement_family": f[:, :2]}, "payload plus sender"),
+            (lambda f, c: {"measurement_family": f[0]}, "payload plus sender"),
+            (lambda f, c: {"corrections": np.zeros((4, 4, 4))}, "receiver side"),
+            (lambda f, c: {"corrections": c[0]}, "receiver side"),
+            (lambda f, c: {"corrections": c[:3]}, "equal nonzero length"),
+            (lambda f, c: {"measurement_family": f[:3]}, "equal nonzero length"),
+        ],
+        ids=["narrow-rows", "one-row", "wide-corrections", "one-correction",
+             "short-corrections", "short-family"],
+    )
+    def test_validation_refuses_wrong_shapes(self, patch, message):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        fields = patch(proto.measurement_family, proto.corrections)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(proto, **fields)
+
+    def test_validation_refuses_empty_protocol(self):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        with pytest.raises(ValueError, match="equal nonzero length"):
             dataclasses.replace(
-                proto, measurement_family=(proto.measurement_family[0],) * 4
+                proto,
+                measurement_family=np.zeros((0, 4)),
+                corrections=np.zeros((0, 2, 2)),
+                outcome_labels=(),
+                probabilities=(),
             )
-        broken = LocalOperator(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            dataclasses.replace(proto, corrections=(broken,) * 4)
+
+    def test_fields_are_copied_on_construction(self):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        fam = proto.measurement_family.copy()
+        again = dataclasses.replace(proto, measurement_family=fam)
+        fam[0] = 0.0
+        assert np.array_equal(again.measurement_family, proto.measurement_family)
 
     def test_perfect_on_maximally_entangled_cut(self):
         result = simulate_teleportation(cluster4(), _cut((1, 3), 4), 2, seed=1)
@@ -237,14 +297,43 @@ class TestTeleportProtocol:
         proto = build_teleport_protocol(state, cut, n_payload)
         outcome = {lab: i for i, lab in enumerate(proto.outcome_labels)}
         anc = np.eye(2 ** (len(cut.receiver) - n_payload))
+        meas_qubits = n_payload + len(cut.sender)
         for (q, j), i in outcome.items():
             p_q = pauli_string(pauli_digits(q, n_payload))
-            base = proto.measurement_family[outcome[(0, j)]]
+            base = PureState(meas_qubits, proto.measurement_family[outcome[(0, j)]])
             moved = apply_local(base, p_q, range(1, n_payload + 1)).amplitudes
-            assert np.array_equal(proto.measurement_family[i].amplitudes, moved)
-            relabel = proto.corrections[outcome[(0, j)]].matrix
+            assert np.array_equal(proto.measurement_family[i], moved)
+            relabel = proto.corrections[outcome[(0, j)]]
             dense = np.kron(p_q.matrix, anc) @ relabel
-            assert np.array_equal(proto.corrections[i].matrix, dense)
+            assert np.array_equal(proto.corrections[i], dense)
+
+    @pytest.mark.parametrize(
+        "state,sender,n_payload",
+        [
+            (bell_product(4), (1, 3, 5, 7), 1),
+            (bell_product(4), (1, 3, 5, 7), 2),
+            (bell_product(4), (1, 3, 5, 7), 3),
+            (cluster4(), (1, 3), 1),
+            (cluster4(), (1, 3), 2),
+            (_nonuniform_state(), (1, 2), 1),
+        ],
+        ids=["bp4-p1", "bp4-p2", "bp4-p3", "cluster4-p1", "cluster4-p2", "two-block"],
+    )
+    def test_outcomes_match_index_oracle(self, state, sender, n_payload):
+        cut = _cut(sender, state.num_qubits)
+        result = simulate_teleportation(state, cut, n_payload, seed=11)
+        proto = result.protocol
+        assert len(result.outcomes) == len(proto.outcome_labels)
+        for out, meas, corr in zip(
+            result.outcomes, proto.measurement_family, proto.corrections
+        ):
+            prob, fid = brute_teleport_outcome(
+                state.amplitudes, state.num_qubits, sender,
+                result.payload.amplitudes, meas, corr,
+            )
+            assert out.probability == pytest.approx(prob, abs=1e-12)
+            assert out.fidelity == pytest.approx(fid, abs=1e-12)
+            assert (out.pauli_label, out.block_index) == proto.outcome_labels[out.index]
 
     def test_protocol_probabilities_match_simulation(self):
         state = _nonuniform_state()
@@ -562,6 +651,11 @@ class TestMaximalityVerdicts:
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             is_tmes(basis_state("0"))
+
+    def test_qubit_cap(self):
+        # refused before any cut is scanned
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+            is_tmes(basis_state("0" * (MAX_QUBITS + 1)))
 
     def test_verdict_dataclass_shape(self):
         verdict = TmesVerdict(False, 0, 1, None)

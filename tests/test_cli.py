@@ -61,11 +61,12 @@ class TestStateCommands:
         "patch",
         [
             {"amplitudes": [["NaN", 0], [0, 0]]},
+            {"amplitudes": [[float("nan"), 0], [0, 0]]},
             {"amplitudes": [1, 0]},
             {"num_qubits": "1"},
             {"num_qubits": None},
         ],
-        ids=["string-amplitude", "bare-numbers", "string-count", "missing-count"],
+        ids=["string-amplitude", "json-nan", "bare-numbers", "string-count", "missing-count"],
     )
     def test_malformed_state_file_fails_cleanly(self, tmp_path, capsys, patch):
         doc = {
@@ -102,6 +103,15 @@ class TestOperatorCommand:
 
     def test_bad_level(self, capsys):
         assert main(["op", "gen", "--level", "0"]) == 1
+
+    def test_oversized_level_fails_cleanly(self, capsys):
+        # level 8 would need 64 GiB; the size guard refuses it first
+        assert main(["op", "gen", "--level", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "MiB cap" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestAnalysisCommands:

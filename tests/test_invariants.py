@@ -8,7 +8,6 @@ import pytest
 from oracles import brute_spectrum
 from tmes.capacity import haar_random_state
 from tmes.invariants import (
-    MAX_QUBITS,
     ObstructionReport,
     all_bipartition_spectra,
     all_bipartitions,
@@ -17,7 +16,14 @@ from tmes.invariants import (
     orthogonal_family,
     spectra_match,
 )
-from tmes.statevec import Partition, PureState, SchmidtSpectrum, overlap, tensor
+from tmes.statevec import (
+    MAX_QUBITS,
+    Partition,
+    PureState,
+    SchmidtSpectrum,
+    overlap,
+    tensor,
+)
 from tmes.states import (
     basis_state,
     bell,
@@ -74,10 +80,10 @@ class TestSpectraEnumeration:
             assert np.allclose(spec.eigenvalues, want, atol=1e-9)
 
     def test_qubit_guard(self):
-        amps = np.zeros(2**13)
+        amps = np.zeros(2 ** (MAX_QUBITS + 1))
         amps[0] = 1.0
-        with pytest.raises(ValueError, match="capped"):
-            all_bipartition_spectra(PureState(13, amps))
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+            all_bipartition_spectra(PureState(MAX_QUBITS + 1, amps))
 
 
 class TestSpectraMatch:

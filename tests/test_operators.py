@@ -11,6 +11,7 @@ from tmes.operators import (
     OperatorSet,
     PlacementReport,
     cnot,
+    family_bytes,
     find_realizing_application,
     gamma,
     gamma_set,
@@ -26,7 +27,7 @@ from tmes.operators import (
     u_y,
     u_z,
 )
-from tmes.statevec import LocalOperator
+from tmes.statevec import MAX_DENSE_BYTES, MAX_QUBITS, LocalOperator
 from tmes.states import basis_state, bell_product, cluster4
 
 S = [
@@ -149,6 +150,23 @@ class TestFamilies:
             assert all(m.arity == level for m in fam.members)
         with pytest.raises(ValueError):
             operator_family(0)
+
+    def test_family_size_arithmetic(self):
+        # 4^d members of 2^d x 2^d complex entries, 16 bytes each
+        for level in range(1, 9):
+            assert family_bytes(level) == 4**level * 4**level * 16
+        assert MAX_DENSE_BYTES == 16 * 4**MAX_QUBITS == 256 * 2**20
+        # a level-d family is as large as a 2d-qubit density matrix
+        assert family_bytes(MAX_QUBITS // 2) == MAX_DENSE_BYTES
+        assert family_bytes(7) == 4 * 2**30
+        assert family_bytes(8) == 64 * 2**30
+
+    @pytest.mark.parametrize("level", [7, 8, 10**18])
+    def test_oversized_family_refused_before_allocating(self, level):
+        # every level here is refused by the arithmetic alone
+        assert level > MAX_QUBITS // 2
+        with pytest.raises(ValueError, match="MiB cap"):
+            operator_family(level)
 
     def test_level_two_family_is_the_gamma_table(self):
         fam = operator_family(2)

@@ -129,6 +129,14 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match=field):
             operator_from_dict(doc)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_operator_with_json_non_finite_entry_is_refused(self, bad):
+        text = json.dumps(operator_to_dict(pauli_set().members[0]))
+        text = text.replace("[1.0, 0.0]", f"[{bad}, 0.0]", 1)
+        doc = json.loads(text)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            operator_from_dict(doc)
+
     def test_operator_missing_matrix(self):
         doc = operator_to_dict(pauli_set().members[1])
         del doc["matrix"]

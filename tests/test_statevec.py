@@ -252,6 +252,31 @@ class TestDiagnostics:
         want = brute_negativity(state.amplitudes, 3, sorted(part.receiver))
         assert negativity(state, part) == pytest.approx(want, abs=1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS, n=st.integers(min_value=2, max_value=6), data=st.data())
+    def test_negativity_matches_brute_force_on_any_cut(self, seed, n, data):
+        state = haar_random_state(n, seed=seed)
+        sender = data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="sender"
+        )
+        part = Partition.from_sender(sender, n)
+        want = brute_negativity(state.amplitudes, n, sorted(part.receiver))
+        assert negativity(state, part) == pytest.approx(want, abs=1e-9)
+
+    def test_negativity_of_near_product_state(self):
+        # A Schmidt coefficient of 1e-7 (weight 1e-14, below EXACT_ATOL)
+        # still counts: the negativity is about 1e-7, not 0.
+        eps = 1e-7
+        amps = np.zeros(4, dtype=complex)
+        amps[0b00] = np.sqrt(1 - eps**2)
+        amps[0b11] = eps
+        state = PureState(2, amps)
+        part = Partition.from_sender((1,), 2)
+        want = brute_negativity(amps, 2, [2])
+        assert negativity(state, part) == pytest.approx(want, abs=1e-12)
+        assert negativity(state, part) == pytest.approx(eps, rel=1e-6)
+        assert negativity(basis_state("01"), part) == 0.0
+
 
 class TestOverlapAndCloseness:
     def test_overlap_conjugate_symmetry(self):
@@ -288,6 +313,14 @@ class TestLocalOperator:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LocalOperator(2, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_rejects_non_finite(self, bad, entry):
+        mat = np.eye(2, dtype=complex)
+        mat[entry] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            LocalOperator(1, mat)
 
     def test_constants_sane(self):
         assert EXACT_ATOL < ATOL
