@@ -1,9 +1,9 @@
 """Survey task capacities of the named catalog states.
 
-For every state the script walks the balanced sender sets used by the
-maximality test, printing the clustered spectrum, teleport capacity, and
-message count per cut, then the combined verdict.  ``--json`` additionally
-writes a machine-readable document.
+For every state in ``tmes.claims.VERDICTS`` the script walks the balanced
+sender sets used by the maximality test, printing the clustered spectrum,
+teleport capacity, and message count per cut, then the combined verdict.
+``--json`` additionally writes a machine-readable document.
 """
 
 from __future__ import annotations
@@ -13,28 +13,13 @@ import json
 from itertools import combinations
 
 from tmes.capacity import is_tmes, sdc_max_messages, teleport_capacity
+from tmes.claims import VERDICTS
 from tmes.statevec import Partition, schmidt_spectrum
 from tmes.states import make_state, parse_spec
 
-CATALOG = [
-    (name, make_state(parse_spec(spec)))
-    for name, spec in (
-        ("bell", "bell"),
-        ("ghz3", "ghz:3"),
-        ("ghz4", "ghz:4"),
-        ("ghz5", "ghz:5"),
-        ("omega", "omega"),
-        ("chi", "chi"),
-        ("hs", "hs"),
-        ("w2", "w:2"),
-        ("bell_product2", "bell_product:2"),
-        ("odd_resource1", "odd_resource:1"),
-        ("odd_resource2", "odd_resource:2"),
-        ("cluster4", "cluster4"),
-        ("cluster5", "cluster5"),
-        ("basis0000", "basis:0000"),
-    )
-]
+# Every state with an expected verdict in the claim suite, named by its spec
+# without the colon (``ghz:3`` -> ``ghz3``).
+CATALOG = [(spec.replace(":", ""), make_state(parse_spec(spec))) for spec in VERDICTS]
 
 
 def fmt_spectrum(clusters) -> str:

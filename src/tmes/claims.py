@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,10 @@ from .states import (
     cluster5,
     ghz,
     hs,
+    make_state,
     odd_resource,
     omega,
+    parse_spec,
     w_state,
 )
 from .statevec import (
@@ -160,19 +162,105 @@ def _spectrum_close(spectrum, expected, tol: float) -> bool:
 HALF = (0.5, 0.5)
 QUARTER4 = (0.25, 0.25, 0.25, 0.25)
 BALANCED_PHASE_SPEC = (0.5, 1 / 6, 1 / 6, 1 / 6)
+PURE = (1.0,)
 
 
-def _check_spectra(state, cases, tol):
-    """cases: (sender tuple, expected spectrum) pairs; returns (bad, data)."""
+class Figure(NamedTuple):
+    """Schmidt spectrum, teleport capacity and message count of one cut."""
+
+    spectrum: tuple[float, ...]
+    capacity: int
+    messages: int
+
+
+class Verdict(NamedTuple):
+    """Expected ``is_tmes`` figures; ``witness`` is the witnessing sender."""
+
+    maximal: bool
+    payload: int
+    messages: int
+    witness: tuple[int, ...] | None
+
+
+# The expected figures of the catalog states, keyed by (state spec, sender).
+# Claims and tests read these; nothing else restates them.
+FIGURES = {
+    ("bell", (1,)): Figure(HALF, 1, 4),
+    ("ghz:3", (1, 2)): Figure(HALF, 1, 8),
+    **{("ghz:4", s): Figure(HALF, 1, 8) for s in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))},
+    ("cluster4", (1, 3)): Figure(QUARTER4, 2, 16),
+    ("cluster4", (1, 2)): Figure(HALF, 1, 8),
+    ("cluster4", (1,)): Figure(HALF, 1, 4),
+    ("cluster5", (1, 3, 5)): Figure(QUARTER4, 2, 32),
+    ("cluster5", (1, 2, 3)): Figure(QUARTER4, 2, 32),
+    ("cluster5", (1,)): Figure(HALF, 1, 4),
+    ("chi", (1, 2)): Figure(QUARTER4, 2, 16),
+    ("chi", (1, 3)): Figure(QUARTER4, 2, 16),
+    ("chi", (1, 4)): Figure(HALF, 1, 8),
+    ("omega", (1, 2)): Figure(QUARTER4, 2, 16),
+    ("omega", (1, 3)): Figure(QUARTER4, 2, 16),
+    ("omega", (1, 4)): Figure(HALF, 1, 8),
+    ("omega", (2, 4)): Figure(QUARTER4, 2, 16),
+    **{("hs", s): Figure(BALANCED_PHASE_SPEC, 0, 4) for s in ((1, 2), (1, 3), (1, 4))},
+    ("w:2", (1, 2)): Figure(HALF, 1, 8),
+    ("w:2", (1, 3)): Figure((2 / 3, 1 / 3), 0, 4),
+    ("w:2", (2, 3)): Figure((5 / 6, 1 / 6), 0, 4),
+    ("w:2", (1,)): Figure((5 / 6, 1 / 6), 0, 2),
+    ("w:2", (2,)): Figure((2 / 3, 1 / 3), 0, 2),
+    ("w:2", (3,)): Figure(HALF, 1, 4),
+    ("bell_product:2", (1, 3)): Figure(QUARTER4, 2, 16),
+    ("bell_product:2", (1, 2)): Figure(PURE, 0, 4),
+    ("odd_resource:1", (1, 3)): Figure(HALF, 1, 8),
+    ("odd_resource:1", (3,)): Figure(PURE, 0, 2),
+    ("odd_resource:2", (1, 3, 5)): Figure(QUARTER4, 2, 32),
+    ("odd_resource:2", (5,)): Figure(PURE, 0, 2),
+    ("basis:00", (1,)): Figure(PURE, 0, 2),
+    ("basis:0000", (1, 3)): Figure(PURE, 0, 4),
+    ("basis:0000", (1, 2)): Figure(PURE, 0, 4),
+}
+
+# Expected maximality verdicts, in the order scripts/capacity_survey.py
+# prints them.
+VERDICTS = {
+    "bell": Verdict(True, 1, 4, (1,)),
+    "ghz:3": Verdict(True, 1, 8, (1, 2)),
+    "ghz:4": Verdict(False, 1, 8, None),
+    "ghz:5": Verdict(False, 1, 16, None),
+    "omega": Verdict(True, 2, 16, (1, 2)),
+    "chi": Verdict(True, 2, 16, (1, 2)),
+    "hs": Verdict(False, 0, 4, None),
+    "w:2": Verdict(True, 1, 8, (1, 2)),
+    "bell_product:2": Verdict(True, 2, 16, (1, 3)),
+    "odd_resource:1": Verdict(True, 1, 8, (1, 3)),
+    "odd_resource:2": Verdict(True, 2, 32, (1, 3, 5)),
+    "cluster4": Verdict(True, 2, 16, (1, 3)),
+    "cluster5": Verdict(True, 2, 32, (1, 2, 3)),
+    "basis:0000": Verdict(False, 0, 4, None),
+    "basis:00": Verdict(False, 0, 2, None),
+    "bell:psi-": Verdict(True, 1, 4, (1,)),
+    "ghz:6": Verdict(False, 1, 16, None),
+    "w:1": Verdict(True, 1, 8, (1, 2)),
+    "bell_product:3": Verdict(True, 3, 64, (1, 3, 5)),
+    "basis:01101": Verdict(False, 0, 8, None),
+}
+
+
+def _key(sender) -> str:
+    return ",".join(str(q) for q in sender)
+
+
+def _check_spectra(spec: str, senders, tol):
+    """Schmidt spectra of a catalog state across ``senders``, checked
+    against FIGURES; returns (bad, data)."""
     bad = []
     data = {}
-    n = state.num_qubits
-    for sender, expected in cases:
-        spec = schmidt_spectrum(state, _cut(sender, n))
-        key = ",".join(str(q) for q in sender)
-        data[key] = _spec_doc(spec)
-        if not _spectrum_close(spec, expected, tol):
-            bad.append(f"cut {sender}: got {data[key]}, expected {list(expected)}")
+    state = make_state(parse_spec(spec))
+    for sender in senders:
+        got = schmidt_spectrum(state, _cut(sender, state.num_qubits))
+        expected = FIGURES[spec, sender].spectrum
+        data[_key(sender)] = _spec_doc(got)
+        if not _spectrum_close(got, expected, tol):
+            bad.append(f"{spec} cut {sender}: got {data[_key(sender)]}, expected {list(expected)}")
     return bad, data
 
 
@@ -223,20 +311,16 @@ def _spectra_ghz(config: ClaimConfig):
 
 @_register("spectra-cluster", "Cluster states are rank four and flat across the odd/even cut, rank two across neighbor cuts.")
 def _spectra_cluster(config: ClaimConfig):
-    bad4, data4 = _check_spectra(
-        cluster4(), [((1, 3), QUARTER4), ((1, 2), HALF), ((1,), HALF)], config.tolerance
-    )
-    bad5, data5 = _check_spectra(
-        cluster5(), [((1, 3, 5), QUARTER4), ((1,), HALF)], config.tolerance
-    )
+    bad4, data4 = _check_spectra("cluster4", [(1, 3), (1, 2), (1,)], config.tolerance)
+    bad5, data5 = _check_spectra("cluster5", [(1, 3, 5), (1,)], config.tolerance)
     return _finish(bad4 + bad5, "odd/even cuts flat at 1/4, edge cuts at 1/2", {"cluster4": data4, "cluster5": data5})
 
 
 @_register("spectra-chi-omega", "The four-term and eight-term phase states are flat on two of the three balanced cuts and rank two on the third.")
 def _spectra_chi_omega(config: ClaimConfig):
-    cases = [((1, 2), QUARTER4), ((1, 3), QUARTER4), ((1, 4), HALF)]
-    bad_c, data_c = _check_spectra(chi(), cases, config.tolerance)
-    bad_o, data_o = _check_spectra(omega(), cases, config.tolerance)
+    senders = [(1, 2), (1, 3), (1, 4)]
+    bad_c, data_c = _check_spectra("chi", senders, config.tolerance)
+    bad_o, data_o = _check_spectra("omega", senders, config.tolerance)
     return _finish(
         bad_c + bad_o,
         "both states: flat across {1,2} and {1,3}, two-level across {1,4}",
@@ -246,8 +330,7 @@ def _spectra_chi_omega(config: ClaimConfig):
 
 @_register("spectra-hs", "The six-term phase state has the same spectrum {1/2, 1/6, 1/6, 1/6} on every balanced cut.")
 def _spectra_hs(config: ClaimConfig):
-    cases = [((1, 2), BALANCED_PHASE_SPEC), ((1, 3), BALANCED_PHASE_SPEC), ((1, 4), BALANCED_PHASE_SPEC)]
-    bad, data = _check_spectra(hs(), cases, config.tolerance)
+    bad, data = _check_spectra("hs", [(1, 2), (1, 3), (1, 4)], config.tolerance)
     ent = entropy(schmidt_spectrum(hs(), _cut((1, 2), 4)))
     data["balanced_entropy"] = float(ent)
     if abs(ent - 1.79248125036058) > 1e-9:
@@ -257,22 +340,15 @@ def _spectra_hs(config: ClaimConfig):
 
 @_register("spectra-w2", "The weighted three-qubit superposition has single-qubit spectra {5/6,1/6}, {2/3,1/3}, {1/2,1/2}.")
 def _spectra_w2(config: ClaimConfig):
-    cases = [
-        ((1,), (5 / 6, 1 / 6)),
-        ((2,), (2 / 3, 1 / 3)),
-        ((3,), HALF),
-    ]
-    bad, data = _check_spectra(w_state(2), cases, config.tolerance)
+    bad, data = _check_spectra("w:2", [(1,), (2,), (3,)], config.tolerance)
     return _finish(bad, "qubit spectra match the closed forms", data)
 
 
 @_register("spectra-products", "Bell-pair products are flat across interleaved cuts and rank one across the pairing cut.")
 def _spectra_products(config: ClaimConfig):
-    bad2, data2 = _check_spectra(
-        bell_product(2), [((1, 3), QUARTER4), ((1, 2), (1.0,))], config.tolerance
-    )
-    bad1, data1 = _check_spectra(odd_resource(1), [((1, 3), HALF), ((3,), (1.0,))], config.tolerance)
-    bad3, data3 = _check_spectra(odd_resource(2), [((1, 3, 5), QUARTER4), ((5,), (1.0,))], config.tolerance)
+    bad2, data2 = _check_spectra("bell_product:2", [(1, 3), (1, 2)], config.tolerance)
+    bad1, data1 = _check_spectra("odd_resource:1", [(1, 3), (3,)], config.tolerance)
+    bad3, data3 = _check_spectra("odd_resource:2", [(1, 3, 5), (5,)], config.tolerance)
     return _finish(
         bad2 + bad1 + bad3,
         "interleaved cuts flat, pairing cuts rank one",
@@ -348,224 +424,124 @@ def _tmes_doc(verdict) -> dict:
     }
 
 
+def _profile(spec: str, config: ClaimConfig, caps=(), msgs=()):
+    """Measure a catalog state against FIGURES and VERDICTS.
+
+    Computes the teleport capacity across each sender in ``caps``, the
+    message count through each sender in ``msgs`` and the maximality verdict.
+    Returns (mismatches, capacities, message counts, verdict document); the
+    two count dicts are keyed by the comma-joined sender.
+    """
+    state = make_state(parse_spec(spec))
+    n = state.num_qubits
+    bad = []
+    got_caps = {}
+    got_msgs = {}
+    for sender in caps:
+        want = FIGURES[spec, sender].capacity
+        got_caps[_key(sender)] = got = teleport_capacity(state, _cut(sender, n))
+        if got != want:
+            bad.append(f"{spec}: capacity across {sender} is {got} != {want}")
+    for sender in msgs:
+        want = FIGURES[spec, sender].messages
+        got_msgs[_key(sender)] = got = sdc_max_messages(state, sender, config.tolerance)
+        if got != want:
+            bad.append(f"{spec}: {got} messages through {sender} != {want}")
+    verdict = is_tmes(state, config.tolerance)
+    part = verdict.witnessing_partition
+    got_verdict = Verdict(
+        verdict.is_tmes,
+        verdict.teleport_qubits,
+        verdict.sdc_messages,
+        tuple(sorted(part.sender)) if part is not None else None,
+    )
+    if got_verdict != VERDICTS[spec]:
+        bad.append(f"{spec}: verdict {tuple(got_verdict)} != {tuple(VERDICTS[spec])}")
+    return bad, got_caps, got_msgs, _tmes_doc(verdict)
+
+
 @_register("bell-maximal", "A Bell pair teleports one qubit and carries four messages: maximal on two qubits.")
 def _bell_maximal(config: ClaimConfig):
-    state = bell()
-    bad = []
-    cap = teleport_capacity(state, _cut((1,), 2))
-    msgs = sdc_max_messages(state, (1,), config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if cap != 1:
-        bad.append(f"teleport capacity {cap} != 1")
-    if msgs != 4:
-        bad.append(f"message count {msgs} != 4")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
-    return _finish(bad, "capacity 1, messages 4, maximal", {"capacity": cap, "messages": msgs, "tmes": _tmes_doc(verdict)})
+    bad, caps, msgs, tmes = _profile("bell", config, [(1,)], [(1,)])
+    return _finish(bad, "capacity 1, messages 4, maximal", {"capacity": caps["1"], "messages": msgs["1"], "tmes": tmes})
 
 
 @_register("ghz3-maximal", "The three-qubit GHZ state teleports one qubit and carries eight messages through a two-qubit sender.")
 def _ghz3_maximal(config: ClaimConfig):
-    state = ghz(3)
-    bad = []
-    cap = teleport_capacity(state, _cut((1, 2), 3))
-    msgs = sdc_max_messages(state, (1, 2), config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if cap != 1:
-        bad.append(f"capacity {cap} != 1")
-    if msgs != 8:
-        bad.append(f"messages {msgs} != 8")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
-    return _finish(bad, "capacity 1, messages 8, maximal", {"capacity": cap, "messages": msgs, "tmes": _tmes_doc(verdict)})
+    bad, caps, msgs, tmes = _profile("ghz:3", config, [(1, 2)], [(1, 2)])
+    return _finish(bad, "capacity 1, messages 8, maximal", {"capacity": caps["1,2"], "messages": msgs["1,2"], "tmes": tmes})
 
 
 @_register("ghz4-not-maximal", "The four-qubit GHZ state misses both thresholds: one teleported qubit and eight messages on every balanced split.")
 def _ghz4_not_maximal(config: ClaimConfig):
-    state = ghz(4)
-    bad = []
-    caps = {}
-    msgs = {}
-    for cut in all_bipartitions(4):
-        if len(cut.sender) != 2:
-            continue
-        key = ",".join(str(q) for q in sorted(cut.sender))
-        caps[key] = teleport_capacity(state, cut)
-    for sender in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        msgs[",".join(map(str, sender))] = sdc_max_messages(state, sender, config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if set(caps.values()) != {1}:
-        bad.append(f"balanced capacities {caps} != all 1")
-    if max(msgs.values()) != 8:
-        bad.append(f"best message count {max(msgs.values())} != 8")
-    if verdict.is_tmes:
-        bad.append("maximality test unexpectedly passed")
-    return _finish(bad, "capacity 1 < 2 and 8 < 16 messages on every split", {"capacities": caps, "messages": msgs, "tmes": _tmes_doc(verdict)})
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    bad, caps, msgs, tmes = _profile("ghz:4", config, pairs[:3], pairs)
+    return _finish(bad, "capacity 1 < 2 and 8 < 16 messages on every split", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("ghz5-not-maximal", "The five-qubit GHZ state reaches sixteen messages but only one teleported qubit, so it is not maximal.")
 def _ghz5_not_maximal(config: ClaimConfig):
-    state = ghz(5)
-    bad = []
-    verdict = is_tmes(state, config.tolerance)
-    if verdict.is_tmes:
-        bad.append("maximality test unexpectedly passed")
-    if verdict.teleport_qubits != 1:
-        bad.append(f"best capacity {verdict.teleport_qubits} != 1")
-    if verdict.sdc_messages != 16:
-        bad.append(f"best message count {verdict.sdc_messages} != 16")
-    return _finish(bad, "best figures 1 qubit and 16 < 32 messages", {"tmes": _tmes_doc(verdict)})
+    bad, _, _, tmes = _profile("ghz:5", config)
+    return _finish(bad, "best figures 1 qubit and 16 < 32 messages", {"tmes": tmes})
 
 
 @_register("cluster4-maximal", "The four-qubit cluster state teleports two qubits and carries sixteen messages through the odd pair.")
 def _cluster4_maximal(config: ClaimConfig):
-    state = cluster4()
-    bad = []
-    cap_odd = teleport_capacity(state, _cut((1, 3), 4))
-    cap_edge = teleport_capacity(state, _cut((1, 2), 4))
-    msgs = sdc_max_messages(state, (1, 3), config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if cap_odd != 2:
-        bad.append(f"odd-pair capacity {cap_odd} != 2")
-    if cap_edge != 1:
-        bad.append(f"edge-pair capacity {cap_edge} != 1")
-    if msgs != 16:
-        bad.append(f"messages {msgs} != 16")
-    if not (verdict.is_tmes and verdict.witnessing_partition == _cut((1, 3), 4)):
-        bad.append("maximality witness is not the odd/even split")
+    bad, caps, msgs, tmes = _profile("cluster4", config, [(1, 3), (1, 2)], [(1, 3)])
     return _finish(
         bad,
         "capacity 2 and 16 messages on the odd/even split",
-        {"capacity_odd": cap_odd, "capacity_edge": cap_edge, "messages": msgs, "tmes": _tmes_doc(verdict)},
+        {"capacity_odd": caps["1,3"], "capacity_edge": caps["1,2"], "messages": msgs["1,3"], "tmes": tmes},
     )
 
 
 @_register("cluster5-maximal", "The five-qubit cluster state teleports two qubits and carries thirty-two messages through the odd triple.")
 def _cluster5_maximal(config: ClaimConfig):
-    state = cluster5()
-    bad = []
-    cap = teleport_capacity(state, _cut((1, 3, 5), 5))
-    msgs = sdc_max_messages(state, (1, 3, 5), config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if cap != 2:
-        bad.append(f"capacity {cap} != 2")
-    if msgs != 32:
-        bad.append(f"messages {msgs} != 32")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
-    return _finish(bad, "capacity 2 and 32 messages on the odd triple", {"capacity": cap, "messages": msgs, "tmes": _tmes_doc(verdict)})
+    bad, caps, msgs, tmes = _profile("cluster5", config, [(1, 3, 5)], [(1, 3, 5)])
+    return _finish(bad, "capacity 2 and 32 messages on the odd triple", {"capacity": caps["1,3,5"], "messages": msgs["1,3,5"], "tmes": tmes})
 
 
 @_register("chi-maximal", "The eight-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
 def _chi_maximal(config: ClaimConfig):
-    state = chi()
-    bad = []
-    caps = {s: teleport_capacity(state, _cut(s, 4)) for s in ((1, 2), (1, 3), (1, 4))}
-    msgs = {s: sdc_max_messages(state, s, config.tolerance) for s in ((1, 2), (1, 3), (1, 4))}
-    verdict = is_tmes(state, config.tolerance)
-    if caps[(1, 2)] != 2 or caps[(1, 3)] != 2 or caps[(1, 4)] != 1:
-        bad.append(f"capacities {caps} != (2, 2, 1)")
-    if msgs[(1, 2)] != 16 or msgs[(1, 3)] != 16:
-        bad.append(f"messages {msgs} missing 16 on a flat split")
-    if msgs[(1, 4)] >= 16:
-        bad.append(f"messages {msgs[(1, 4)]} on the weak split should be below 16")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
-    data = {
-        "capacities": {",".join(map(str, k)): v for k, v in caps.items()},
-        "messages": {",".join(map(str, k)): v for k, v in msgs.items()},
-        "tmes": _tmes_doc(verdict),
-    }
-    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", data)
+    senders = [(1, 2), (1, 3), (1, 4)]
+    bad, caps, msgs, tmes = _profile("chi", config, senders, senders)
+    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("omega-maximal", "The four-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
 def _omega_maximal(config: ClaimConfig):
-    state = omega()
-    bad = []
-    caps = {s: teleport_capacity(state, _cut(s, 4)) for s in ((1, 2), (1, 3), (1, 4))}
-    msgs = {s: sdc_max_messages(state, s, config.tolerance) for s in ((1, 3), (2, 4))}
-    verdict = is_tmes(state, config.tolerance)
-    if caps[(1, 2)] != 2 or caps[(1, 3)] != 2 or caps[(1, 4)] != 1:
-        bad.append(f"capacities {caps} != (2, 2, 1)")
-    if set(msgs.values()) != {16}:
-        bad.append(f"messages {msgs} != 16 on the flat splits")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
-    data = {
-        "capacities": {",".join(map(str, k)): v for k, v in caps.items()},
-        "messages": {",".join(map(str, k)): v for k, v in msgs.items()},
-        "tmes": _tmes_doc(verdict),
-    }
-    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", data)
+    bad, caps, msgs, tmes = _profile("omega", config, [(1, 2), (1, 3), (1, 4)], [(1, 3), (2, 4)])
+    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("hs-not-maximal", "The six-term phase state teleports nothing across any balanced cut and stays below sixteen messages.")
 def _hs_not_maximal(config: ClaimConfig):
-    state = hs()
-    bad = []
-    caps = {}
-    msgs = {}
-    for sender in ((1, 2), (1, 3), (1, 4)):
-        key = ",".join(map(str, sender))
-        caps[key] = teleport_capacity(state, _cut(sender, 4))
-        msgs[key] = sdc_max_messages(state, sender, config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if set(caps.values()) != {0}:
-        bad.append(f"balanced capacities {caps} != all 0")
-    if max(msgs.values()) >= 16:
-        bad.append(f"message count {msgs} reaches 16")
-    if verdict.is_tmes:
-        bad.append("maximality test unexpectedly passed")
-    return _finish(bad, "capacity 0 everywhere; messages stay below 16", {"capacities": caps, "messages": msgs, "tmes": _tmes_doc(verdict)})
+    senders = [(1, 2), (1, 3), (1, 4)]
+    bad, caps, msgs, tmes = _profile("hs", config, senders, senders)
+    return _finish(bad, "capacity 0 everywhere; messages stay below 16", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("w2-maximal", "The weighted three-qubit superposition is maximal through the {1,2} sender but not through every pair.")
 def _w2_maximal(config: ClaimConfig):
-    state = w_state(2)
-    bad = []
-    caps = {}
-    msgs = {}
-    for sender in ((1, 2), (1, 3), (2, 3)):
-        key = ",".join(map(str, sender))
-        caps[key] = teleport_capacity(state, _cut(sender, 3))
-        msgs[key] = sdc_max_messages(state, sender, config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    if caps["1,2"] != 1:
-        bad.append(f"capacity through (1, 2) is {caps['1,2']} != 1")
-    if msgs["1,2"] != 8:
-        bad.append(f"messages through (1, 2) are {msgs['1,2']} != 8")
-    if min(msgs.values()) >= 8:
-        bad.append("every pair reaches 8 messages; expected at least one to fall short")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
+    senders = [(1, 2), (1, 3), (2, 3)]
+    bad, caps, msgs, tmes = _profile("w:2", config, senders, senders)
     return _finish(
         bad,
         "maximal through (1, 2); other pairs fall short of 8 messages",
-        {"capacities": caps, "messages": msgs, "tmes": _tmes_doc(verdict)},
+        {"capacities": caps, "messages": msgs, "tmes": tmes},
     )
 
 
 @_register("bell-product-maximal", "Two interleaved Bell pairs pass the maximality test despite being biseparable.")
 def _bell_product_maximal(config: ClaimConfig):
-    state = bell_product(2)
-    bad = []
-    cap = teleport_capacity(state, _cut((1, 3), 4))
-    msgs = sdc_max_messages(state, (1, 3), config.tolerance)
-    verdict = is_tmes(state, config.tolerance)
-    gme = genuine_multipartite(state, config.tolerance)
-    if cap != 2:
-        bad.append(f"capacity {cap} != 2")
-    if msgs != 16:
-        bad.append(f"messages {msgs} != 16")
-    if not verdict.is_tmes:
-        bad.append("maximality test failed")
+    bad, caps, msgs, tmes = _profile("bell_product:2", config, [(1, 3)], [(1, 3)])
+    gme = genuine_multipartite(bell_product(2), config.tolerance)
     if gme:
         bad.append("product state reported as genuinely multipartite")
     return _finish(
         bad,
         "capacity 2, 16 messages, yet biseparable across the pairing cut",
-        {"capacity": cap, "messages": msgs, "genuine_multipartite": gme, "tmes": _tmes_doc(verdict)},
+        {"capacity": caps["1,3"], "messages": msgs["1,3"], "genuine_multipartite": gme, "tmes": tmes},
     )
 
 
@@ -573,47 +549,21 @@ def _bell_product_maximal(config: ClaimConfig):
 def _odd_resource_maximal(config: ClaimConfig):
     bad = []
     data = {}
-    for pairs, sender, cap_want, msg_want in ((1, (1, 3), 1, 8), (2, (1, 3, 5), 2, 32)):
-        state = odd_resource(pairs)
-        cap = teleport_capacity(state, _cut(sender, state.num_qubits))
-        msgs = sdc_max_messages(state, sender, config.tolerance)
-        verdict = is_tmes(state, config.tolerance)
-        data[f"n{state.num_qubits}"] = {
-            "capacity": cap,
-            "messages": msgs,
-            "tmes": _tmes_doc(verdict),
-        }
-        if cap != cap_want:
-            bad.append(f"n={state.num_qubits}: capacity {cap} != {cap_want}")
-        if msgs != msg_want:
-            bad.append(f"n={state.num_qubits}: messages {msgs} != {msg_want}")
-        if not verdict.is_tmes:
-            bad.append(f"n={state.num_qubits}: maximality test failed")
+    for label, spec, sender in (("n3", "odd_resource:1", (1, 3)), ("n5", "odd_resource:2", (1, 3, 5))):
+        case_bad, caps, msgs, tmes = _profile(spec, config, [sender], [sender])
+        bad += case_bad
+        data[label] = {"capacity": caps[_key(sender)], "messages": msgs[_key(sender)], "tmes": tmes}
     return _finish(bad, "three- and five-qubit resources both maximal", data)
 
 
 @_register("basis-not-maximal", "Computational basis states fail the maximality test and carry only the classical message count.")
 def _basis_not_maximal(config: ClaimConfig):
-    bad = []
-    two = basis_state("00")
-    four = basis_state("0000")
-    msgs_two = sdc_max_messages(two, (1,), config.tolerance)
-    msgs_four = sdc_max_messages(four, (1, 3), config.tolerance)
-    cap_four = teleport_capacity(four, _cut((1, 3), 4))
-    v_two = is_tmes(two, config.tolerance)
-    v_four = is_tmes(four, config.tolerance)
-    if msgs_two != 2:
-        bad.append(f"single-qubit sender yields {msgs_two} != 2 messages")
-    if msgs_four != 4:
-        bad.append(f"two-qubit sender yields {msgs_four} != 4 messages")
-    if cap_four != 0:
-        bad.append(f"capacity {cap_four} != 0")
-    if v_two.is_tmes or v_four.is_tmes:
-        bad.append("a basis state passed the maximality test")
+    bad_two, _, msgs_two, _ = _profile("basis:00", config, msgs=[(1,)])
+    bad_four, caps_four, msgs_four, _ = _profile("basis:0000", config, [(1, 3)], [(1, 3)])
     return _finish(
-        bad,
+        bad_two + bad_four,
         "message counts collapse to the classical values; no teleportation",
-        {"messages_2q": msgs_two, "messages_4q": msgs_four, "capacity_4q": cap_four},
+        {"messages_2q": msgs_two["1"], "messages_4q": msgs_four["1,3"], "capacity_4q": caps_four["1,3"]},
     )
 
 
@@ -742,16 +692,18 @@ def _protocol_structure(config: ClaimConfig):
 @_register("sdc-roundtrip", "Every encoded message decodes to itself through the maximal codebooks of the catalog resources.")
 def _sdc_roundtrip(config: ClaimConfig):
     cases = (
-        ("bell", bell(), (1,), 4),
-        ("ghz3", ghz(3), (1, 2), 8),
-        ("cluster4", cluster4(), (1, 3), 16),
-        ("cluster5", cluster5(), (1, 3, 5), 32),
-        ("w2", w_state(2), (1, 2), 8),
-        ("odd1", odd_resource(1), (1, 3), 8),
+        ("bell", "bell", (1,)),
+        ("ghz3", "ghz:3", (1, 2)),
+        ("cluster4", "cluster4", (1, 3)),
+        ("cluster5", "cluster5", (1, 3, 5)),
+        ("w2", "w:2", (1, 2)),
+        ("odd1", "odd_resource:1", (1, 3)),
     )
     bad = []
     data = {}
-    for label, state, sender, want in cases:
+    for label, spec, sender in cases:
+        state = make_state(parse_spec(spec))
+        want = FIGURES[spec, sender].messages
         book = build_sdc_codebook(state, sender, tol=config.tolerance)
         wrong = [i for i in range(len(book)) if simulate_sdc(state, sender, i, book) != i]
         data[label] = {"messages": len(book), "decode_errors": wrong}
@@ -786,6 +738,7 @@ def _sender_invariance(config: ClaimConfig):
     rng = np.random.default_rng(config.seed)
     state = cluster4()
     cut = _cut((1, 3), 4)
+    want = FIGURES["cluster4", (1, 3)]
     caps = set()
     msgs = set()
     for _ in range(INVARIANCE_TRIALS):
@@ -794,9 +747,9 @@ def _sender_invariance(config: ClaimConfig):
         caps.add(teleport_capacity(moved, cut))
         msgs.add(sdc_max_messages(moved, (1, 3), config.tolerance))
     bad = []
-    if caps != {2}:
+    if caps != {want.capacity}:
         bad.append(f"capacities drifted to {sorted(caps)}")
-    if msgs != {16}:
+    if msgs != {want.messages}:
         bad.append(f"message counts drifted to {sorted(msgs)}")
     data = {"trials": INVARIANCE_TRIALS, "capacities": sorted(caps), "messages": sorted(msgs)}
     return _finish(bad, f"{INVARIANCE_TRIALS} random sender unitaries leave both figures fixed", data)

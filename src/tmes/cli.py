@@ -2,7 +2,10 @@
 run capacity analyses, and execute the claim verification suite.
 
 Exit codes: 0 on success, 1 on a runtime failure or a failed claim, 2 on a
-usage error.
+usage error.  A bad ``--sender`` or ``--subset`` (malformed, empty, a
+repeated qubit, or a qubit the state does not have) is a runtime failure:
+only the loaded state can tell whether a qubit list fits it, and argparse
+never sees the state.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError(f"expected a comma-separated qubit list, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        qubits = tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"expected a comma-separated qubit list, got {text!r}")
+    for i, q in enumerate(qubits):
+        if q in qubits[:i]:
+            raise ValueError(f"qubit {q} is repeated in {text!r}")
+    return qubits
 
 
 def _fmt_set(qubits: Iterable[int]) -> str:
@@ -55,7 +62,7 @@ def _fmt_cut(cut: Partition) -> str:
 
 
 def _sender_or_default(args, state: PureState) -> tuple[int, ...]:
-    if getattr(args, "sender", None):
+    if getattr(args, "sender", None) is not None:
         return _parse_qubits(args.sender)
     return tuple(sorted(default_partition(state.num_qubits).sender))
 
@@ -179,15 +186,13 @@ def _cmd_verify(args) -> int:
     width = max(len(r.claim_id) for r in reports)
     for r in reports:
         print(f"{r.claim_id:<{width}}  {r.verdict:<8}  {r.detail}")
-    counts = {"pass": 0, "fail": 0, "recorded": 0}
-    for r in reports:
-        counts[r.verdict] += 1
+    doc = suite_report_doc(reports, config)
+    counts = doc["summary"]
     print(
         f"{counts['pass']} passed, {counts['fail']} failed, "
         f"{counts['recorded']} recorded"
     )
     if args.report:
-        doc = suite_report_doc(reports, config)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

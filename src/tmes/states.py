@@ -162,10 +162,22 @@ class StateSpec:
     label: str | None = None
 
 
-_NUMBER_KINDS = {"ghz", "w", "bell_product", "odd_resource"}
-_LABEL_KINDS = {"bell", "basis"}
-_PLAIN_KINDS = {"omega", "chi", "hs", "cluster4", "cluster5"}
-KINDS = _NUMBER_KINDS | _LABEL_KINDS | _PLAIN_KINDS
+# kind -> (constructor, parameter): "number" and "label" kinds take an int or
+# a string after the colon, None kinds take nothing.
+_CATALOG = {
+    "ghz": (ghz, "number"),
+    "w": (w_state, "number"),
+    "bell_product": (bell_product, "number"),
+    "odd_resource": (odd_resource, "number"),
+    "bell": (bell, "label"),
+    "basis": (basis_state, "label"),
+    "omega": (omega, None),
+    "chi": (chi, None),
+    "hs": (hs, None),
+    "cluster4": (cluster4, None),
+    "cluster5": (cluster5, None),
+}
+KINDS = frozenset(_CATALOG)
 
 
 def parse_spec(text: str) -> StateSpec:
@@ -175,7 +187,8 @@ def parse_spec(text: str) -> StateSpec:
     arg = arg.strip()
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}; expected one of {sorted(KINDS)}")
-    if kind in _PLAIN_KINDS:
+    param = _CATALOG[kind][1]
+    if param is None:
         if sep:
             raise ValueError(f"state kind {kind!r} takes no parameter")
         return StateSpec(kind)
@@ -183,7 +196,7 @@ def parse_spec(text: str) -> StateSpec:
         if kind == "bell":
             return StateSpec(kind)
         raise ValueError(f"state kind {kind!r} needs a parameter, e.g. {kind}:2")
-    if kind in _NUMBER_KINDS:
+    if param == "number":
         try:
             number = int(arg)
         except ValueError:
@@ -197,28 +210,15 @@ def make_state(spec: StateSpec) -> PureState:
     kind = spec.kind
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
-    if kind in _NUMBER_KINDS:
+    build, param = _CATALOG[kind]
+    if param is None:
+        return build()
+    if param == "number":
         if spec.number is None:
             raise ValueError(f"state kind {kind!r} needs its integer parameter")
-        if kind == "ghz":
-            return ghz(spec.number)
-        if kind == "w":
-            return w_state(spec.number)
-        if kind == "bell_product":
-            return bell_product(spec.number)
-        return odd_resource(spec.number)
-    if kind == "bell":
-        return bell(spec.label if spec.label is not None else "phi+")
-    if kind == "basis":
-        if spec.label is None:
-            raise ValueError("basis state needs its bit string")
-        return basis_state(spec.label)
-    if kind == "omega":
-        return omega()
-    if kind == "chi":
-        return chi()
-    if kind == "cluster4":
-        return cluster4()
-    if kind == "cluster5":
-        return cluster5()
-    return hs()
+        return build(spec.number)
+    if spec.label is None:
+        if kind == "bell":
+            return build()
+        raise ValueError("basis state needs its bit string")
+    return build(spec.label)

@@ -236,6 +236,8 @@ class Partition:
     def from_sender(cls, sender: Iterable[int], num_qubits: int) -> "Partition":
         """Partition with the given sender set; the rest of 1..n receives."""
         s = frozenset(int(q) for q in sender)
+        if s and (min(s) < 1 or max(s) > num_qubits):
+            raise ValueError(f"sender qubits out of range 1..{num_qubits}: {sorted(s)}")
         return cls(s, frozenset(range(1, num_qubits + 1)) - s)
 
     @property

@@ -19,7 +19,7 @@ from tmes.capacity import (
     simulate_teleportation,
     teleport_capacity,
 )
-from tmes.claims import ClaimConfig, run_claim_suite
+from tmes.claims import FIGURES, VERDICTS, ClaimConfig, run_claim_suite
 from tmes.invariants import conversion_obstruction, genuine_multipartite
 from tmes.operators import (
     cnot,
@@ -49,9 +49,9 @@ from tmes.states import (
     cluster4,
     cluster5,
     ghz,
-    hs,
+    make_state,
     odd_resource,
-    omega,
+    parse_spec,
     w_state,
 )
 
@@ -143,28 +143,24 @@ def test_criterion_05_family_recursion():
 
 def test_criterion_06_capacity_table():
     checks = []
-    g4 = is_tmes(ghz(4))
-    checks.append(g4.teleport_qubits == 1 and g4.sdc_messages == 8)
-    c4cut = Partition.from_sender((1, 3), 4)
-    checks.append(teleport_capacity(cluster4(), c4cut) == 2)
-    checks.append(sdc_max_messages(cluster4(), (1, 3)) == 16)
-    checks.append(is_tmes(chi()).is_tmes)
-    checks.append(is_tmes(omega()).is_tmes)
-    checks.append(not is_tmes(hs()).is_tmes)
-    checks.append(not is_tmes(ghz(5)).is_tmes)
-    c5cut = Partition.from_sender((1, 3, 5), 5)
-    checks.append(teleport_capacity(cluster5(), c5cut) == 2)
-    checks.append(sdc_max_messages(cluster5(), (1, 3, 5)) == 32)
-    w2cut = Partition.from_sender((1, 2), 3)
-    checks.append(teleport_capacity(w_state(2), w2cut) == 1)
-    checks.append(sdc_max_messages(w_state(2), (1, 2)) == 8)
+    for (spec, sender), want in FIGURES.items():
+        state = make_state(parse_spec(spec))
+        cut = Partition.from_sender(sender, state.num_qubits)
+        checks.append(teleport_capacity(state, cut) == want.capacity)
+        checks.append(sdc_max_messages(state, sender) == want.messages)
+    for spec, want in VERDICTS.items():
+        got = is_tmes(make_state(parse_spec(spec)))
+        part = got.witnessing_partition
+        witness = tuple(sorted(part.sender)) if part is not None else None
+        checks.append(
+            (got.is_tmes, got.teleport_qubits, got.sdc_messages, witness) == want
+        )
     _criterion(
         6,
-        "the capacity table is reproduced: GHZ4 (1, 8), cluster4 (2, 16), "
-        "chi/omega maximal, HS and GHZ5 not, cluster5 (2, 32) on the odd "
-        "triple, W2 (1, 8) on {1,2}",
+        "the capacity table is reproduced: every capacity and message count "
+        "in claims.FIGURES and every verdict in claims.VERDICTS",
         all(checks),
-        f"{sum(checks)}/{len(checks)} rows",
+        f"{sum(checks)}/{len(checks)} checks",
     )
 
 
@@ -186,13 +182,10 @@ def test_criterion_07_protocol_oracle():
             ok = ok and abs(result.total_probability - 1.0) <= FID_TOL
     decoded = 0
     total = 0
-    for state, sender, messages in (
-        (bell(), (1,), 4),
-        (cluster4(), (1, 3), 16),
-        (cluster5(), (1, 3, 5), 32),
-    ):
+    for spec, sender in (("bell", (1,)), ("cluster4", (1, 3)), ("cluster5", (1, 3, 5))):
+        state = make_state(parse_spec(spec))
         book = build_sdc_codebook(state, sender)
-        ok = ok and len(book) == messages
+        ok = ok and len(book) == FIGURES[spec, sender].messages
         for msg in range(len(book)):
             total += 1
             decoded += simulate_sdc(state, sender, msg, book) == msg
@@ -208,6 +201,7 @@ def test_criterion_07_protocol_oracle():
 
 
 def test_criterion_08_sender_invariance():
+    want = FIGURES["cluster4", (1, 3)]
     rng = np.random.default_rng(0)
     caps = set()
     msgs = set()
@@ -218,9 +212,9 @@ def test_criterion_08_sender_invariance():
         msgs.add(sdc_max_messages(dressed, (1, 3)))
     _criterion(
         8,
-        "fifty random sender-side unitaries leave the cluster-state verdicts "
-        "unchanged: capacity 2 and 16 messages",
-        caps == {2} and msgs == {16},
+        "fifty random sender-side unitaries leave the cluster-state capacity "
+        "and message count on the odd pair at their table values",
+        caps == {want.capacity} and msgs == {want.messages},
         f"caps {sorted(caps)}, messages {sorted(msgs)}",
     )
 

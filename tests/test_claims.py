@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,26 @@ from tmes.claims import (
     run_claim_suite,
     suite_report_doc,
 )
+
+
+GOLDEN_REPORT = Path(__file__).with_name("claims_baseline.json")
+
+
+def _assert_matches(got, want, where: str) -> None:
+    """Equal JSON values, except that floats may differ by 1e-12."""
+    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: lengths differ"
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_matches(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +150,16 @@ class TestReportDocument:
         assert doc["config"]["claim_ids"] is None
         assert doc["config"]["payload_trials"] == 20
         assert doc["config"]["invariance_trials"] == 50
+
+    def test_matches_golden_report(self, full_suite):
+        # The reference run's report, pinned; floats may move by BLAS rounding.
+        golden = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+        doc = suite_report_doc(full_suite, ClaimConfig(), generated_at="pinned")
+        got = json.loads(json.dumps(doc))
+        assert [c["claim_id"] for c in got["claims"]] == [
+            c["claim_id"] for c in golden["claims"]
+        ]
+        _assert_matches(got, golden, "report")
 
     def test_claims_serialize_to_plain_json(self, full_suite):
         doc = suite_report_doc(full_suite, ClaimConfig(), generated_at="t")

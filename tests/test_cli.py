@@ -199,6 +199,39 @@ class TestAnalysisCommands:
             ["capacity", "--state", state_file("cluster4"), "--sender", "1,x"]
         ) == 1
 
+    # A qubit list can only be checked against the loaded state, so a bad
+    # one is a runtime error (exit 1), never a usage error (exit 2).
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("1,x", "expected a comma-separated qubit list"),
+            ("", "expected a comma-separated qubit list"),
+            ("1,1", "qubit 1 is repeated"),
+            ("9", "out of range 1..4"),
+        ],
+        ids=["malformed", "empty", "repeated", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sdc", "--state", "{s}", "--sender"],
+            ["capacity", "--state", "{s}", "--sender"],
+            ["teleport", "--resource", "{s}", "--payload-qubits", "1", "--sender"],
+            ["obstruct", "--source", "{s}", "--target", "{s}", "--subset"],
+        ],
+        ids=["sdc", "capacity", "teleport", "obstruct"],
+    )
+    def test_bad_qubit_list_exits_one(self, state_file, capsys, command, value, message):
+        path = state_file("cluster4")
+        argv = [path if a == "{s}" else a for a in command] + [value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert message in captured.err
+
 
 class TestVerifyCommand:
     def test_subset_run_with_report(self, tmp_path, capsys):

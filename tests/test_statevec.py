@@ -96,6 +96,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(frozenset({1}), frozenset({1, 2}))
 
+    @pytest.mark.parametrize("sender", [(0,), (4,), (1, 4)])
+    def test_from_sender_names_out_of_range_qubits(self, sender):
+        # (4,) on 3 qubits used to build a 4-qubit partition
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            Partition.from_sender(sender, 3)
+
 
 class TestApplyLocal:
     def test_matches_brute_force_one_qubit(self):
