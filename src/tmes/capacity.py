@@ -5,8 +5,8 @@ Teleportation verdicts are spectral: every clustered Schmidt multiplicity
 must divide by 2^k, which is exactly local-unitary equivalence to k Bell
 pairs tensor a leftover state.  The verdict is cross-checked by an explicit
 protocol simulator.  Superdense-coding verdicts count the largest family of
-Pauli-string encodings with pairwise orthogonal outputs via exact
-branch-and-bound clique search on the 4^s-vertex orthogonality graph.
+Pauli-string encodings with pairwise orthogonal outputs: one per coset when
+the labels with nonzero sender expectation form a group, else by clique search.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .statevec import (
     ATOL,
     CLUSTER_RTOL,
     EXACT_ATOL,
+    MAX_QUBITS,
     Partition,
     PureState,
     _freeze,
@@ -254,6 +255,9 @@ def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ..
         raise ValueError(f"sender qubits out of range 1..{n}: {qubits}")
     if len(qubits) >= n:
         raise ValueError("sender set must be a proper subset")
+    # The largest sender is_tmes asks for; the xor gather has 16^s entries.
+    if len(qubits) > MAX_QUBITS // 2:
+        raise ValueError(f"senders are capped at {MAX_QUBITS // 2} qubits: {qubits}")
     return qubits
 
 
@@ -271,13 +275,10 @@ def _orthogonality_adjacency(expect: np.ndarray, tol: float) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _max_clique(adj: list[int], bound: int) -> tuple[int, ...]:
+def _max_clique(adj: list[int]) -> tuple[int, ...]:
     """Exact maximum clique, deterministic: branch-and-bound with greedy
-    coloring bounds, vertices explored in a fixed order.
-
-    ``bound`` must be at least the clique number.  The search stops once a
-    clique reaches it; since the best clique is replaced only on a strict
-    increase, the answer is the one the full search would return.
+    coloring bounds, vertices explored in a fixed order.  The best clique is
+    replaced only on a strict increase, so the first maximum one met wins.
     """
     best: list[int] = []
 
@@ -296,31 +297,22 @@ def _max_clique(adj: list[int], bound: int) -> tuple[int, ...]:
                 order.append((v, color))
         return order
 
-    def expand(cand: int, cur: list[int]) -> bool:
+    def expand(cand: int, cur: list[int]) -> None:
         nonlocal best
         for v, color in reversed(color_sort(cand)):
             if len(cur) + color <= len(best):
-                return False
+                return
             cur.append(v)
             nxt = cand & adj[v]
             if nxt:
-                if expand(nxt, cur):
-                    return True
+                expand(nxt, cur)
             elif len(cur) > len(best):
                 best = list(cur)
-                if len(best) >= bound:
-                    return True
             cur.pop()
             cand &= ~(1 << v)
-        return False
 
     expand((1 << len(adj)) - 1, [])
     return tuple(sorted(best))
-
-
-def _maximally_mixed(rho: np.ndarray, tol: float) -> bool:
-    dim = rho.shape[0]
-    return bool(np.max(np.abs(rho - np.eye(dim) / dim)) <= tol)
 
 
 def _dimension_bounds_hold(tol: float, num_senders: int) -> bool:
@@ -331,9 +323,7 @@ def _dimension_bounds_hold(tol: float, num_senders: int) -> bool:
     positive-definite Gram matrix when (m - 1) tol < 1, so m is at most the
     dimension they span.  The m <= 4^s encodings span at most 2^s r
     dimensions, r the rank of the sender marginal; dropping its eigenvalues
-    below EXACT_ATOL moves each Gram entry by at most 2^s EXACT_ATOL.  The
-    same condition keeps the flat-marginal test from passing a rank-deficient
-    marginal, whose largest entry deviation is at least 4^-s.
+    below EXACT_ATOL moves each Gram entry by at most 2^s EXACT_ATOL.
     """
     verts = 4**num_senders
     return verts * (tol + 2**num_senders * EXACT_ATOL) < 1.0
@@ -343,27 +333,34 @@ def sdc_orthogonal_labels(
     state: PureState, sender_set: Iterable[int], tol: float = ATOL
 ) -> tuple[int, ...]:
     """A maximum set of Pauli-string labels with pairwise orthogonal encodings,
-    in ascending order.
+    in ascending order.  ``tol`` lies in [0, 1).
 
-    Fast path: a maximally mixed sender marginal makes all 4^s encodings
-    orthogonal.  Otherwise the exact clique search runs on the orthogonality
-    graph; when ``tol`` is fine enough it stops at the dimension bound
-    min(4^s, 2^s r).  Among
-    maximum sets the first one the search meets wins.  It branches on labels
-    in reverse greedy-coloring order: color classes are filled from the
-    lowest label up, then tried last class first and highest label first.
-    So an edgeless graph gives the highest label, (4^s - 1,), not (0,).
+    Labels p, q are orthogonal iff p xor q is outside Z, the labels d with
+    |Tr(rho_A P_d)| > tol.  When Z is a group (stabilizer marginals, Haar
+    states) the graph is complete multipartite over its cosets, and the
+    answer is the highest label of each coset: every pivot bit of a GF(2)
+    basis of Z set.  Otherwise the exact clique search runs.  Both give the
+    search's tie-break: it branches on labels in reverse greedy-coloring
+    order (classes filled from the lowest label up, tried last class and
+    highest label first) and keeps the first maximum set met.  So an
+    edgeless graph gives (4^s - 1,), not (0,).
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
     qubits = _sender_qubits(state, sender_set)
-    s = len(qubits)
-    rho = partial_trace(state, qubits).matrix
-    if _maximally_mixed(rho, tol):
-        return tuple(range(4**s))
-    bound = 4**s
-    if _dimension_bounds_hold(tol, s):
-        rank = int(np.count_nonzero(np.linalg.eigvalsh(rho) > EXACT_ATOL))
-        bound = min(bound, 2**s * rank)
-    return _max_clique(_orthogonality_adjacency(pauli_expectations(rho), tol), bound)
+    expect = pauli_expectations(partial_trace(state, qubits).matrix)
+    group = np.flatnonzero(expect > tol)
+    # Row reduction from the top bit down; each leading bit is a pivot.
+    rows, pivots = group, 0
+    for bit in reversed(range(2 * len(qubits))):
+        hit = (rows >> bit) & 1 == 1
+        if hit.any():
+            pivots |= 1 << bit
+            rows = np.where(hit, rows ^ rows[hit.argmax()], rows)
+    if group.size == 2 ** pivots.bit_count():
+        labels = np.arange(expect.size)
+        return tuple(np.flatnonzero(labels & pivots == pivots).tolist())
+    return _max_clique(_orthogonality_adjacency(expect, tol))
 
 
 def sdc_max_messages(

@@ -20,6 +20,7 @@ from .statevec import (
     ATOL,
     CLUSTER_RTOL,
     EXACT_ATOL,
+    MAX_DENSE_BYTES,
     Partition,
     PureState,
     SchmidtSpectrum,
@@ -148,13 +149,21 @@ class OrthogonalFamily:
 
 
 def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFamily:
-    """Apply all 4^|subset| Pauli strings on the subset and collect overlaps."""
+    """Apply all 4^|subset| Pauli strings on the subset and collect overlaps.
+
+    Refused before allocating when the 4^|subset| states exceed MAX_DENSE_BYTES.
+    """
     qubits = tuple(sorted({int(q) for q in subset}))
     n = state.num_qubits
     if not qubits:
         raise ValueError("subset is empty")
     if qubits[0] < 1 or qubits[-1] > n:
         raise ValueError(f"subset out of range 1..{n}: {qubits}")
+    if 16 * 4 ** len(qubits) * 2**n > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a family of 4^{len(qubits)} {n}-qubit states is above the "
+            f"{MAX_DENSE_BYTES // 2**20} MiB cap"
+        )
     stack = apply_paulis(state.amplitudes, qubits, range(4 ** len(qubits)))
     states = tuple(PureState(n, amps) for amps in stack)
     gram = stack.conj() @ stack.T

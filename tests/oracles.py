@@ -198,6 +198,43 @@ def brute_max_orthogonal(vectors, tol: float = 1e-9) -> int:
     return best
 
 
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of integer bit rows: each nonzero row clears its
+    lowest set bit from the rows after it."""
+    rows = [int(r) for r in rows]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def graph_figures(adj, sender) -> tuple[int, int]:
+    """Teleport capacity and message count of the graph state with 0/1
+    adjacency matrix ``adj`` across the cut 1-based ``sender`` | rest, by
+    GF(2) elimination alone; no statevector is built.
+
+    With E the GF(2) rank of the sender-by-receiver block of ``adj``, the
+    cut's Schmidt spectrum is flat of rank 2^E (Hein, Eisert & Briegel,
+    PRA 69, 062311, 2004), so the capacity is min(E, |receiver|).  The
+    stabilizer elements supported on the sender number 2^(|sender| - E);
+    they are the labels with nonzero sender expectation, and their
+    2^(|sender| + E) cosets carry one message each.
+    """
+    n = len(adj)
+    sender = sorted(sender)
+    receiver = [q for q in range(1, n + 1) if q not in sender]
+    block = [
+        sum(int(adj[a - 1][b - 1]) << i for i, b in enumerate(receiver))
+        for a in sender
+    ]
+    rank = gf2_rank(block)
+    return min(rank, len(receiver)), 2 ** (len(sender) + rank)
+
+
 def two_adic(x: int) -> int:
     """Exponent of two in ``x`` by repeated division."""
     if x <= 0:

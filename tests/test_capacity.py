@@ -20,6 +20,7 @@ from oracles import (
     brute_pauli_expectations,
     brute_spectrum,
     brute_teleport_outcome,
+    graph_figures,
     two_adic,
 )
 from tmes import capacity
@@ -415,24 +416,10 @@ class TestSdcCounts:
             vectors = _encoded_vectors(state, tuple(sender))
             assert brute_max_orthogonal(vectors) == expected
 
-    @pytest.mark.parametrize(
-        "state,sender",
-        [
-            (cluster4(), (1, 2)),
-            (chi(), (1, 4)),
-            (odd_resource(1), (1, 3)),
-            (ghz(4), (1, 4)),
-        ],
-    )
-    def test_unpinned_counts_match_brute_force(self, state, sender):
-        got = sdc_max_messages(state, sender)
-        vectors = _encoded_vectors(state, tuple(sender))
-        assert got == brute_max_orthogonal(vectors)
-
     # A Haar unitary on one qubit turns the table's structured graphs into
     # random non-trivial ones; on a receiver qubit it keeps a flat sender
-    # marginal flat, so both the clique search and the flat-marginal
-    # shortcut meet the oracle.
+    # marginal flat, so both the clique search and the coset rule meet the
+    # oracle.
     @settings(max_examples=60, deadline=None)
     @given(
         row=st.sampled_from([key for key in FIGURES if len(key[1]) <= 2]),
@@ -448,16 +435,29 @@ class TestSdcCounts:
         vectors = _encoded_vectors(dressed, sender)
         assert sdc_max_messages(dressed, sender) == brute_max_orthogonal(vectors)
 
-    def test_chi_unbalanced_sender_below_maximum(self):
-        assert sdc_max_messages(chi(), (1, 4)) < 16
-
     def test_fast_path_agrees_with_explicit_clique(self):
-        # maximally mixed sender marginal short-circuits to all labels; the
-        # branch-and-bound search must reproduce that answer
+        # a maximally mixed sender marginal has Z = {0}, so the coset rule
+        # gives all labels; the branch-and-bound search must agree
         labels = sdc_orthogonal_labels(cluster4(), (1, 3))
         assert labels == tuple(range(16))
         adj = _orthogonality_adjacency(_expectations(cluster4(), (1, 3)), 1e-9)
-        assert len(_max_clique(adj, len(adj))) == 16
+        assert _max_clique(adj) == labels
+
+    @pytest.mark.parametrize("tol", [-1e-9, 1.0, 1.5, float("nan"), float("inf")])
+    def test_tol_outside_unit_interval_is_refused(self, tol):
+        # tol >= 1 would empty Z and send the search 4^s levels deep
+        with pytest.raises(ValueError, match=f"tol must lie in \\[0, 1\\), got {tol}"):
+            sdc_orthogonal_labels(haar_random_state(10, 0), (1, 2, 3, 4, 5), tol)
+
+    def test_coarse_tol_keeps_one_label_per_coset(self):
+        # At tol 0.6 the encodings I|00> and Z|00> coincide, as do X|00> and
+        # Y|00> up to phase, although the marginal is within 0.6 of flat:
+        # Z = {I, Z} has two cosets.
+        state = basis_state("00")
+        assert sdc_orthogonal_labels(state, (1,), tol=0.6) == (2, 3)
+        assert brute_max_orthogonal(_encoded_vectors(state, (1,)), tol=0.6) == 2
+        # Z is the 8 Z-type strings, leaving 64 / 8 cosets.
+        assert sdc_max_messages(basis_state("000000"), (1, 2, 3), tol=0.9) == 8
 
     def test_cluster5_saturates_dimension_bound(self):
         # 64 encodings in a 32-dimensional space: 32 is the ceiling
@@ -475,6 +475,9 @@ class TestSdcCounts:
             sdc_max_messages(bell(), (1, 2))
         with pytest.raises(ValueError):
             sdc_max_messages(bell(), (3,))
+        # the largest sender is_tmes asks for is MAX_QUBITS // 2 qubits
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS // 2} qubits"):
+            sdc_max_messages(bell_product(4), range(1, MAX_QUBITS // 2 + 2))
 
 
 def _expectations(state: PureState, sender) -> np.ndarray:
@@ -499,19 +502,37 @@ class TestOrthogonalityGraph:
         got = _orthogonality_adjacency(expect, ATOL)
         assert got == brute_orthogonality_adjacency(expect, ATOL)
 
+    # The labels equal the full search on both paths (w_state(2) (1,2) is
+    # the one non-group Z here), and the answer obeys the dimension bound
+    # 2^s r that is_tmes's early exit relies on.
     @pytest.mark.parametrize("state,sender", GRAPH_CASES)
     def test_dimension_bound_keeps_the_full_search_answer(self, state, sender):
         rho = partial_trace(state, sender).matrix
         rank = int(np.count_nonzero(np.linalg.eigvalsh(rho) > 1e-12))
         adj = _orthogonality_adjacency(_expectations(state, sender), ATOL)
-        full = _max_clique(adj, len(adj))
+        full = _max_clique(adj)
+        assert sdc_orthogonal_labels(state, sender) == full
         assert len(full) <= 2 ** len(sender) * rank
-        assert _max_clique(adj, 2 ** len(sender) * rank) == full
+
+    def test_search_runs_only_when_z_is_not_a_group(self, monkeypatch):
+        calls = []
+
+        def counting(adj):
+            calls.append(len(adj))
+            return _max_clique(adj)
+
+        monkeypatch.setattr(capacity, "_max_clique", counting)
+        sdc_orthogonal_labels(ghz(6), (1, 2, 3))
+        sdc_orthogonal_labels(haar_random_state(5, seed=4), (2, 3, 5))
+        assert calls == []
+        # Z = {II, IZ, XX, YY, ZI} has 5 labels, so it is no group
+        sdc_orthogonal_labels(w_state(2), (1, 2))
+        assert calls == [16]
 
     def test_bound_skipped_when_tol_exceeds_orthogonality(self):
         # a pure sender marginal (rank 1) caps exact orthogonality at 8
-        # encodings; at tol 0.4 the graph has a 16-clique, and a search cut
-        # off at 8 would return a 12-clique instead
+        # encodings, yet at tol 0.4 the graph has a 16-clique: the dimension
+        # bound behind is_tmes's early exit must not be trusted there
         state = tensor(haar_random_state(3, seed=254), basis_state("0"))
         assert not _dimension_bounds_hold(0.4, 3)
         assert _dimension_bounds_hold(ATOL, 6)
@@ -547,6 +568,59 @@ class TestOrthogonalityGraph:
     def test_edgeless_graph_yields_highest_label(self):
         state = haar_random_state(4, seed=0)
         assert sdc_orthogonal_labels(state, (1, 2)) == (15,)
+
+
+_DRESSINGS = (
+    np.eye(2),
+    np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    np.diag([1, 1j]),
+    np.array([[1, 1j], [1, -1j]]) / math.sqrt(2),
+)
+
+
+@st.composite
+def _graph_cases(draw):
+    """A graph on 2-8 qubits, a sender of 1-5 qubits, and per qubit one of
+    I, H, S, H S to dress the graph state with."""
+    n = draw(st.integers(2, 8), label="n")
+    pairs = n * (n - 1) // 2
+    edges = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs), label="edges")
+    adj = np.zeros((n, n), dtype=int)
+    adj[np.triu_indices(n, 1)] = edges
+    adj |= adj.T
+    order = draw(st.permutations(range(1, n + 1)), label="order")
+    size = draw(st.integers(1, min(5, n - 1)), label="size")
+    gates = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="gates")
+    return adj, tuple(sorted(order[:size])), gates
+
+
+def _graph_state(adj: np.ndarray, gates) -> PureState:
+    """CZ on every edge of |+>^n, amplitudes (-1)^(x^T triu(adj) x) / 2^(n/2),
+    then the listed single-qubit gates."""
+    n = len(adj)
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    parity = np.einsum("ki,ij,kj->k", bits, np.triu(adj), bits) % 2
+    state = PureState(n, (1 - 2 * parity) / math.sqrt(2**n))
+    for q, g in enumerate(gates, start=1):
+        state = apply_local(state, LocalOperator(1, _DRESSINGS[g]), (q,))
+    return state
+
+
+class TestGraphStates:
+    # Local Cliffords permute the Pauli labels, so the dressed state keeps
+    # the graph's figures; the oracle never sees a statevector.  The full
+    # search recurses once per clique member, and n <= 8 keeps cliques at
+    # 2^n labels or fewer, inside the recursion limit.
+    @settings(max_examples=60, deadline=None)
+    @given(case=_graph_cases())
+    def test_figures_match_gf2_oracle(self, case):
+        adj, sender, gates = case
+        state = _graph_state(adj, gates)
+        cap, msgs = graph_figures(adj, sender)
+        assert teleport_capacity(state, _cut(sender, len(adj))) == cap
+        assert sdc_max_messages(state, sender) == msgs
+        graph = _orthogonality_adjacency(_expectations(state, sender), ATOL)
+        assert sdc_orthogonal_labels(state, sender) == _max_clique(graph)
 
 
 class TestSdcCodebook:

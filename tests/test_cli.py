@@ -194,6 +194,23 @@ class TestAnalysisCommands:
         ) == 0
         assert "obstructed: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["sdc", "tmes"])
+    def test_tol_outside_unit_interval_exits_one(self, state_file, capsys, command):
+        assert main([command, "--state", state_file("cluster4"), "--tol", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must lie in [0, 1), got 1.0\n"
+
+    def test_oversized_sender_exits_one(self, state_file, capsys):
+        # a 7-qubit sender would need a 16384 x 16384 xor gather (2 GiB)
+        argv = ["sdc", "--state", state_file("bell_product:4"), "--sender", "1,2,3,4,5,6,7"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: senders are capped at 6 qubits: (1, 2, 3, 4, 5, 6, 7)\n"
+        )
+
     def test_bad_sender_list(self, state_file, capsys):
         assert main(
             ["capacity", "--state", state_file("cluster4"), "--sender", "1,x"]

@@ -215,3 +215,9 @@ class TestOrthogonalFamily:
             orthogonal_family(bell(), ())
         with pytest.raises(ValueError):
             orthogonal_family(bell(), (5,))
+
+    def test_size_cap(self):
+        # 4^7 states of 2^12 amplitudes would take 1 GiB: refused before
+        # the first one is built
+        with pytest.raises(ValueError, match="MiB cap"):
+            orthogonal_family(basis_state("0" * MAX_QUBITS), range(1, 8))
