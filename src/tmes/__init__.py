@@ -90,6 +90,7 @@ from .statevec import (
     PureState,
     SchmidtSpectrum,
     apply_local,
+    cut_spectra,
     entropy,
     negativity,
     overlap,

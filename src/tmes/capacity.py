@@ -279,8 +279,11 @@ def _max_clique(adj: list[int]) -> tuple[int, ...]:
     """Exact maximum clique, deterministic: branch-and-bound with greedy
     coloring bounds, vertices explored in a fixed order.  The best clique is
     replaced only on a strict increase, so the first maximum one met wins.
+    The depth-first search keeps an explicit stack, so a clique of any size
+    fits in it.
     """
     best: list[int] = []
+    cur: list[int] = []
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
         order: list[tuple[int, int]] = []
@@ -297,21 +300,27 @@ def _max_clique(adj: list[int]) -> tuple[int, ...]:
                 order.append((v, color))
         return order
 
-    def expand(cand: int, cur: list[int]) -> None:
-        nonlocal best
-        for v, color in reversed(color_sort(cand)):
-            if len(cur) + color <= len(best):
-                return
+    # One frame per clique member in ``cur`` plus the open one on top: the
+    # labels still to try at that depth, and their (label, color) pairs,
+    # tried from the end (last class, highest label first).
+    full = (1 << len(adj)) - 1
+    frames = [[full, color_sort(full)]]
+    while frames:
+        frame = frames[-1]
+        cand, order = frame
+        if not order or len(cur) + order[-1][1] <= len(best):
+            frames.pop()
+            if cur:
+                cur.pop()
+            continue
+        v, _ = order.pop()
+        frame[0] = cand & ~(1 << v)
+        nxt = cand & adj[v]
+        if nxt:
             cur.append(v)
-            nxt = cand & adj[v]
-            if nxt:
-                expand(nxt, cur)
-            elif len(cur) > len(best):
-                best = list(cur)
-            cur.pop()
-            cand &= ~(1 << v)
-
-    expand((1 << len(adj)) - 1, [])
+            frames.append([nxt, color_sort(nxt)])
+        elif len(cur) + 1 > len(best):
+            best = cur + [v]
     return tuple(sorted(best))
 
 

@@ -5,11 +5,18 @@ A unitary supported on a qubit subset cannot change the Schmidt spectrum of
 any cut that keeps the subset entirely on one side; comparing spectra of a
 source and a target state across all such cuts therefore certifies when no
 placement of a local gate can realize the conversion.
+
+Every analysis over many cuts takes a state's spectra from one
+``statevec.cut_spectra`` call (one batched SVD per sender size);
+``genuine_multipartite`` first screens cuts by purity so that only those
+that may be products get an SVD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -24,16 +31,19 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
+    _cut_stacks,
     check_qubits,
-    schmidt_spectrum,
+    cut_spectra,
 )
 
 
+@lru_cache(maxsize=None)
 def all_bipartitions(num_qubits: int) -> tuple[Partition, ...]:
     """Every unordered bipartition once, smaller side as sender.
 
     Balanced splits keep the side containing qubit 1.  Ordered by sender
-    size, then lexicographically.
+    size, then lexicographically.  Memoised: the tuple of frozen partitions
+    depends on ``num_qubits`` alone.
     """
     if num_qubits < 2:
         raise ValueError("bipartitions need at least two qubits")
@@ -51,10 +61,8 @@ def all_bipartition_spectra(
 ) -> dict[Partition, SchmidtSpectrum]:
     """Schmidt spectrum of every bipartition, keyed by canonical partition."""
     check_qubits(state.num_qubits, "spectra enumeration")
-    return {
-        cut: schmidt_spectrum(state, cut)
-        for cut in all_bipartitions(state.num_qubits)
-    }
+    cuts = all_bipartitions(state.num_qubits)
+    return dict(zip(cuts, cut_spectra(state, cuts)))
 
 
 def spectra_match(
@@ -104,27 +112,49 @@ def conversion_obstruction(
     if source.num_qubits != target.num_qubits:
         raise ValueError("source and target must have the same qubit count")
     n = source.num_qubits
+    check_qubits(n, "the conversion obstruction")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     subset = frozenset(int(q) for q in acting_subset)
     if not subset:
         raise ValueError("acting subset is empty")
     if min(subset) < 1 or max(subset) > n:
         raise ValueError(f"acting subset out of range 1..{n}: {sorted(subset)}")
-    violations = []
-    for cut in all_bipartitions(n):
-        if not (subset <= cut.sender or subset <= cut.receiver):
-            continue
-        sa = schmidt_spectrum(source, cut)
-        sb = schmidt_spectrum(target, cut)
-        if not spectra_match(sa, sb, rtol):
-            violations.append(CutViolation(cut, sa, sb))
+    cuts = [
+        cut
+        for cut in all_bipartitions(n)
+        if subset <= cut.sender or subset <= cut.receiver
+    ]
+    violations = [
+        CutViolation(cut, sa, sb)
+        for cut, sa, sb in zip(cuts, cut_spectra(source, cuts), cut_spectra(target, cuts))
+        if not spectra_match(sa, sb, rtol)
+    ]
     return ObstructionReport(subset, tuple(violations))
 
 
 def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
-    """True when no bipartition is a product (every cut has rank >= 2)."""
-    for cut in all_bipartitions(state.num_qubits):
-        if schmidt_spectrum(state, cut).eigenvalues[0] >= 1.0 - tol:
-            return False
+    """True when no bipartition is a product: every cut's largest Schmidt
+    eigenvalue lies below 1 - tol, ``tol`` in [0, 1).
+
+    A purity screen spares most cuts their SVD.  The purity p = ||rho_A||_F^2
+    = sum lambda_i^2 of every cut comes from one batched Gram product per
+    sender size, and lambda_max <= sqrt(p).  Only cuts with sqrt(p) >=
+    1 - tol - EXACT_ATOL (the slack covers rounding in p) get an SVD; every
+    cut skipped has lambda_max < 1 - tol, so the answer is that of an SVD on
+    every cut.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    check_qubits(state.num_qubits, "the multipartite entanglement test")
+    for _, stack in _cut_stacks(state, all_bipartitions(state.num_qubits)):
+        gram = stack @ stack.conj().transpose(0, 2, 1)
+        purity = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+        near = stack[np.sqrt(purity) >= 1.0 - tol - EXACT_ATOL]
+        if near.size:
+            s = np.linalg.svd(near, compute_uv=False)
+            if np.any(np.max(s * s, axis=-1) >= 1.0 - tol):
+                return False
     return True
 
 

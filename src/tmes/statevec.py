@@ -4,13 +4,17 @@ Qubit numbering follows ket notation: qubit 1 is the most significant bit
 of the amplitude index, so the amplitude of |q1 q2 ... qn> sits at index
 q1*2^(n-1) + q2*2^(n-2) + ... + qn.  Every operation is a pure function on
 immutable values; returned arrays are marked read-only.
+
+Schmidt spectra come from the singular values of the amplitudes laid out as
+a sender-by-receiver matrix.  ``cut_spectra`` takes many cuts of one state
+at once: one batched SVD per sender size, bit-identical to an SVD per cut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "apply_local",
     "partial_trace",
     "schmidt_spectrum",
+    "cut_spectra",
     "schmidt_decomposition",
     "entropy",
     "negativity",
@@ -326,14 +331,50 @@ def schmidt_decomposition(
     return s[keep], u[:, keep], vh[keep, :]
 
 
+def _cut_stacks(
+    state: PureState, cuts: Sequence[Partition]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per sender size, the positions in ``cuts`` of that size and the stack
+    of their ``_split_matrix`` matrices (rows are the sender), ascending size.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, cut in enumerate(cuts):
+        _require_cut(state, cut)
+        groups.setdefault(len(cut.sender), []).append(i)
+    psi = state.tensor_view()
+    n = state.num_qubits
+    for size in sorted(groups):
+        where = groups[size]
+        stack = np.empty((len(where), 2**size, 2 ** (n - size)), dtype=complex)
+        for out, i in zip(stack, where):
+            a, b = cuts[i].sides()
+            out.reshape(psi.shape)[...] = psi.transpose([q - 1 for q in a + b])
+        yield where, stack
+
+
+def cut_spectra(
+    state: PureState, cuts: Iterable[Partition]
+) -> tuple[SchmidtSpectrum, ...]:
+    """``schmidt_spectrum`` of every cut, in input order.
+
+    Cuts with equal sender size share one batched SVD of their stacked
+    sender-by-receiver matrices.  Numpy runs the same LAPACK routine on each
+    matrix of a stack as on the matrix alone, so every spectrum is identical
+    to the bit to a one-cut SVD.
+    """
+    cuts = tuple(cuts)
+    spectra: dict[int, SchmidtSpectrum] = {}
+    for where, stack in _cut_stacks(state, cuts):
+        s = np.linalg.svd(stack, compute_uv=False)
+        lam = np.sort(s * s, axis=-1)[:, ::-1]
+        for i, row in zip(where, lam):
+            spectra[i] = SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist()))
+    return tuple(spectra[i] for i in range(len(cuts)))
+
+
 def schmidt_spectrum(state: PureState, cut: Partition) -> SchmidtSpectrum:
     """Eigenvalues of either side's reduced density matrix, zeros dropped."""
-    _require_cut(state, cut)
-    a, b = cut.sides()
-    s = np.linalg.svd(_split_matrix(state, a, b), compute_uv=False)
-    lam = np.sort(s * s)[::-1]
-    lam = lam[lam > EXACT_ATOL]
-    return SchmidtSpectrum(tuple(float(x) for x in lam))
+    return cut_spectra(state, (cut,))[0]
 
 
 def entropy(spectrum: SchmidtSpectrum) -> float:

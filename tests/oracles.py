@@ -7,6 +7,7 @@ package under test.  Qubit 1 is the most significant bit throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,32 @@ def brute_spectrum(amps, num_qubits: int, side) -> np.ndarray:
     rho = brute_reduced_density(amps, num_qubits, side)
     vals = np.linalg.eigvalsh(rho)[::-1]
     return vals[vals > 1e-12]
+
+
+def svd_cut_spectrum(amps, num_qubits: int, sender) -> tuple[float, ...]:
+    """Squared singular values above 1e-12, descending, of the amplitudes
+    laid out as a matrix whose row index packs the ``sender`` bits (ascending)
+    and whose column index packs the rest: one ``np.linalg.svd`` per cut.
+    """
+    sender = sorted(sender)
+    rest = [q for q in range(1, num_qubits + 1) if q not in sender]
+    index = np.arange(2**num_qubits)
+    mat = np.zeros((2 ** len(sender), 2 ** len(rest)), dtype=complex)
+    mat[sub_index(index, sender, num_qubits), sub_index(index, rest, num_qubits)] = amps
+    s = np.linalg.svd(mat, compute_uv=False)
+    lam = np.sort(s * s)[::-1]
+    return tuple(float(x) for x in lam[lam > 1e-12])
+
+
+def brute_genuine_multipartite(amps, num_qubits: int, tol: float) -> bool:
+    """No cut with a reduced-state eigenvalue of at least 1 - tol, found by
+    summing every reduced density matrix and diagonalising it."""
+    for size in range(1, num_qubits // 2 + 1):
+        for sender in itertools.combinations(range(1, num_qubits + 1), size):
+            rho = brute_reduced_density(amps, num_qubits, sender)
+            if np.linalg.eigvalsh(rho)[-1] >= 1.0 - tol:
+                return False
+    return True
 
 
 def brute_apply(amps, num_qubits: int, matrix, targets) -> np.ndarray:

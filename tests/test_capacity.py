@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -568,6 +569,26 @@ class TestOrthogonalityGraph:
     def test_edgeless_graph_yields_highest_label(self):
         state = haar_random_state(4, seed=0)
         assert sdc_orthogonal_labels(state, (1, 2)) == (15,)
+
+    def test_large_clique_needs_no_recursion(self):
+        # Z = the five w_state(2) labels times {0}: no group, so the search
+        # runs and finds a 128-clique.  The search must not take a Python
+        # frame per clique member.
+        state = tensor(w_state(2), bell_product(2))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            labels = sdc_orthogonal_labels(state, (1, 2, 4, 6))
+        finally:
+            sys.setrecursionlimit(limit)
+        # 8 labels on the w_state(2) pair times all 16 on the two Bell halves
+        assert len(labels) == 128
+        expect = brute_pauli_expectations(state.amplitudes, 7, (1, 2, 4, 6))
+        pairs = np.bitwise_xor.outer(labels, labels)
+        assert np.all((expect[pairs] <= ATOL) | (pairs == 0))
 
 
 _DRESSINGS = (

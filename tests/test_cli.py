@@ -10,6 +10,7 @@ import pytest
 from tmes.cli import main
 from tmes.serialize import load_state, save_state
 from tmes.states import cluster4, make_state, parse_spec
+from tmes.statevec import PureState
 
 
 @pytest.fixture
@@ -209,6 +210,19 @@ class TestAnalysisCommands:
         assert captured.out == ""
         assert captured.err == (
             "error: senders are capped at 6 qubits: (1, 2, 3, 4, 5, 6, 7)\n"
+        )
+
+    def test_obstruct_refuses_oversized_states(self, tmp_path, capsys):
+        amps = np.zeros(2**13)
+        amps[0] = 1.0
+        path = str(tmp_path / "big.json")
+        save_state(PureState(13, amps), path)
+        argv = ["obstruct", "--source", path, "--target", path, "--subset", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the conversion obstruction is capped at 12 qubits, got 13\n"
         )
 
     def test_bad_sender_list(self, state_file, capsys):

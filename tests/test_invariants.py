@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_spectrum
+from oracles import brute_genuine_multipartite, brute_spectrum
 from tmes.capacity import haar_random_state
+from tmes.claims import VERDICTS
 from tmes.invariants import (
     ObstructionReport,
     all_bipartition_spectra,
@@ -17,6 +22,7 @@ from tmes.invariants import (
     spectra_match,
 )
 from tmes.statevec import (
+    ATOL,
     MAX_QUBITS,
     Partition,
     PureState,
@@ -33,7 +39,9 @@ from tmes.states import (
     cluster5,
     ghz,
     hs,
+    make_state,
     odd_resource,
+    parse_spec,
     w_state,
 )
 
@@ -68,6 +76,9 @@ class TestBipartitionEnumeration:
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError):
             all_bipartitions(1)
+
+    def test_memoised(self):
+        assert all_bipartitions(6) is all_bipartitions(6)
 
 
 class TestSpectraEnumeration:
@@ -151,6 +162,56 @@ class TestConversionObstruction:
         report = ObstructionReport(frozenset({1}), ())
         assert not report.obstructed
 
+    @pytest.mark.parametrize("rtol", [-1e-7, math.nan, math.inf])
+    def test_rejects_bad_rtol(self, rtol):
+        with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
+            conversion_obstruction(ghz(3), ghz(3), (1,), rtol)
+
+    def test_qubit_guard(self):
+        amps = np.zeros(2 ** (MAX_QUBITS + 1))
+        amps[0] = 1.0
+        state = PureState(MAX_QUBITS + 1, amps)
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+            conversion_obstruction(state, state, (1,))
+
+
+def _near_product(n: int, delta: float) -> PureState:
+    """sqrt(1 - delta)|0>|a> + sqrt(delta)|1>|b> with orthonormal (n-1)-qubit
+    a, b: the Bell states phi+ and phi- for n = 3, else seeded Haar states."""
+    if n == 3:
+        a = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        b = np.array([1, 0, 0, -1]) / math.sqrt(2)
+    else:
+        a = haar_random_state(n - 1, seed=11).amplitudes
+        b = haar_random_state(n - 1, seed=12).amplitudes
+        b = b - np.vdot(a, b) * a
+        b = b / np.linalg.norm(b)
+    return PureState(n, np.concatenate([math.sqrt(1 - delta) * a, math.sqrt(delta) * b]))
+
+
+_GME_SPECS = [spec for spec in VERDICTS if make_state(parse_spec(spec)).num_qubits <= 5]
+
+
+@st.composite
+def _gme_cases(draw):
+    """A seeded Haar state, a catalog state or a product of two Haar states
+    (qubits permuted), on 2-5 qubits, with a tolerance."""
+    kind = draw(st.sampled_from(["haar", "catalog", "product"]), label="kind")
+    seed = draw(st.integers(0, 10**6), label="seed")
+    if kind == "catalog":
+        state = make_state(parse_spec(draw(st.sampled_from(_GME_SPECS), label="spec")))
+    elif kind == "haar":
+        state = haar_random_state(draw(st.integers(2, 5), label="n"), seed)
+    else:
+        left = draw(st.integers(1, 3), label="left")
+        right = draw(st.integers(1, 5 - left), label="right")
+        state = tensor(haar_random_state(left, seed), haar_random_state(right, seed + 1))
+        order = draw(st.permutations(range(state.num_qubits)), label="order")
+        amps = state.tensor_view().transpose(order).reshape(-1)
+        state = PureState(state.num_qubits, amps)
+    tol = draw(st.sampled_from([ATOL, 1e-3, 0.1, 0.3]), label="tol")
+    return state, tol
+
 
 class TestGenuineMultipartite:
     @pytest.mark.parametrize(
@@ -171,6 +232,37 @@ class TestGenuineMultipartite:
     )
     def test_table(self, state, expected):
         assert genuine_multipartite(state) is expected
+
+    @pytest.mark.parametrize("tol", [-1e-9, 1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
+            genuine_multipartite(ghz(3), tol)
+
+    def test_qubit_guard(self):
+        amps = np.zeros(2 ** (MAX_QUBITS + 1))
+        amps[0] = 1.0
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+            genuine_multipartite(PureState(MAX_QUBITS + 1, amps))
+
+    @given(case=_gme_cases())
+    @settings(max_examples=40)
+    def test_matches_eigvalsh_oracle(self, case):
+        state, tol = case
+        want = brute_genuine_multipartite(state.amplitudes, state.num_qubits, tol)
+        assert genuine_multipartite(state, tol) is want
+
+    # Cut {1} has Schmidt eigenvalues (1 - delta, delta); every other cut is
+    # far from a product.  The purity screen keeps cut {1} only if it
+    # bounds lambda_max by sqrt(p): p = (1 - delta)^2 + delta^2 lies below
+    # 1 - tol when lambda_max = 1 - tol + 1e-11.
+    @pytest.mark.parametrize("tol", [ATOL, 1e-3, 0.25])
+    @pytest.mark.parametrize("side", [1, -1], ids=["product", "entangled"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_boundary(self, n, side, tol):
+        delta = tol - side * 1e-11
+        state = _near_product(n, delta)
+        assert genuine_multipartite(state, tol) is (side < 0)
+        assert brute_genuine_multipartite(state.amplitudes, n, tol) is (side < 0)
 
 
 class TestOrthogonalFamily:

@@ -13,6 +13,7 @@ from oracles import (
     brute_reduced_density,
     brute_spectrum,
     shannon_bits,
+    svd_cut_spectrum,
 )
 from tmes.capacity import haar_random_state, haar_random_unitary
 from tmes.statevec import (
@@ -25,6 +26,7 @@ from tmes.statevec import (
     SchmidtSpectrum,
     apply_local,
     cluster_values,
+    cut_spectra,
     entropy,
     negativity,
     overlap,
@@ -34,7 +36,18 @@ from tmes.statevec import (
     states_close,
     tensor,
 )
-from tmes.states import basis_state, bell, bell_product, ghz, odd_resource, w_state
+from tmes.claims import VERDICTS
+from tmes.invariants import all_bipartitions
+from tmes.states import (
+    basis_state,
+    bell,
+    bell_product,
+    ghz,
+    make_state,
+    odd_resource,
+    parse_spec,
+    w_state,
+)
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -214,6 +227,66 @@ class TestSchmidt:
         a = schmidt_spectrum(state, Partition.from_sender((1, 2), 5))
         b = schmidt_spectrum(state, Partition.from_sender((3, 4, 5), 5))
         assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-9)
+
+
+def _every_cut(n: int) -> list[Partition]:
+    """Every ordered cut of n qubits: senders of every size, both sides."""
+    return [
+        Partition.from_sender((q for q in range(1, n + 1) if mask >> (q - 1) & 1), n)
+        for mask in range(1, 2**n - 1)
+    ]
+
+
+class TestCutSpectra:
+    """``cut_spectra`` equals, to the bit, one SVD per cut laid out by bit
+    arithmetic."""
+
+    @staticmethod
+    def _assert_bitwise(state, cuts):
+        got = tuple(spec.eigenvalues for spec in cut_spectra(state, cuts))
+        want = tuple(
+            svd_cut_spectrum(state.amplitudes, state.num_qubits, cut.sender)
+            for cut in cuts
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("spec", list(VERDICTS))
+    def test_every_cut_of_every_verdict_state(self, spec):
+        state = make_state(parse_spec(spec))
+        self._assert_bitwise(state, _every_cut(state.num_qubits))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_haar_states(self, n):
+        state = haar_random_state(n, seed=n)
+        self._assert_bitwise(state, all_bipartitions(n))
+
+    def test_senders_larger_than_receivers(self):
+        state = haar_random_state(7, seed=3)
+        big = [Partition(c.receiver, c.sender) for c in all_bipartitions(7)]
+        assert all(len(c.sender) > len(c.receiver) for c in big)
+        self._assert_bitwise(state, big)
+
+    def test_output_follows_input_order(self):
+        state = haar_random_state(6, seed=5)
+        cuts = _every_cut(6)
+        order = np.random.default_rng(0).permutation(len(cuts))
+        shuffled = [cuts[i] for i in order]
+        self._assert_bitwise(state, shuffled)
+        by_cut = dict(zip(cuts, cut_spectra(state, cuts)))
+        assert cut_spectra(state, shuffled) == tuple(by_cut[c] for c in shuffled)
+
+    def test_one_cut(self):
+        state = haar_random_state(5, seed=9)
+        cut = Partition.from_sender((2, 5), 5)
+        self._assert_bitwise(state, [cut])
+        assert cut_spectra(state, [cut]) == (schmidt_spectrum(state, cut),)
+
+    def test_no_cuts(self):
+        assert cut_spectra(bell(), []) == ()
+
+    def test_rejects_a_cut_of_another_size(self):
+        with pytest.raises(ValueError, match="partition covers 3 qubits"):
+            cut_spectra(bell(), [Partition.from_sender((1,), 3)])
 
 
 class TestClusterValues:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import runpy
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +15,30 @@ import pytest
 from tmes.claims import FIGURES, VERDICTS
 
 SURVEY = Path(__file__).resolve().parents[1] / "scripts" / "capacity_survey.py"
+# The survey's --json document, pinned byte for byte.
+BASELINE = Path(__file__).with_name("survey_baseline.json")
 
 
-def test_survey_agrees_with_tables(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "survey.json"
-    monkeypatch.setattr(sys, "argv", [str(SURVEY), "--json", str(out)])
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(SURVEY), run_name="__main__")
+@pytest.fixture(scope="module")
+def survey_json(tmp_path_factory):
+    """The bytes the survey writes with --json, run once per module."""
+    out = tmp_path_factory.mktemp("survey") / "survey.json"
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(printed):
+        patch.setattr(sys, "argv", [str(SURVEY), "--json", str(out)])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(str(SURVEY), run_name="__main__")
     assert stop.value.code == 0
-    assert f"wrote {out}" in capsys.readouterr().out
+    assert printed.getvalue().endswith(f"wrote {out}\n")
+    return out.read_bytes()
 
-    states = json.loads(out.read_text(encoding="utf-8"))["states"]
+
+def test_survey_json_matches_baseline(survey_json):
+    assert survey_json == BASELINE.read_bytes()
+
+
+def test_survey_agrees_with_tables(survey_json):
+    states = json.loads(survey_json.decode("utf-8"))["states"]
     specs = {spec.replace(":", ""): spec for spec in VERDICTS}
     assert [entry["name"] for entry in states] == list(specs)
     seen = set()
