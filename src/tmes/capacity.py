@@ -7,14 +7,22 @@ pairs tensor a leftover state.  The verdict is cross-checked by an explicit
 protocol simulator.  Superdense-coding verdicts count the largest family of
 Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
+
+The maximality verdict scores its balanced cuts a chunk at a time: one stack
+of amplitude matrices gives every cut's Schmidt spectrum (a batched SVD) and
+sender marginal (a batched Gram product), the marginals give the Pauli
+expectations in one transform, and one vectorised GF(2) reduction tells
+which cuts have a group of labels.  Each value equals the one-cut call's to
+the bit; ``teleport_capacity`` and ``sdc_orthogonal_labels`` are the one-cut
+case of the same helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,13 +34,22 @@ from .statevec import (
     MAX_QUBITS,
     Partition,
     PureState,
+    SchmidtSpectrum,
+    _cut_stacks,
     _freeze,
+    _stack_marginals,
+    _stack_spectra,
     check_qubits,
-    partial_trace,
     schmidt_decomposition,
     schmidt_spectrum,
     tensor,
 )
+
+# Byte budget of the amplitude stack one is_tmes chunk scores at once (16
+# cuts at 12 qubits).  At 12 qubits budgets of 256 KiB to 4 MiB ran alike
+# and 16 MiB about a third slower.
+CHUNK_BYTES = 1 << 20
+
 
 def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
@@ -61,9 +78,12 @@ def teleport_capacity(
 ) -> int:
     """Largest k <= |receiver| with every clustered Schmidt multiplicity
     divisible by 2^k."""
-    spectrum = schmidt_spectrum(state, cut)
+    return _capacity(schmidt_spectrum(state, cut), len(cut.receiver), rtol)
+
+
+def _capacity(spectrum: SchmidtSpectrum, receivers: int, rtol: float) -> int:
     mults = [m for _, m in spectrum.clustered(rtol)]
-    return min(_two_adic_valuation(math.gcd(*mults)), len(cut.receiver))
+    return min(_two_adic_valuation(math.gcd(*mults)), receivers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +358,41 @@ def _dimension_bounds_hold(tol: float, num_senders: int) -> bool:
     return verts * (tol + 2**num_senders * EXACT_ATOL) < 1.0
 
 
+def _coset_pivots(expect: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``expect`` (the |Tr(rho_A P_d)| of one sender), the
+    pivot mask of a GF(2) basis of Z = {d : expect[d] > tol}, and whether Z
+    is closed under xor, that is |Z| = 2^rank.  The mask is the set of
+    leading bits of a row reduction from the top bit down; it is meaningful
+    only where Z is closed.  ``tol`` lies in [0, 1), so label 0 is in Z.
+
+    Only rows whose |Z| is a power of two below 4^s are reduced, all rows of
+    one |Z| at once on their member labels; a full Z (the generic case) is
+    the group of every label.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    inside = expect > tol
+    sizes = inside.sum(axis=1)
+    nlabels = expect.shape[1]
+    pivots = np.full(len(expect), nlabels - 1)
+    rank = np.full(len(expect), nlabels.bit_length() - 1)
+    for size in sorted({k for k in sizes.tolist() if k < nlabels and k & (k - 1) == 0}):
+        where = np.flatnonzero(sizes == size)
+        rows = np.nonzero(inside[where])[1].reshape(len(where), size)
+        found = np.zeros(len(where), dtype=rows.dtype)
+        index = np.arange(len(where))
+        for bit in reversed(range(int(rows.max()).bit_length())):
+            # The first member with this bit leads; xor it out of every
+            # member that has the bit, itself included.
+            hit = rows & (1 << bit)
+            lead = rows[index, hit.argmax(axis=1)]
+            rows ^= np.where(hit, lead[:, None], 0)
+            found |= lead & (1 << bit)
+        pivots[where] = found
+        rank[where] = [int(mask).bit_count() for mask in found]
+    return pivots, sizes == 1 << rank
+
+
 def sdc_orthogonal_labels(
     state: PureState, sender_set: Iterable[int], tol: float = ATOL
 ) -> tuple[int, ...]:
@@ -353,23 +408,19 @@ def sdc_orthogonal_labels(
     order (classes filled from the lowest label up, tried last class and
     highest label first) and keeps the first maximum set met.  So an
     edgeless graph gives (4^s - 1,), not (0,).
+
+    This is the one-cut case of the ``is_tmes`` scan: the marginal comes
+    from a one-matrix cut stack.
     """
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must lie in [0, 1), got {tol}")
     qubits = _sender_qubits(state, sender_set)
-    expect = pauli_expectations(partial_trace(state, qubits).matrix)
-    group = np.flatnonzero(expect > tol)
-    # Row reduction from the top bit down; each leading bit is a pivot.
-    rows, pivots = group, 0
-    for bit in reversed(range(2 * len(qubits))):
-        hit = (rows >> bit) & 1 == 1
-        if hit.any():
-            pivots |= 1 << bit
-            rows = np.where(hit, rows ^ rows[hit.argmax()], rows)
-    if group.size == 2 ** pivots.bit_count():
-        labels = np.arange(expect.size)
-        return tuple(np.flatnonzero(labels & pivots == pivots).tolist())
-    return _max_clique(_orthogonality_adjacency(expect, tol))
+    cut = Partition.from_sender(qubits, state.num_qubits)
+    ((_, stack),) = _cut_stacks(state, (cut,))
+    expect = pauli_expectations(_stack_marginals(stack))
+    pivots, closed = _coset_pivots(expect, tol)
+    if closed[0]:
+        labels = np.arange(expect.shape[1])
+        return tuple(np.flatnonzero(labels & pivots[0] == pivots[0]).tolist())
+    return _max_clique(_orthogonality_adjacency(expect[0], tol))
 
 
 def sdc_max_messages(
@@ -461,6 +512,45 @@ class TmesVerdict:
     witnessing_partition: Partition | None
 
 
+def _cut_scores(
+    state: PureState, cuts: Sequence[Partition]
+) -> tuple[list[SchmidtSpectrum], np.ndarray]:
+    """Schmidt spectra and sender Pauli expectations (one row per cut) of cuts
+    with one sender size, from one stack of their amplitudes: a batched SVD
+    gives the spectra, a batched Gram product the sender marginals."""
+    ((_, stack),) = _cut_stacks(state, cuts)
+    return _stack_spectra(stack), pauli_expectations(_stack_marginals(stack))
+
+
+def _balanced_figures(
+    state: PureState, tol: float, rtol: float
+) -> Iterator[tuple[Partition, int, int]]:
+    """(cut, teleport capacity, message count) of every cut with a
+    ceil(n/2)-qubit sender, in ``combinations`` order.
+
+    Cuts are scored a chunk at a time by ``_cut_scores``.  Chunks start at
+    one cut and double until their stack would pass CHUNK_BYTES, so a scan
+    that stops early scores few cuts beyond its last, and a full scan makes
+    few batched calls.  The clique search runs only for a cut whose Z is not
+    a group, and only when the scan reaches it.
+    """
+    n = state.num_qubits
+    senders = combinations(range(1, n + 1), (n + 1) // 2)
+    limit = max(CHUNK_BYTES // (16 * 2**n), 1)
+    width = 1
+    while chunk := [Partition.from_sender(c, n) for c in islice(senders, width)]:
+        spectra, expect = _cut_scores(state, chunk)
+        pivots, closed = _coset_pivots(expect, tol)
+        for i, cut in enumerate(chunk):
+            cap = _capacity(spectra[i], len(cut.receiver), rtol)
+            if closed[i]:
+                msgs = expect.shape[1] >> int(pivots[i]).bit_count()
+            else:
+                msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
+            yield cut, cap, msgs
+        width = min(2 * width, limit)
+
+
 def is_tmes(
     state: PureState, tol: float = ATOL, rtol: float = CLUSTER_RTOL
 ) -> TmesVerdict:
@@ -471,7 +561,10 @@ def is_tmes(
     messages.  The reported figures are the best found; the witnessing
     partition meets both thresholds when one exists.  When ``tol`` is fine
     enough for the dimension bounds, the scan stops at the first such
-    partition, since no later one can raise either figure.
+    partition, since no later one can raise either figure.  Cuts are scored
+    in chunks (``_balanced_figures``), so the stop comes at the end of the
+    chunk that holds the witness; the figures are those of a scan that
+    scored one cut at a time.
     """
     n = state.num_qubits
     if n < 2:
@@ -483,10 +576,7 @@ def is_tmes(
     best_msgs = 0
     joint: Partition | None = None
     teleport_witness: Partition | None = None
-    for combo in combinations(range(1, n + 1), n - payload_threshold):
-        part = Partition.from_sender(combo, n)
-        cap = teleport_capacity(state, part, rtol)
-        msgs = sdc_max_messages(state, combo, tol)
+    for part, cap, msgs in _balanced_figures(state, tol, rtol):
         best_cap = max(best_cap, cap)
         best_msgs = max(best_msgs, msgs)
         if cap >= payload_threshold and teleport_witness is None:
@@ -495,7 +585,7 @@ def is_tmes(
             joint = part
             # cap <= |receiver| = floor(n/2) and, under the dimension
             # bounds, msgs <= 2^n: no later cut can change a figure.
-            if _dimension_bounds_hold(tol, len(combo)):
+            if _dimension_bounds_hold(tol, len(part.sender)):
                 break
     verdict = best_cap >= payload_threshold and best_msgs >= message_threshold
     witness = joint if joint is not None else (teleport_witness if verdict else None)

@@ -14,7 +14,6 @@ that may be products get an SVD.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -31,6 +30,7 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
+    _check_rtol,
     _cut_stacks,
     check_qubits,
     cut_spectra,
@@ -113,8 +113,7 @@ def conversion_obstruction(
         raise ValueError("source and target must have the same qubit count")
     n = source.num_qubits
     check_qubits(n, "the conversion obstruction")
-    if not (math.isfinite(rtol) and rtol >= 0.0):
-        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
+    _check_rtol(rtol)
     subset = frozenset(int(q) for q in acting_subset)
     if not subset:
         raise ValueError("acting subset is empty")

@@ -10,6 +10,7 @@ action of a label on amplitudes goes through ``pauli_rows``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,16 @@ def xz_masks(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         x |= ((digit == 1) | (digit == 2)).astype(np.int64) << k
         z |= (digit >> 1) << k
     return x, z
+
+
+@lru_cache(maxsize=None)
+def _all_label_masks(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``xz_masks`` of every label 0..4^length - 1.  Memoised: the
+    masks depend on ``length`` alone."""
+    masks = xz_masks(np.arange(4**length), length)
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
 
 
 def pauli_rows(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,20 +108,27 @@ def pauli_expectations(rho: np.ndarray) -> np.ndarray:
 
     X^x Z^z maps |j> to (-1)^{z.j} |j xor x>, so Tr(rho X^x Z^z) is the
     Walsh-Hadamard transform over j of the slice v_x[j] = rho[j, j xor x]:
-    O(4^s s) work for all 4^s labels.
+    O(4^s s) work for all 4^s labels.  A stack of matrices, shape
+    (..., 2^s, 2^s), gives one row of 4^s values per matrix; the transform
+    is elementwise, so each row equals the result for its matrix alone.
     """
     rho = np.asarray(rho)
-    dim = rho.shape[0]
+    dim = rho.shape[-1] if rho.ndim >= 2 else 0
     length = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or dim < 2 or 2**length != dim:
-        raise ValueError(f"expected a 2^s x 2^s matrix, got shape {rho.shape}")
+    if dim < 2 or rho.shape[-2] != dim or 2**length != dim:
+        raise ValueError(
+            f"expected a 2^s x 2^s matrix or a stack of them, got shape {rho.shape}"
+        )
+    lead = rho.shape[:-2]
     j = np.arange(dim)
-    table = rho[j, j ^ j[:, None]]
+    table = rho[..., j, j ^ j[:, None]]
+    spare = np.empty_like(table)
     # Butterfly on each bit of j: rows stay x, the last axis becomes z.
     for k in range(length):
-        pairs = table.reshape(dim, -1, 2, 2**k)
-        table = np.stack(
-            (pairs[:, :, 0] + pairs[:, :, 1], pairs[:, :, 0] - pairs[:, :, 1]), axis=2
-        ).reshape(dim, dim)
-    x, z = xz_masks(np.arange(4**length), length)
-    return np.abs(table[x, z])
+        pairs = table.reshape(lead + (dim, -1, 2, 2**k))
+        out = spare.reshape(pairs.shape)
+        np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 0, :])
+        np.subtract(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 1, :])
+        table, spare = spare, table
+    x, z = _all_label_masks(length)
+    return np.abs(table[..., x, z])

@@ -13,6 +13,7 @@ at once: one batched SVD per sender size, bit-identical to an SVD per cut.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -142,6 +143,19 @@ class LocalOperator:
         return LocalOperator(self.arity, self.matrix.conj().T)
 
 
+def _check_density(mat: np.ndarray) -> None:
+    """Refuse a matrix, or a stack of them, that is not finite, Hermitian
+    within ATOL and of unit trace within ATOL."""
+    if not np.isfinite(mat).all():
+        raise ValueError("density matrix has a NaN or infinite entry")
+    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > ATOL)
+    if bad.size:
+        raise ValueError(f"density matrix trace is {complex(tr[bad[0]])!r}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace density matrix over ``num_qubits`` qubits."""
@@ -156,18 +170,17 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has a NaN or infinite entry")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        _check_density(mat)
         object.__setattr__(self, "matrix", _freeze(mat))
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in descending order."""
         return np.linalg.eigvalsh(self.matrix)[::-1]
+
+
+def _check_rtol(rtol: float) -> None:
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
 
 
 def cluster_values(
@@ -176,15 +189,20 @@ def cluster_values(
     """Group a descending value sequence into (representative, multiplicity) runs.
 
     A value joins the current run when it lies within ``rtol`` (relative to the
-    run's first member) of that member.
+    run's first member) of that member.  ``rtol`` must be finite and
+    non-negative: NaN or a negative value would split every run, inf would
+    merge them all.
     """
-    runs: list[list[float]] = []
+    _check_rtol(rtol)
+    runs: list[list] = []
+    first = 0.0
     for v in values:
-        if runs and abs(runs[-1][0] - v) <= rtol * max(abs(runs[-1][0]), abs(v)):
-            runs[-1].append(v)
+        if runs and abs(first - v) <= rtol * max(abs(first), abs(v)):
+            runs[-1][1] += 1
         else:
-            runs.append([v])
-    return tuple((run[0], len(run)) for run in runs)
+            first = v
+            runs.append([v, 1])
+    return tuple(map(tuple, runs))
 
 
 @dataclass(frozen=True)
@@ -194,14 +212,16 @@ class SchmidtSpectrum:
     eigenvalues: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.eigenvalues)
+        vals = tuple(map(float, self.eigenvalues))
         if not vals:
             raise ValueError("a Schmidt spectrum cannot be empty")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+        if any(map(operator.lt, vals, vals[1:])):
             raise ValueError("eigenvalues must be sorted in descending order")
         if vals[-1] < -EXACT_ATOL:
             raise ValueError(f"negative eigenvalue {vals[-1]!r}")
-        vals = tuple(max(v, 0.0) for v in vals)
+        # Sorted, so only the tail can hold rounding below zero.
+        if vals[-1] < 0.0:
+            vals = tuple(max(v, 0.0) for v in vals)
         total = sum(vals)
         # A NaN or inf eigenvalue makes the sum NaN or inf, which fails.
         if not abs(total - 1.0) <= ATOL:
@@ -365,11 +385,26 @@ def cut_spectra(
     cuts = tuple(cuts)
     spectra: dict[int, SchmidtSpectrum] = {}
     for where, stack in _cut_stacks(state, cuts):
-        s = np.linalg.svd(stack, compute_uv=False)
-        lam = np.sort(s * s, axis=-1)[:, ::-1]
-        for i, row in zip(where, lam):
-            spectra[i] = SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist()))
+        spectra.update(zip(where, _stack_spectra(stack)))
     return tuple(spectra[i] for i in range(len(cuts)))
+
+
+def _stack_spectra(stack: np.ndarray) -> list[SchmidtSpectrum]:
+    """Schmidt spectrum of every matrix of a ``_cut_stacks`` stack, from one
+    batched SVD."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    lam = np.sort(s * s, axis=-1)[:, ::-1]
+    return [SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist())) for row in lam]
+
+
+def _stack_marginals(stack: np.ndarray) -> np.ndarray:
+    """Sender (row-side) reduced density matrix of every matrix of a
+    ``_cut_stacks`` stack, from one batched Gram product, with the checks of
+    ``DensityMatrix``.  Each equals ``partial_trace`` on its sender to the
+    bit: numpy makes the same BLAS call per matrix of the stack."""
+    rho = stack @ stack.conj().transpose(0, 2, 1)
+    _check_density(rho)
+    return rho
 
 
 def schmidt_spectrum(state: PureState, cut: Partition) -> SchmidtSpectrum:

@@ -239,6 +239,23 @@ def gf2_rank(rows) -> int:
     return rank
 
 
+def gf2_leading_bits(rows) -> int:
+    """The bits that lead some element of the GF(2) span of integer bit rows
+    (the pivots of any row echelon form), as a mask.  Each row is reduced by
+    the basis kept in descending order, then joins it if anything is left."""
+    basis: list[int] = []
+    for r in rows:
+        r = int(r)
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+    mask = 0
+    for b in basis:
+        mask |= 1 << (b.bit_length() - 1)
+    return mask
+
+
 def graph_figures(adj, sender) -> tuple[int, int]:
     """Teleport capacity and message count of the graph state with 0/1
     adjacency matrix ``adj`` across the cut 1-based ``sender`` | rest, by
@@ -260,6 +277,34 @@ def graph_figures(adj, sender) -> tuple[int, int]:
     ]
     rank = gf2_rank(block)
     return min(rank, len(receiver)), 2 ** (len(sender) + rank)
+
+
+def graph_verdict(adj) -> tuple[bool, int, int, tuple[int, ...] | None]:
+    """Maximality verdict of the graph state with 0/1 adjacency matrix
+    ``adj``, folded from ``graph_figures`` alone: (maximal, best capacity,
+    best message count, witnessing sender or None).
+
+    The rule is the documented one: senders of ceil(n/2) qubits in
+    ``itertools.combinations`` order; the state is maximal when some cut
+    teleports floor(n/2) qubits and some cut carries 2^n messages; the
+    witness is the first cut that does both, else (when maximal) the first
+    that teleports floor(n/2).  Every cut is folded: a graph state's cut
+    carries at most 2^n messages and teleports at most floor(n/2) qubits, so
+    the figures equal those of a scan that stops at the first joint witness.
+    """
+    n = len(adj)
+    best_cap = best_msgs = 0
+    joint = teleport = None
+    for sender in itertools.combinations(range(1, n + 1), (n + 1) // 2):
+        cap, msgs = graph_figures(adj, sender)
+        best_cap = max(best_cap, cap)
+        best_msgs = max(best_msgs, msgs)
+        if cap >= n // 2:
+            teleport = teleport or sender
+            if msgs >= 2**n:
+                joint = joint or sender
+    maximal = best_cap >= n // 2 and best_msgs >= 2**n
+    return maximal, best_cap, best_msgs, joint or (teleport if maximal else None)
 
 
 def two_adic(x: int) -> int:

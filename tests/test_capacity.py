@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,13 +22,17 @@ from oracles import (
     brute_pauli_expectations,
     brute_spectrum,
     brute_teleport_outcome,
+    gf2_leading_bits,
+    gf2_rank,
     graph_figures,
+    graph_verdict,
     two_adic,
 )
 from tmes import capacity
 from tmes.capacity import (
     SdcCodebook,
     TmesVerdict,
+    _coset_pivots,
     _dimension_bounds_hold,
     _max_clique,
     _orthogonality_adjacency,
@@ -169,6 +174,24 @@ class TestTeleportCapacity:
         oracle = brute_spectrum(state.amplitudes, state.num_qubits, sender)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(oracle, want, rtol=0, atol=1e-12)
+
+    # A NaN or negative rtol splits every cluster, so cluster4 (1, 3) would
+    # read capacity 0 and not maximal; inf merges them all.  The check sits
+    # in cluster_values, which each entry point reaches.
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rtol: teleport_capacity(cluster4(), _cut((1, 3), 4), rtol),
+            lambda rtol: is_tmes(cluster4(), rtol=rtol),
+            lambda rtol: build_teleport_protocol(cluster4(), _cut((1, 3), 4), 1, rtol),
+            lambda rtol: simulate_teleportation(cluster4(), _cut((1, 3), 4), 1, rtol=rtol),
+        ],
+        ids=["teleport_capacity", "is_tmes", "build_teleport_protocol", "simulate"],
+    )
+    def test_bad_rtol_is_refused(self, call, rtol):
+        with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
+            call(rtol)
 
     def test_receiver_size_bounds_capacity(self):
         # three Bell pairs sent from one side: spectral count allows 3 but
@@ -496,7 +519,39 @@ GRAPH_CASES = [
 ]
 
 
+@st.composite
+def _label_sets(draw):
+    """Label sets Z on 1-3 qubits holding label 0: some spans of random
+    generators (groups), some random sets of any size."""
+    nlabels = 4 ** draw(st.integers(1, 3), label="length")
+    labels = st.integers(1, nlabels - 1)
+    sets = []
+    for _ in range(draw(st.integers(1, 8), label="rows")):
+        members = {0} | draw(st.sets(labels, max_size=nlabels - 1))
+        if draw(st.booleans()):
+            for gen in draw(st.lists(labels, max_size=4)):
+                members |= {m ^ gen for m in members}
+        sets.append(members)
+    return nlabels, sets
+
+
 class TestOrthogonalityGraph:
+    # Rows of one stack take different paths: Z full, |Z| not a power of
+    # two, and power-of-two sizes that are or are not groups, several rows
+    # per size.
+    @settings(max_examples=80, deadline=None)
+    @given(case=_label_sets())
+    def test_coset_pivots_match_gf2_oracle(self, case):
+        nlabels, sets = case
+        expect = np.full((len(sets), nlabels), ATOL / 2)
+        for row, members in zip(expect, sets):
+            row[sorted(members)] = 0.5
+        pivots, closed = _coset_pivots(expect, ATOL)
+        for members, pivot, is_group in zip(sets, pivots, closed):
+            assert is_group == (len(members) == 2 ** gf2_rank(members))
+            if is_group:
+                assert pivot == gf2_leading_bits(members)
+
     @pytest.mark.parametrize("state,sender", GRAPH_CASES)
     def test_adjacency_matches_dense_loop(self, state, sender):
         expect = brute_pauli_expectations(state.amplitudes, state.num_qubits, sender)
@@ -644,6 +699,47 @@ class TestGraphStates:
         assert sdc_orthogonal_labels(state, sender) == _max_clique(graph)
 
 
+@st.composite
+def _graph_verdict_cases(draw):
+    """A graph on 2-9 qubits and per qubit one of I, H, S, H S."""
+    n = draw(st.integers(2, 9), label="n")
+    pairs = n * (n - 1) // 2
+    edges = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs), label="edges")
+    adj = np.zeros((n, n), dtype=int)
+    adj[np.triu_indices(n, 1)] = edges
+    adj |= adj.T
+    gates = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="gates")
+    return adj, gates
+
+
+class TestGraphVerdicts:
+    # The stacked scan against the GF(2) fold over every balanced sender; at
+    # n = 8-9 a chunk holds up to 64 cuts.
+    @settings(max_examples=40, deadline=None)
+    @given(case=_graph_verdict_cases())
+    def test_verdict_matches_gf2_oracle(self, case):
+        adj, gates = case
+        verdict = is_tmes(_graph_state(adj, gates))
+        maximal, cap, msgs, witness = graph_verdict(adj)
+        assert verdict.is_tmes is maximal
+        assert (verdict.teleport_qubits, verdict.sdc_messages) == (cap, msgs)
+        if witness is None:
+            assert verdict.witnessing_partition is None
+        else:
+            assert verdict.witnessing_partition.sender == set(witness)
+
+    def test_oracle_pins_known_verdicts(self):
+        # the path P4 is cluster4 up to local Cliffords: witness (1, 3)
+        path = np.zeros((4, 4), dtype=int)
+        for a in range(3):
+            path[a, a + 1] = path[a + 1, a] = 1
+        assert graph_verdict(path) == (True, 2, 16, (1, 3))
+        # the star on four qubits is ghz:4
+        star = np.zeros((4, 4), dtype=int)
+        star[0, 1:] = star[1:, 0] = 1
+        assert graph_verdict(star) == (False, 1, 8, None)
+
+
 class TestSdcCodebook:
     def test_round_trip_decodes_every_message(self):
         book = build_sdc_codebook(cluster4(), (1, 3))
@@ -708,7 +804,8 @@ class TestSdcCodebook:
 
 
 # Catalog rows come from claims.VERDICTS, named as in the survey script; the
-# seeded Haar states have no maximal cut and carry a single message.
+# seeded Haar states have no maximal cut and carry a single message.  Haar
+# n = 8-10 and ghz:8, ghz:10 scan every cut in chunks of many cuts.
 VERDICT_TABLE = [
     pytest.param(make_state(parse_spec(spec)), *want, id=spec.replace(":", ""))
     for spec, want in VERDICTS.items()
@@ -716,6 +813,12 @@ VERDICT_TABLE = [
     pytest.param(haar_random_state(n, seed=seed), False, 0, 1, None, id=f"haar{n}-seed{seed}")
     for n in (4, 5, 6, 7)
     for seed in (0, 1)
+] + [
+    pytest.param(haar_random_state(n, seed=0), False, 0, 1, None, id=f"haar{n}-seed0")
+    for n in (8, 9, 10)
+] + [
+    pytest.param(ghz(8), False, 1, 32, None, id="ghz8"),
+    pytest.param(ghz(10), False, 1, 64, None, id="ghz10"),
 ]
 
 
@@ -733,16 +836,54 @@ class TestMaximalityVerdicts:
             assert verdict.witnessing_partition.sender == set(witness)
 
     def test_scan_stops_at_first_joint_witness(self, monkeypatch):
-        calls = []
+        # Cuts are scored in chunks of 1, 2, 4, ... senders, so the scan
+        # stops at the end of the chunk that holds the first joint witness.
+        scored = []
+        score = capacity._cut_scores
 
-        def counting(state, sender, tol):
-            calls.append(tuple(sender))
-            return sdc_max_messages(state, sender, tol)
+        def counting(state, cuts):
+            scored.extend(tuple(sorted(cut.sender)) for cut in cuts)
+            return score(state, cuts)
 
-        monkeypatch.setattr(capacity, "sdc_max_messages", counting)
+        monkeypatch.setattr(capacity, "_cut_scores", counting)
         verdict = is_tmes(cluster4())
         assert verdict.witnessing_partition.sender == {1, 3}
-        assert calls == [(1, 2), (1, 3)]
+        assert scored == [(1, 2), (1, 3), (1, 4)]  # chunks of one and two
+        scored.clear()
+        verdict = is_tmes(bell_product(4))
+        senders = list(combinations(range(1, 9), 4))
+        assert senders.index((1, 3, 5, 7)) == 20
+        assert verdict.witnessing_partition.sender == {1, 3, 5, 7}
+        assert scored == senders[: len(scored)]
+        assert 21 <= len(scored) < 43
+
+    @pytest.mark.parametrize(
+        "state",
+        [haar_random_state(7, seed=7), haar_random_state(8, seed=8),
+         haar_random_state(10, seed=10), ghz(8)],
+        ids=["haar7", "haar8", "haar10", "ghz8"],
+    )
+    def test_chunks_match_one_cut_calls(self, monkeypatch, state):
+        # None of these is maximal, so the scan scores every balanced cut.
+        chunks = []
+        score = capacity._cut_scores
+
+        def recording(state, cuts):
+            result = score(state, cuts)
+            chunks.append((cuts, result))
+            return result
+
+        monkeypatch.setattr(capacity, "_cut_scores", recording)
+        is_tmes(state)
+        n = state.num_qubits
+        assert len(chunks) > 1
+        assert sum(len(cuts) for cuts, _ in chunks) == math.comb(n, (n + 1) // 2)
+        for cuts, (spectra, expect) in chunks:
+            assert expect.shape == (len(cuts), 4 ** len(cuts[0].sender))
+            for cut, spectrum, row in zip(cuts, spectra, expect):
+                assert spectrum == schmidt_spectrum(state, cut)
+                rho = partial_trace(state, cut.sender).matrix
+                assert np.array_equal(row, pauli_expectations(rho))
 
     def test_thresholds_encoded_in_verdict(self):
         n = 4

@@ -18,6 +18,7 @@ from oracles import brute_pauli_expectations
 from tmes.capacity import haar_random_state
 from tmes.operators import pauli_string
 from tmes.pauli import (
+    _all_label_masks,
     apply_paulis,
     pauli_digits,
     pauli_expectations,
@@ -120,3 +121,25 @@ def test_expectations_reject_non_qubit_shapes():
     for shape in [(3, 3), (2, 4), (1, 1), (4,)]:
         with pytest.raises(ValueError):
             pauli_expectations(np.zeros(shape))
+
+
+def test_expectations_of_a_stack_equal_one_matrix_calls():
+    # the transform is elementwise across the stack, so each row is the
+    # one-matrix result to the bit, for any leading shape
+    state = haar_random_state(6, seed=2)
+    senders = [(1, 2, 3), (2, 4, 6), (1, 5, 6), (3, 4, 5)]
+    rhos = np.stack([partial_trace(state, q).matrix for q in senders])
+    got = pauli_expectations(rhos.reshape(2, 2, 8, 8))
+    assert got.shape == (2, 2, 64)
+    for row, rho in zip(got.reshape(4, 64), rhos):
+        assert np.array_equal(row, pauli_expectations(rho))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_label_masks_are_memoised_and_read_only(length):
+    x, z = _all_label_masks(length)
+    assert _all_label_masks(length)[0] is x
+    want_x, want_z = xz_masks(np.arange(4**length), length)
+    assert np.array_equal(x, want_x) and np.array_equal(z, want_z)
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 1

@@ -298,6 +298,12 @@ class TestClusterValues:
         clusters = cluster_values((0.5, 0.3, 0.2))
         assert [m for _, m in clusters] == [1, 1, 1]
 
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_bad_rtol(self, rtol):
+        # NaN or a negative rtol would split every run, inf merge them all
+        with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
+            cluster_values((0.5, 0.5), rtol)
+
     def test_flat_spectrum_single_cluster(self):
         spec = schmidt_spectrum(bell_product(2), Partition.from_sender((1, 3), 4))
         assert spec.clustered() == ((pytest.approx(0.25), 4),)
