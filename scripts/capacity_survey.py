@@ -1,20 +1,19 @@
 """Survey task capacities of the named catalog states.
 
-For every state in ``tmes.claims.VERDICTS`` the script walks the balanced
-sender sets used by the maximality test, printing the clustered spectrum,
-teleport capacity, and message count per cut, then the combined verdict.
-``--json`` additionally writes a machine-readable document.
+For every state in ``tmes.claims.VERDICTS`` the script formats the
+``cut_reports`` of the maximality test, one per balanced sender set: the
+clustered spectrum, teleport capacity and message count per cut, then the
+combined verdict.  ``--json`` additionally writes a machine-readable
+document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from itertools import combinations
 
-from tmes.capacity import is_tmes, sdc_max_messages, teleport_capacity
+from tmes.capacity import cut_reports, is_tmes
 from tmes.claims import VERDICTS
-from tmes.statevec import Partition, schmidt_spectrum
 from tmes.states import make_state, parse_spec
 
 # Every state with an expected verdict in the claim suite, named by its spec
@@ -27,25 +26,20 @@ def fmt_spectrum(clusters) -> str:
 
 
 def survey_state(name, state, tol):
-    n = state.num_qubits
-    sender_size = n - n // 2
-    rows = []
-    for combo in combinations(range(1, n + 1), sender_size):
-        cut = Partition.from_sender(combo, n)
-        spec = schmidt_spectrum(state, cut)
-        rows.append(
-            {
-                "sender": list(combo),
-                "spectrum": [float(x) for x in spec.eigenvalues],
-                "clusters": [[float(v), m] for v, m in spec.clustered()],
-                "teleport_qubits": teleport_capacity(state, cut),
-                "messages": sdc_max_messages(state, combo, tol),
-            }
-        )
+    rows = [
+        {
+            "sender": sorted(report.cut.sender),
+            "spectrum": list(report.spectrum.eigenvalues),
+            "clusters": [[v, m] for v, m in report.spectrum.clustered()],
+            "teleport_qubits": report.capacity,
+            "messages": report.messages,
+        }
+        for report in cut_reports(state, tol)
+    ]
     verdict = is_tmes(state, tol)
     return {
         "name": name,
-        "qubits": n,
+        "qubits": state.num_qubits,
         "cuts": rows,
         "is_maximal": verdict.is_tmes,
         "best_teleport_qubits": verdict.teleport_qubits,

@@ -6,6 +6,7 @@ can carry, and whether a state is maximal for both tasks at once.
 """
 
 from .capacity import (
+    CutReport,
     SdcCodebook,
     TeleportOutcome,
     TeleportProtocol,
@@ -13,6 +14,7 @@ from .capacity import (
     TmesVerdict,
     build_sdc_codebook,
     build_teleport_protocol,
+    cut_reports,
     default_partition,
     haar_random_state,
     haar_random_unitary,

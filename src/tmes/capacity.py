@@ -8,13 +8,13 @@ protocol simulator.  Superdense-coding verdicts count the largest family of
 Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
 
-The maximality verdict scores its balanced cuts a chunk at a time: one stack
-of amplitude matrices gives every cut's Schmidt spectrum (a batched SVD) and
-sender marginal (a batched Gram product), the marginals give the Pauli
-expectations in one transform, and one vectorised GF(2) reduction tells
-which cuts have a group of labels.  Each value equals the one-cut call's to
-the bit; ``teleport_capacity`` and ``sdc_orthogonal_labels`` are the one-cut
-case of the same helpers.
+``cut_reports``, which the maximality verdict folds over, scores the balanced
+cuts a chunk at a time: one stack of amplitude matrices gives every cut's
+Schmidt spectrum (a batched SVD) and sender marginal (a batched Gram
+product), the marginals give the Pauli expectations in one transform, and
+one vectorised GF(2) reduction tells which cuts have a group of labels.
+Each value equals the one-cut call's to the bit; ``teleport_capacity`` and
+``sdc_orthogonal_labels`` are the one-cut case of the same helpers.
 """
 
 from __future__ import annotations
@@ -22,24 +22,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .pauli import apply_paulis, pauli_expectations, pauli_rows
 from .statevec import (
     ATOL,
-    CLUSTER_RTOL,
     EXACT_ATOL,
     MAX_QUBITS,
     Partition,
     PureState,
     SchmidtSpectrum,
+    _check_tol,
     _cut_stacks,
     _freeze,
+    _qubit_set,
+    _split_matrix,
     _stack_marginals,
     _stack_spectra,
     check_qubits,
+    check_state_size,
     schmidt_decomposition,
     schmidt_spectrum,
     tensor,
@@ -55,6 +58,7 @@ def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
     if num_qubits < 1:
         raise ValueError("a state needs at least one qubit")
+    check_state_size(num_qubits, "a Haar-random state")
     rng = np.random.default_rng(seed)
     dim = 2**num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -73,16 +77,14 @@ def _two_adic_valuation(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def teleport_capacity(
-    state: PureState, cut: Partition, rtol: float = CLUSTER_RTOL
-) -> int:
+def teleport_capacity(state: PureState, cut: Partition) -> int:
     """Largest k <= |receiver| with every clustered Schmidt multiplicity
     divisible by 2^k."""
-    return _capacity(schmidt_spectrum(state, cut), len(cut.receiver), rtol)
+    return _capacity(schmidt_spectrum(state, cut), len(cut.receiver))
 
 
-def _capacity(spectrum: SchmidtSpectrum, receivers: int, rtol: float) -> int:
-    mults = [m for _, m in spectrum.clustered(rtol)]
+def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
+    mults = [m for _, m in spectrum.clustered()]
     return min(_two_adic_valuation(math.gcd(*mults)), receivers)
 
 
@@ -139,7 +141,7 @@ class TeleportProtocol:
 
 
 def build_teleport_protocol(
-    state: PureState, cut: Partition, n_payload: int, rtol: float = CLUSTER_RTOL
+    state: PureState, cut: Partition, n_payload: int
 ) -> TeleportProtocol:
     """Measurement family and corrections for an n_payload-qubit payload.
 
@@ -150,7 +152,7 @@ def build_teleport_protocol(
     """
     if n_payload < 1:
         raise ValueError("payload must hold at least one qubit")
-    cap = teleport_capacity(state, cut, rtol)
+    cap = teleport_capacity(state, cut)
     if n_payload > cap:
         raise ValueError(
             f"cut supports teleporting {cap} qubits, requested {n_payload}"
@@ -221,30 +223,24 @@ def simulate_teleportation(
     cut: Partition,
     payload: PureState | int,
     seed: int = 0,
-    rtol: float = CLUSTER_RTOL,
 ) -> TeleportResult:
     """Run the full protocol on an explicit payload state.
 
     ``payload`` may be a PureState or a qubit count; a count draws a seeded
-    Haar-random payload.  Every outcome reports its exact probability and the
-    fidelity of the corrected receiver state with the payload.
+    Haar-random payload, once the cut is known to carry that many qubits.
+    Every outcome reports its exact probability and the fidelity of the
+    corrected receiver state with the payload.
     """
+    p = payload if isinstance(payload, int) else payload.num_qubits
+    protocol = build_teleport_protocol(state, cut, p)
     if isinstance(payload, int):
         payload = haar_random_state(payload, seed)
-    protocol = build_teleport_protocol(state, cut, payload.num_qubits, rtol)
-    p = payload.num_qubits
-    n = state.num_qubits
     sender, receiver = cut.sides()
-    joint = tensor(payload, state).amplitudes
-    perm = (
-        list(range(p))
-        + [p + q - 1 for q in sender]
-        + [p + q - 1 for q in receiver]
-    )
-    mat = (
-        joint.reshape((2,) * (p + n))
-        .transpose(perm)
-        .reshape(2 ** (p + len(sender)), 2 ** len(receiver))
+    # Payload qubits come first in the joint state, then the resource's.
+    mat = _split_matrix(
+        tensor(payload, state),
+        [*range(1, p + 1), *(p + q for q in sender)],
+        [p + q for q in receiver],
     )
     # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
     # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
@@ -267,13 +263,8 @@ def simulate_teleportation(
 
 
 def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ...]:
-    qubits = tuple(sorted({int(q) for q in sender_set}))
-    n = state.num_qubits
-    if not qubits:
-        raise ValueError("sender set is empty")
-    if qubits[0] < 1 or qubits[-1] > n:
-        raise ValueError(f"sender qubits out of range 1..{n}: {qubits}")
-    if len(qubits) >= n:
+    qubits = _qubit_set(sender_set, state.num_qubits, "sender qubits")
+    if len(qubits) >= state.num_qubits:
         raise ValueError("sender set must be a proper subset")
     # The largest sender is_tmes asks for; the xor gather has 16^s entries.
     if len(qubits) > MAX_QUBITS // 2:
@@ -369,8 +360,7 @@ def _coset_pivots(expect: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     one |Z| at once on their member labels; a full Z (the generic case) is
     the group of every label.
     """
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    _check_tol(tol)
     inside = expect > tol
     sizes = inside.sum(axis=1)
     nlabels = expect.shape[1]
@@ -442,6 +432,9 @@ class SdcCodebook:
         labels = tuple(int(x) for x in self.labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("codebook labels must be distinct and non-empty")
+        nlabels = 4 ** len(self.sender_set)
+        if not all(0 <= x < nlabels for x in labels):
+            raise ValueError(f"codebook labels must lie in 0..{nlabels - 1}: {labels}")
         if len(labels) != len(self.encoded_states):
             raise ValueError("codebook fields must have equal length")
         stack = np.stack([s.amplitudes for s in self.encoded_states])
@@ -512,48 +505,50 @@ class TmesVerdict:
     witnessing_partition: Partition | None
 
 
-def _cut_scores(
-    state: PureState, cuts: Sequence[Partition]
-) -> tuple[list[SchmidtSpectrum], np.ndarray]:
-    """Schmidt spectra and sender Pauli expectations (one row per cut) of cuts
-    with one sender size, from one stack of their amplitudes: a batched SVD
-    gives the spectra, a batched Gram product the sender marginals."""
-    ((_, stack),) = _cut_stacks(state, cuts)
-    return _stack_spectra(stack), pauli_expectations(_stack_marginals(stack))
+class CutReport(NamedTuple):
+    """Figures of one balanced cut: its Schmidt spectrum, teleport capacity
+    and superdense-coding message count."""
+
+    cut: Partition
+    spectrum: SchmidtSpectrum
+    capacity: int
+    messages: int
 
 
-def _balanced_figures(
-    state: PureState, tol: float, rtol: float
-) -> Iterator[tuple[Partition, int, int]]:
-    """(cut, teleport capacity, message count) of every cut with a
-    ceil(n/2)-qubit sender, in ``combinations`` order.
+def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
+    """A ``CutReport`` for every cut with a ceil(n/2)-qubit sender, in
+    ``combinations`` order: the cuts ``is_tmes`` decides over.  Each figure
+    equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
+    ``sdc_max_messages`` at ``tol``, which lies in [0, 1)).
 
-    Cuts are scored a chunk at a time by ``_cut_scores``.  Chunks start at
-    one cut and double until their stack would pass CHUNK_BYTES, so a scan
-    that stops early scores few cuts beyond its last, and a full scan makes
-    few batched calls.  The clique search runs only for a cut whose Z is not
-    a group, and only when the scan reaches it.
+    Chunks start at one cut and double until their stack would pass
+    CHUNK_BYTES, so a scan that stops early scores few cuts beyond its last,
+    and a full scan makes few batched calls.  The clique search runs only
+    for a cut whose Z is not a group, and only when the scan reaches it.
     """
     n = state.num_qubits
+    if n < 2:
+        raise ValueError("the maximal-task test needs at least two qubits")
+    check_qubits(n, "the maximal-task test")
     senders = combinations(range(1, n + 1), (n + 1) // 2)
     limit = max(CHUNK_BYTES // (16 * 2**n), 1)
     width = 1
     while chunk := [Partition.from_sender(c, n) for c in islice(senders, width)]:
-        spectra, expect = _cut_scores(state, chunk)
+        ((_, stack),) = _cut_stacks(state, chunk)
+        spectra = _stack_spectra(stack)
+        expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
         for i, cut in enumerate(chunk):
-            cap = _capacity(spectra[i], len(cut.receiver), rtol)
             if closed[i]:
                 msgs = expect.shape[1] >> int(pivots[i]).bit_count()
             else:
                 msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            yield cut, cap, msgs
+            cap = _capacity(spectra[i], len(cut.receiver))
+            yield CutReport(cut, spectra[i], cap, msgs)
         width = min(2 * width, limit)
 
 
-def is_tmes(
-    state: PureState, tol: float = ATOL, rtol: float = CLUSTER_RTOL
-) -> TmesVerdict:
+def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:
     """Existential maximality test over balanced partitions.
 
     An n-qubit state passes iff some partition with a ceil(n/2)-qubit sender
@@ -561,22 +556,19 @@ def is_tmes(
     messages.  The reported figures are the best found; the witnessing
     partition meets both thresholds when one exists.  When ``tol`` is fine
     enough for the dimension bounds, the scan stops at the first such
-    partition, since no later one can raise either figure.  Cuts are scored
-    in chunks (``_balanced_figures``), so the stop comes at the end of the
-    chunk that holds the witness; the figures are those of a scan that
-    scored one cut at a time.
+    partition, since no later one can raise either figure.  The figures come
+    from ``cut_reports``, which scores cuts in chunks, so the stop comes at
+    the end of the chunk that holds the witness; the figures are those of a
+    scan that scored one cut at a time.
     """
     n = state.num_qubits
-    if n < 2:
-        raise ValueError("the maximal-task test needs at least two qubits")
-    check_qubits(n, "the maximal-task test")
     payload_threshold = n // 2
     message_threshold = 2**n
     best_cap = 0
     best_msgs = 0
     joint: Partition | None = None
     teleport_witness: Partition | None = None
-    for part, cap, msgs in _balanced_figures(state, tol, rtol):
+    for part, _, cap, msgs in cut_reports(state, tol):
         best_cap = max(best_cap, cap)
         best_msgs = max(best_msgs, msgs)
         if cap >= payload_threshold and teleport_witness is None:

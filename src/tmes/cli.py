@@ -296,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -30,8 +30,9 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
-    _check_rtol,
+    _check_tol,
     _cut_stacks,
+    _qubit_set,
     check_qubits,
     cut_spectra,
 )
@@ -65,15 +66,16 @@ def all_bipartition_spectra(
     return dict(zip(cuts, cut_spectra(state, cuts)))
 
 
-def spectra_match(
-    a: SchmidtSpectrum, b: SchmidtSpectrum, rtol: float = CLUSTER_RTOL
-) -> bool:
-    """Equal rank and elementwise agreement at relative tolerance."""
+def spectra_match(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
+    """Equal rank and elementwise agreement at relative tolerance CLUSTER_RTOL
+    (plus EXACT_ATOL)."""
     if a.rank != b.rank:
         return False
     av = np.asarray(a.eigenvalues)
     bv = np.asarray(b.eigenvalues)
-    return bool(np.all(np.abs(av - bv) <= rtol * np.maximum(av, bv) + EXACT_ATOL))
+    return bool(
+        np.all(np.abs(av - bv) <= CLUSTER_RTOL * np.maximum(av, bv) + EXACT_ATOL)
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,6 @@ def conversion_obstruction(
     source: PureState,
     target: PureState,
     acting_subset: Iterable[int],
-    rtol: float = CLUSTER_RTOL,
 ) -> ObstructionReport:
     """Spectral certificate that no unitary on the subset maps source to target.
 
@@ -113,12 +114,7 @@ def conversion_obstruction(
         raise ValueError("source and target must have the same qubit count")
     n = source.num_qubits
     check_qubits(n, "the conversion obstruction")
-    _check_rtol(rtol)
-    subset = frozenset(int(q) for q in acting_subset)
-    if not subset:
-        raise ValueError("acting subset is empty")
-    if min(subset) < 1 or max(subset) > n:
-        raise ValueError(f"acting subset out of range 1..{n}: {sorted(subset)}")
+    subset = frozenset(_qubit_set(acting_subset, n, "acting subset"))
     cuts = [
         cut
         for cut in all_bipartitions(n)
@@ -127,7 +123,7 @@ def conversion_obstruction(
     violations = [
         CutViolation(cut, sa, sb)
         for cut, sa, sb in zip(cuts, cut_spectra(source, cuts), cut_spectra(target, cuts))
-        if not spectra_match(sa, sb, rtol)
+        if not spectra_match(sa, sb)
     ]
     return ObstructionReport(subset, tuple(violations))
 
@@ -143,8 +139,7 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
     cut skipped has lambda_max < 1 - tol, so the answer is that of an SVD on
     every cut.
     """
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    _check_tol(tol)
     check_qubits(state.num_qubits, "the multipartite entanglement test")
     for _, stack in _cut_stacks(state, all_bipartitions(state.num_qubits)):
         gram = stack @ stack.conj().transpose(0, 2, 1)
@@ -182,12 +177,8 @@ def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFami
 
     Refused before allocating when the 4^|subset| states exceed MAX_DENSE_BYTES.
     """
-    qubits = tuple(sorted({int(q) for q in subset}))
     n = state.num_qubits
-    if not qubits:
-        raise ValueError("subset is empty")
-    if qubits[0] < 1 or qubits[-1] > n:
-        raise ValueError(f"subset out of range 1..{n}: {qubits}")
+    qubits = _qubit_set(subset, n, "subset")
     if 16 * 4 ** len(qubits) * 2**n > MAX_DENSE_BYTES:
         raise ValueError(
             f"a family of 4^{len(qubits)} {n}-qubit states is above the "

@@ -42,9 +42,13 @@ def xz_masks(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) bit masks of each label, so that P_label is X^x Z^z up to phase.
 
     X sets the x bit, Z the z bit and Y both; bit s-1-k belongs to the k-th
-    digit from the left, matching the basis index of the qubits.
+    digit from the left, matching the basis index of the qubits.  A label
+    outside [0, 4^length) is refused, not read modulo 4^length.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= 4**length)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {length} factors")
     x = np.zeros_like(labels)
     z = np.zeros_like(labels)
     for k in range(length):

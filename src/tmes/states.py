@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevec import PureState, tensor
+from .statevec import PureState, check_state_size, tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -26,6 +26,7 @@ def basis_state(bits: str) -> PureState:
     """Computational basis state |bits>, first character = qubit 1."""
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"bit string must be non-empty over {{0,1}}, got {bits!r}")
+    check_state_size(len(bits), "a basis state")
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return PureState(len(bits), amps)
@@ -52,6 +53,7 @@ def ghz(num_qubits: int = 3) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on ``num_qubits`` qubits."""
     if num_qubits < 1:
         raise ValueError("ghz needs at least one qubit")
+    check_state_size(num_qubits, "ghz")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = amps[-1] = _INV_SQRT2
     return PureState(num_qubits, amps)
@@ -116,11 +118,13 @@ def bell_product(num_pairs: int) -> PureState:
     """``num_pairs`` phi+ pairs; pair k occupies qubits (2k-1, 2k)."""
     if num_pairs < 1:
         raise ValueError("need at least one Bell pair")
+    check_state_size(2 * num_pairs, "bell_product")
     return reduce(tensor, [bell("phi+")] * num_pairs)
 
 
 def odd_resource(num_pairs: int) -> PureState:
     """bell_product(num_pairs) with one extra |0> qubit appended (odd total)."""
+    check_state_size(2 * num_pairs + 1, "odd_resource")
     return tensor(bell_product(num_pairs), basis_state("0"))
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "MAX_QUBITS",
     "MAX_DENSE_BYTES",
     "check_qubits",
+    "check_state_size",
     "PureState",
     "LocalOperator",
     "DensityMatrix",
@@ -65,6 +66,31 @@ def check_qubits(num_qubits: int, what: str) -> None:
         raise ValueError(f"{what} is capped at {MAX_QUBITS} qubits, got {num_qubits}")
 
 
+def check_state_size(num_qubits: int, what: str) -> None:
+    """Refuse ``what`` when its 16 * 2^n bytes of amplitudes exceed
+    MAX_DENSE_BYTES = 16 * 4^MAX_QUBITS; comparing counts never forms 2^n."""
+    if num_qubits > 2 * MAX_QUBITS:
+        cap = MAX_DENSE_BYTES // 2**20
+        raise ValueError(f"{what} on {num_qubits} qubits is above the {cap} MiB cap")
+
+
+def _qubit_set(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, ...]:
+    """The distinct qubits of ``qubits``, ascending; refused when empty or
+    outside 1..num_qubits.  ``what`` names them in the message."""
+    qset = tuple(sorted({int(q) for q in qubits}))
+    if not qset:
+        raise ValueError(f"no {what} given")
+    if qset[0] < 1 or qset[-1] > num_qubits:
+        raise ValueError(f"{what} out of range 1..{num_qubits}: {qset}")
+    return qset
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse an expectation threshold outside [0, 1), NaN included."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
@@ -96,15 +122,6 @@ class PureState:
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: norm = {norm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
-
-    @classmethod
-    def from_amplitudes(cls, values: Iterable[complex]) -> "PureState":
-        """Build a state from a flat amplitude list, inferring the qubit count."""
-        arr = np.asarray(list(values), dtype=complex)
-        n = int(arr.size).bit_length() - 1
-        if arr.size < 2 or 2**n != arr.size:
-            raise ValueError(f"amplitude count {arr.size} is not a power of two >= 2")
-        return cls(n, arr)
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped (2,)*n with axis k corresponding to qubit k+1."""
@@ -178,26 +195,18 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)[::-1]
 
 
-def _check_rtol(rtol: float) -> None:
-    if not (math.isfinite(rtol) and rtol >= 0.0):
-        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
-
-
-def cluster_values(
-    values: Sequence[float], rtol: float = CLUSTER_RTOL
-) -> tuple[tuple[float, int], ...]:
+def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     """Group a descending value sequence into (representative, multiplicity) runs.
 
-    A value joins the current run when it lies within ``rtol`` (relative to the
-    run's first member) of that member.  ``rtol`` must be finite and
-    non-negative: NaN or a negative value would split every run, inf would
-    merge them all.
+    A value joins the current run when it lies within CLUSTER_RTOL (relative
+    to the larger of the two) of the run's first member.  The tolerance is a
+    constant, not a parameter: every capacity and spectrum comparison in the
+    library clusters at the same CLUSTER_RTOL.
     """
-    _check_rtol(rtol)
     runs: list[list] = []
     first = 0.0
     for v in values:
-        if runs and abs(first - v) <= rtol * max(abs(first), abs(v)):
+        if runs and abs(first - v) <= CLUSTER_RTOL * max(abs(first), abs(v)):
             runs[-1][1] += 1
         else:
             first = v
@@ -232,9 +241,9 @@ class SchmidtSpectrum:
     def rank(self) -> int:
         return len(self.eigenvalues)
 
-    def clustered(self, rtol: float = CLUSTER_RTOL) -> tuple[tuple[float, int], ...]:
+    def clustered(self) -> tuple[tuple[float, int], ...]:
         """Eigenvalues grouped into (value, multiplicity) clusters."""
-        return cluster_values(self.eigenvalues, rtol)
+        return cluster_values(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -260,9 +269,7 @@ class Partition:
     @classmethod
     def from_sender(cls, sender: Iterable[int], num_qubits: int) -> "Partition":
         """Partition with the given sender set; the rest of 1..n receives."""
-        s = frozenset(int(q) for q in sender)
-        if s and (min(s) < 1 or max(s) > num_qubits):
-            raise ValueError(f"sender qubits out of range 1..{num_qubits}: {sorted(s)}")
+        s = frozenset(_qubit_set(sender, num_qubits, "sender qubits"))
         return cls(s, frozenset(range(1, num_qubits + 1)) - s)
 
     @property
@@ -315,11 +322,7 @@ def apply_local(
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept qubits (ascending index order)."""
     n = state.num_qubits
-    kept = sorted({int(q) for q in keep})
-    if not kept:
-        raise ValueError("must keep at least one qubit")
-    if kept[0] < 1 or kept[-1] > n:
-        raise ValueError(f"kept qubits out of range 1..{n}: {kept}")
+    kept = _qubit_set(keep, n, "kept qubits")
     traced = [q for q in range(1, n + 1) if q not in kept]
     perm = [q - 1 for q in kept] + [q - 1 for q in traced]
     m = state.tensor_view().transpose(perm).reshape(2 ** len(kept), -1)

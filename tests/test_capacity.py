@@ -39,6 +39,7 @@ from tmes.capacity import (
     _two_adic_valuation,
     build_sdc_codebook,
     build_teleport_protocol,
+    cut_reports,
     default_partition,
     haar_random_state,
     haar_random_unitary,
@@ -134,6 +135,11 @@ class TestHaarSampling:
         u = haar_random_unitary(8, rng)
         assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
+    def test_oversized_state_is_refused_before_sampling(self):
+        # 2^40 amplitudes would be 16 TiB; the count is compared first
+        with pytest.raises(ValueError, match="above the 256 MiB cap"):
+            haar_random_state(40)
+
 
 def _figure_rows(field: str, lead) -> list:
     """(state, sender, expected ``field``) for every row of ``FIGURES``.
@@ -175,24 +181,6 @@ class TestTeleportCapacity:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(oracle, want, rtol=0, atol=1e-12)
 
-    # A NaN or negative rtol splits every cluster, so cluster4 (1, 3) would
-    # read capacity 0 and not maximal; inf merges them all.  The check sits
-    # in cluster_values, which each entry point reaches.
-    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1e-9])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda rtol: teleport_capacity(cluster4(), _cut((1, 3), 4), rtol),
-            lambda rtol: is_tmes(cluster4(), rtol=rtol),
-            lambda rtol: build_teleport_protocol(cluster4(), _cut((1, 3), 4), 1, rtol),
-            lambda rtol: simulate_teleportation(cluster4(), _cut((1, 3), 4), 1, rtol=rtol),
-        ],
-        ids=["teleport_capacity", "is_tmes", "build_teleport_protocol", "simulate"],
-    )
-    def test_bad_rtol_is_refused(self, call, rtol):
-        with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
-            call(rtol)
-
     def test_receiver_size_bounds_capacity(self):
         # three Bell pairs sent from one side: spectral count allows 3 but
         # a 2-qubit receiver caps the answer
@@ -233,6 +221,20 @@ class TestTeleportProtocol:
             build_teleport_protocol(hs(), _cut((1, 2), 4), 1)
         with pytest.raises(ValueError):
             build_teleport_protocol(bell(), _cut((1,), 2), 0)
+
+    def test_no_payload_is_drawn_beyond_capacity(self, monkeypatch):
+        # The capacity check runs on the payload's qubit count, so a 40-qubit
+        # payload is refused before any of its 2^40 amplitudes is drawn.
+        drawn = []
+
+        def spy(num_qubits, seed=0):
+            drawn.append(num_qubits)
+            raise AssertionError("payload drawn before the capacity check")
+
+        monkeypatch.setattr(capacity, "haar_random_state", spy)
+        with pytest.raises(ValueError, match="supports teleporting 1 qubits, requested 40"):
+            simulate_teleportation(bell(), _cut((1,), 2), 40)
+        assert drawn == []
 
     def test_validation_catches_corrupted_fields(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
@@ -774,6 +776,13 @@ class TestSdcCodebook:
         with pytest.raises(ValueError, match="equal length"):
             SdcCodebook(frozenset({1}), (0,), states)
 
+    @pytest.mark.parametrize("labels", [(0, 5), (0, 4), (-1, 0)])
+    def test_construction_refuses_labels_beyond_the_sender(self, labels):
+        # One sender qubit has the labels 0..3 (I, X, Y, Z) only
+        states = (bell(), PureState(2, np.array([1, 0, 0, -1]) / math.sqrt(2)))
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
+            SdcCodebook(frozenset({1}), labels, states)
+
     @pytest.mark.parametrize(
         "state,sender,size",
         [
@@ -839,13 +848,13 @@ class TestMaximalityVerdicts:
         # Cuts are scored in chunks of 1, 2, 4, ... senders, so the scan
         # stops at the end of the chunk that holds the first joint witness.
         scored = []
-        score = capacity._cut_scores
+        stacks = capacity._cut_stacks
 
         def counting(state, cuts):
             scored.extend(tuple(sorted(cut.sender)) for cut in cuts)
-            return score(state, cuts)
+            return stacks(state, cuts)
 
-        monkeypatch.setattr(capacity, "_cut_scores", counting)
+        monkeypatch.setattr(capacity, "_cut_stacks", counting)
         verdict = is_tmes(cluster4())
         assert verdict.witnessing_partition.sender == {1, 3}
         assert scored == [(1, 2), (1, 3), (1, 4)]  # chunks of one and two
@@ -864,26 +873,61 @@ class TestMaximalityVerdicts:
         ids=["haar7", "haar8", "haar10", "ghz8"],
     )
     def test_chunks_match_one_cut_calls(self, monkeypatch, state):
-        # None of these is maximal, so the scan scores every balanced cut.
+        # Each chunk is one _cut_stacks call and one pauli_expectations call
+        # on its stack of marginals; cut_reports scores every balanced cut.
         chunks = []
-        score = capacity._cut_scores
+        expects = []
+        stacks = capacity._cut_stacks
+        transform = capacity.pauli_expectations
 
-        def recording(state, cuts):
-            result = score(state, cuts)
-            chunks.append((cuts, result))
-            return result
+        def recording_stacks(state, cuts):
+            chunks.append(cuts)
+            return stacks(state, cuts)
 
-        monkeypatch.setattr(capacity, "_cut_scores", recording)
-        is_tmes(state)
+        def recording_transform(rho):
+            expects.append(transform(rho))
+            return expects[-1]
+
+        monkeypatch.setattr(capacity, "_cut_stacks", recording_stacks)
+        monkeypatch.setattr(capacity, "pauli_expectations", recording_transform)
+        reports = list(capacity.cut_reports(state))
         n = state.num_qubits
-        assert len(chunks) > 1
-        assert sum(len(cuts) for cuts, _ in chunks) == math.comb(n, (n + 1) // 2)
-        for cuts, (spectra, expect) in chunks:
+        assert len(chunks) == len(expects) > 1
+        assert len(reports) == math.comb(n, (n + 1) // 2)
+        assert [r.cut for r in reports] == [cut for cuts in chunks for cut in cuts]
+        for report in reports:
+            assert report.spectrum == schmidt_spectrum(state, report.cut)
+        for cuts, expect in zip(chunks, expects):
             assert expect.shape == (len(cuts), 4 ** len(cuts[0].sender))
-            for cut, spectrum, row in zip(cuts, spectra, expect):
-                assert spectrum == schmidt_spectrum(state, cut)
+            for cut, row in zip(cuts, expect):
                 rho = partial_trace(state, cut.sender).matrix
                 assert np.array_equal(row, pauli_expectations(rho))
+
+    @pytest.mark.parametrize(
+        "state",
+        [pytest.param(make_state(parse_spec(spec)), id=spec) for spec in VERDICTS]
+        + [
+            pytest.param(haar_random_state(n, seed=n), id=f"haar{n}")
+            for n in range(2, 9)
+        ],
+    )
+    def test_reports_equal_one_cut_figures(self, state):
+        n = state.num_qubits
+        reports = list(cut_reports(state))
+        senders = list(combinations(range(1, n + 1), (n + 1) // 2))
+        assert [tuple(sorted(r.cut.sender)) for r in reports] == senders
+        for report, sender in zip(reports, senders):
+            cut = _cut(sender, n)
+            assert report.cut == cut
+            assert report.spectrum == schmidt_spectrum(state, cut)
+            assert report.capacity == teleport_capacity(state, cut)
+            assert report.messages == sdc_max_messages(state, sender)
+
+    def test_reports_refuse_what_the_verdict_refuses(self):
+        with pytest.raises(ValueError, match="at least two qubits"):
+            next(cut_reports(basis_state("0")))
+        with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
+            next(cut_reports(cluster4(), float("nan")))
 
     def test_thresholds_encoded_in_verdict(self):
         n = 4

@@ -91,6 +91,18 @@ def test_apply_paulis_rejects_bad_qubits():
             apply_paulis(amps, qubits, [0])
 
 
+# Read modulo 4^length, label 4 on one qubit would act as I and -1 as Z.
+@pytest.mark.parametrize("label", [4, 5, -1, 2**40])
+def test_out_of_range_labels_are_refused(label):
+    amps = haar_random_state(2, seed=0).amplitudes
+    with pytest.raises(ValueError, match=f"label {label} out of range for 1 factors"):
+        apply_paulis(amps, (1,), [0, label])
+    with pytest.raises(ValueError, match="out of range"):
+        pauli_rows(np.array([label]), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        xz_masks(np.array([label]), 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_expectations_match_oracle_on_random_states(data):

@@ -26,6 +26,7 @@ from tmes.states import (
     parse_spec,
     w_state,
 )
+from tmes.statevec import check_state_size
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -209,6 +210,31 @@ class TestSpecGrammar:
             make_state(StateSpec("basis"))
         with pytest.raises(ValueError):
             make_state(StateSpec("mystery"))
+
+
+class TestSizePolicy:
+    # 2^40 amplitudes would be 16 TiB: the qubit count is refused first.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ghz(40),
+            lambda: basis_state("0" * 40),
+            lambda: bell_product(20),
+            lambda: odd_resource(20),
+            lambda: make_state(parse_spec("ghz:40")),
+            lambda: ghz(10**30),
+        ],
+        ids=["ghz", "basis", "bell_product", "odd_resource", "spec", "absurd"],
+    )
+    def test_oversized_states_are_refused_before_allocating(self, build):
+        with pytest.raises(ValueError, match="above the 256 MiB cap"):
+            build()
+
+    def test_cap_is_twenty_four_qubits(self):
+        # 16 * 2^24 bytes is exactly MAX_DENSE_BYTES
+        check_state_size(24, "a state")
+        with pytest.raises(ValueError, match="a state on 25 qubits"):
+            check_state_size(25, "a state")
 
 
 class TestNormalization:
