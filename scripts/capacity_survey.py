@@ -3,8 +3,8 @@
 For every state in ``tmes.claims.VERDICTS`` the script formats the
 ``cut_reports`` of the maximality test, one per balanced sender set: the
 clustered spectrum, teleport capacity and message count per cut, then the
-combined verdict.  ``--json`` additionally writes a machine-readable
-document.
+combined verdict folded over those same reports.  ``--json`` additionally
+writes a machine-readable document.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from tmes.capacity import cut_reports, is_tmes
+from tmes.capacity import cut_reports, tmes_verdict
 from tmes.claims import VERDICTS
 from tmes.states import make_state, parse_spec
 
@@ -26,6 +26,7 @@ def fmt_spectrum(clusters) -> str:
 
 
 def survey_state(name, state, tol):
+    reports = list(cut_reports(state, tol))
     rows = [
         {
             "sender": sorted(report.cut.sender),
@@ -34,9 +35,9 @@ def survey_state(name, state, tol):
             "teleport_qubits": report.capacity,
             "messages": report.messages,
         }
-        for report in cut_reports(state, tol)
+        for report in reports
     ]
-    verdict = is_tmes(state, tol)
+    verdict = tmes_verdict(reports, tol)
     return {
         "name": name,
         "qubits": state.num_qubits,

@@ -24,6 +24,7 @@ from .capacity import (
     simulate_sdc,
     simulate_teleportation,
     teleport_capacity,
+    tmes_verdict,
 )
 from .claims import ClaimConfig, ClaimReport, run_claim_suite, suite_report_doc
 from .invariants import (

@@ -20,8 +20,9 @@ Each value equals the one-cut call's to the bit; ``teleport_capacity`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, islice
+import weakref
+from dataclasses import dataclass, field
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -218,6 +219,25 @@ class TeleportResult:
         return float(min(o.fidelity for o in self.outcomes))
 
 
+# The last protocol simulate_teleportation built, keyed weakly on its
+# resource: a PureState hashes by identity and its amplitudes are read-only,
+# so the protocol stays valid for as long as the state lives, and goes with
+# it.  A new dict replaces the old one on every miss, so at most one
+# protocol is ever held.
+_PROTOCOLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo_protocol(state: PureState, cut: Partition, n_payload: int) -> TeleportProtocol:
+    """``build_teleport_protocol(state, cut, n_payload)``, built once for a
+    stream of payloads through one resource; a refused request stores nothing."""
+    global _PROTOCOLS
+    key, protocol = _PROTOCOLS.get(state, (None, None))
+    if key != (cut, n_payload):
+        protocol = build_teleport_protocol(state, cut, n_payload)
+        _PROTOCOLS = weakref.WeakKeyDictionary({state: ((cut, n_payload), protocol)})
+    return protocol
+
+
 def simulate_teleportation(
     state: PureState,
     cut: Partition,
@@ -229,10 +249,12 @@ def simulate_teleportation(
     ``payload`` may be a PureState or a qubit count; a count draws a seeded
     Haar-random payload, once the cut is known to carry that many qubits.
     Every outcome reports its exact probability and the fidelity of the
-    corrected receiver state with the payload.
+    corrected receiver state with the payload.  Consecutive calls with the
+    same ``state`` object, cut and payload size share one protocol, built
+    and validated on the first of them.
     """
     p = payload if isinstance(payload, int) else payload.num_qubits
-    protocol = build_teleport_protocol(state, cut, p)
+    protocol = _memo_protocol(state, cut, p)
     if isinstance(payload, int):
         payload = haar_random_state(payload, seed)
     sender, receiver = cut.sides()
@@ -422,11 +444,16 @@ def sdc_max_messages(
 
 @dataclass(frozen=True, eq=False)
 class SdcCodebook:
-    """Pauli-string encodings with pairwise orthogonal encoded states."""
+    """Pauli-string encodings with pairwise orthogonal encoded states.
+
+    ``stack`` (read-only, one row per message) holds the encoded amplitudes
+    that decoding projects onto.
+    """
 
     sender_set: frozenset[int]
     labels: tuple[int, ...]
     encoded_states: tuple[PureState, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = tuple(int(x) for x in self.labels)
@@ -444,6 +471,7 @@ class SdcCodebook:
             raise ValueError("encoded states are not pairwise orthogonal")
         object.__setattr__(self, "sender_set", frozenset(self.sender_set))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stack", _freeze(stack))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -491,8 +519,7 @@ def simulate_sdc(
             f"message index {message_index} out of range 0..{len(codebook) - 1}"
         )
     sent = apply_paulis(state.amplitudes, qubits, [codebook.labels[message_index]])[0]
-    probs = [abs(np.vdot(e.amplitudes, sent)) ** 2 for e in codebook.encoded_states]
-    return int(np.argmax(probs))
+    return int(np.argmax(np.abs(codebook.stack.conj() @ sent) ** 2))
 
 
 @dataclass(frozen=True)
@@ -554,21 +581,38 @@ def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:
     An n-qubit state passes iff some partition with a ceil(n/2)-qubit sender
     can teleport floor(n/2) qubits, and some such sender set carries 2^n
     messages.  The reported figures are the best found; the witnessing
-    partition meets both thresholds when one exists.  When ``tol`` is fine
-    enough for the dimension bounds, the scan stops at the first such
-    partition, since no later one can raise either figure.  The figures come
-    from ``cut_reports``, which scores cuts in chunks, so the stop comes at
-    the end of the chunk that holds the witness; the figures are those of a
-    scan that scored one cut at a time.
+    partition meets both thresholds when one exists.  This is
+    ``tmes_verdict`` over the lazy ``cut_reports``, which scores cuts in
+    chunks: when the scan stops early, it stops at the end of the chunk that
+    holds the witness, and the figures are those of a scan that scored one
+    cut at a time.
     """
-    n = state.num_qubits
+    return tmes_verdict(cut_reports(state, tol), tol)
+
+
+def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict:
+    """The maximality verdict folded over the ``CutReport`` of every
+    balanced cut of one n-qubit state, in ``cut_reports`` order, with the
+    message counts taken at ``tol``.
+
+    n is read from the reports' cuts.  When ``tol`` is fine enough for the
+    dimension bounds, the fold stops at the first cut that meets both
+    thresholds, since no later one can raise either figure.
+    """
+    reports = iter(reports)
+    first = next(reports, None)
+    if first is None:
+        raise ValueError("a verdict needs at least one cut report")
+    n = first.cut.num_qubits
     payload_threshold = n // 2
     message_threshold = 2**n
     best_cap = 0
     best_msgs = 0
     joint: Partition | None = None
     teleport_witness: Partition | None = None
-    for part, _, cap, msgs in cut_reports(state, tol):
+    for part, _, cap, msgs in chain([first], reports):
+        if part.num_qubits != n:
+            raise ValueError(f"reports mix {n}- and {part.num_qubits}-qubit cuts")
         best_cap = max(best_cap, cap)
         best_msgs = max(best_msgs, msgs)
         if cap >= payload_threshold and teleport_witness is None:

@@ -157,6 +157,12 @@ def brute_teleport_outcome(
     return prob, float(np.sum(np.abs(slices) ** 2))
 
 
+def vdot_decode(encoded, sent) -> int:
+    """Index of the encoded state ``sent`` projects onto most strongly, one
+    ``np.vdot`` per codebook entry."""
+    return int(np.argmax([abs(np.vdot(e, sent)) ** 2 for e in encoded]))
+
+
 def brute_pauli_expectations(amps, num_qubits: int, qubits) -> np.ndarray:
     """|<psi|P_d|psi>| for every Pauli-string label d on the ordered 1-based
     ``qubits``: base-4 digits of d, most significant first, pick I, X, Y, Z.

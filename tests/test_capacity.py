@@ -7,8 +7,10 @@ orthogonal-subset search that never looks at the Pauli xor structure.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +25,7 @@ from oracles import (
     brute_spectrum,
     brute_teleport_outcome,
     gf2_leading_bits,
+    vdot_decode,
     gf2_rank,
     graph_figures,
     graph_verdict,
@@ -49,6 +52,7 @@ from tmes.capacity import (
     simulate_sdc,
     simulate_teleportation,
     teleport_capacity,
+    tmes_verdict,
 )
 from tmes.claims import FIGURES, VERDICTS
 from tmes.operators import pauli_string
@@ -424,6 +428,127 @@ class TestTeleportProtocol:
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
 
 
+def _spy_on_builds(monkeypatch) -> list[tuple]:
+    """Record every real protocol build that simulate_teleportation makes."""
+    built = []
+    build = capacity.build_teleport_protocol
+
+    def spy(state, cut, n_payload):
+        built.append((state, cut, n_payload))
+        return build(state, cut, n_payload)
+
+    monkeypatch.setattr(capacity, "build_teleport_protocol", spy)
+    return built
+
+
+def _same_run(a, b) -> bool:
+    """Bit-identical outcomes and protocol arrays of two teleport runs."""
+    return (
+        np.array_equal([o.probability for o in a.outcomes], [o.probability for o in b.outcomes])
+        and np.array_equal([o.fidelity for o in a.outcomes], [o.fidelity for o in b.outcomes])
+        and np.array_equal(a.protocol.measurement_family, b.protocol.measurement_family)
+        and np.array_equal(a.protocol.corrections, b.protocol.corrections)
+        and a.protocol.outcome_labels == b.protocol.outcome_labels
+        and a.protocol.probabilities == b.protocol.probabilities
+    )
+
+
+class TestProtocolMemo:
+    """simulate_teleportation keeps the last protocol it built, keyed on the
+    resource object, the cut and the payload size."""
+
+    def test_payload_stream_builds_once(self, monkeypatch):
+        built = _spy_on_builds(monkeypatch)
+        state = cluster4()
+        results = [
+            # an equal cut, not the same object, still finds the protocol
+            simulate_teleportation(state, _cut((1, 3), 4), haar_random_state(2, seed))
+            for seed in range(20)
+        ]
+        assert len(built) == 1
+        assert all(r.protocol is results[0].protocol for r in results)
+        assert all(r.min_fidelity >= 1.0 - 1e-9 for r in results)
+
+    def test_new_cut_size_or_state_rebuilds(self, monkeypatch):
+        built = _spy_on_builds(monkeypatch)
+        state = cluster5()
+        twin = PureState(5, state.amplitudes)
+        requests = [
+            (state, (1, 3, 5), 2),
+            (state, (1, 3, 5), 2),
+            (state, (1, 2, 3), 2),  # new cut
+            (state, (1, 2, 3), 1),  # new payload size
+            (twin, (1, 2, 3), 1),  # equal amplitudes, another state
+            (twin, (1, 2, 3), 1),
+            (state, (1, 2, 3), 1),  # the one entry now belongs to the twin
+        ]
+        for resource, sender, n_payload in requests:
+            simulate_teleportation(resource, _cut(sender, 5), n_payload, seed=4)
+        assert [(r is state, tuple(sorted(c.sender)), p) for r, c, p in built] == [
+            (True, (1, 3, 5), 2),
+            (True, (1, 2, 3), 2),
+            (True, (1, 2, 3), 1),
+            (False, (1, 2, 3), 1),
+            (True, (1, 2, 3), 1),
+        ]
+        assert len(capacity._PROTOCOLS) == 1
+
+    @pytest.mark.parametrize(
+        "state,sender,n_payload",
+        [
+            (bell(), (1,), 1),
+            (cluster4(), (1, 3), 2),
+            (cluster5(), (1, 3, 5), 1),
+            (bell_product(4), (1, 3, 5, 7), 3),
+            (_nonuniform_state(), (1, 2), 1),
+        ],
+        ids=["bell", "cluster4-p2", "cluster5-p1", "bp4-p3", "two-block"],
+    )
+    def test_streamed_runs_equal_fresh_builds(self, monkeypatch, state, sender, n_payload):
+        built = _spy_on_builds(monkeypatch)
+        cut = _cut(sender, state.num_qubits)
+        payloads = [haar_random_state(n_payload, seed) for seed in range(20)]
+        streamed = [simulate_teleportation(state, cut, pl) for pl in payloads]
+        assert len(built) == 1
+        fresh = build_teleport_protocol(state, cut, n_payload)
+        assert np.array_equal(fresh.measurement_family, streamed[0].protocol.measurement_family)
+        assert np.array_equal(fresh.corrections, streamed[0].protocol.corrections)
+        for pl, run in zip(payloads, streamed):
+            # a distinct state with equal amplitudes builds afresh
+            again = simulate_teleportation(PureState(state.num_qubits, state.amplitudes), cut, pl)
+            assert again.protocol is not run.protocol
+            assert _same_run(run, again)
+        assert len(built) == 1 + len(payloads)
+
+    def test_protocol_is_released_with_its_resource(self):
+        state = cluster4()
+        result = simulate_teleportation(state, _cut((1, 3), 4), 2, seed=2)
+        resource = weakref.ref(state)
+        protocol = weakref.ref(result.protocol)
+        assert len(capacity._PROTOCOLS) == 1
+        del state, result
+        gc.collect()
+        assert resource() is None
+        assert protocol() is None
+        assert len(capacity._PROTOCOLS) == 0
+
+    def test_refused_request_raises_every_time_and_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_PROTOCOLS", weakref.WeakKeyDictionary())
+        built = _spy_on_builds(monkeypatch)
+        state = bell()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="supports teleporting 1 qubits, requested 2"):
+                simulate_teleportation(state, _cut((1,), 2), 2)
+        assert len(built) == 3
+        assert len(capacity._PROTOCOLS) == 0
+        # nor does a refusal evict the protocol a good request left
+        simulate_teleportation(state, _cut((1,), 2), 1)
+        with pytest.raises(ValueError, match="requested 2"):
+            simulate_teleportation(state, _cut((1,), 2), 2)
+        simulate_teleportation(state, _cut((1,), 2), 1)
+        assert [p for _, _, p in built] == [2, 2, 2, 1, 2]
+
+
 class TestSdcCounts:
     @pytest.mark.parametrize(
         "state,sender,expected",
@@ -784,6 +909,27 @@ class TestSdcCodebook:
             SdcCodebook(frozenset({1}), labels, states)
 
     @pytest.mark.parametrize(
+        "spec,sender", list(FIGURES), ids=[f"{s}|{q}" for s, q in FIGURES]
+    )
+    def test_decode_matches_vdot_oracle(self, spec, sender):
+        state = make_state(parse_spec(spec))
+        book = build_sdc_codebook(state, sender)
+        assert len(book) == FIGURES[spec, sender].messages
+        encoded = [e.amplitudes for e in book.encoded_states]
+        for msg, label in enumerate(book.labels):
+            op = pauli_string(pauli_digits(label, len(sender)))
+            sent = apply_local(state, op, sender).amplitudes
+            assert simulate_sdc(state, sender, msg, book) == vdot_decode(encoded, sent) == msg
+
+    def test_stack_is_kept_read_only(self):
+        book = build_sdc_codebook(cluster4(), (1, 3))
+        assert np.array_equal(book.stack, [e.amplitudes for e in book.encoded_states])
+        with pytest.raises(ValueError):
+            book.stack[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            book.stack = np.zeros_like(book.stack)
+
+    @pytest.mark.parametrize(
         "state,sender,size",
         [
             (cluster5(), (1, 3, 5), FIGURES["cluster5", (1, 3, 5)].messages),
@@ -928,6 +1074,17 @@ class TestMaximalityVerdicts:
             next(cut_reports(basis_state("0")))
         with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
             next(cut_reports(cluster4(), float("nan")))
+
+    @pytest.mark.parametrize("state,maximal,cap,msgs,witness", VERDICT_TABLE)
+    def test_fold_over_full_reports_equals_is_tmes(self, state, maximal, cap, msgs, witness):
+        assert tmes_verdict(list(cut_reports(state))) == is_tmes(state)
+
+    def test_fold_refuses_empty_and_mixed_reports(self):
+        with pytest.raises(ValueError, match="at least one cut report"):
+            tmes_verdict([])
+        mixed = [next(cut_reports(cluster4())), next(cut_reports(cluster5()))]
+        with pytest.raises(ValueError, match="mix 4- and 5-qubit cuts"):
+            tmes_verdict(mixed)
 
     def test_thresholds_encoded_in_verdict(self):
         n = 4

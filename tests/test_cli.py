@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from tmes.cli import main
 from tmes.serialize import load_state, save_state
 from tmes.states import cluster4, make_state, parse_spec
 from tmes.statevec import PureState
+
+# ``tmes teleport`` stdout for these (resource, payload qubits, seed) runs,
+# in order, pinned byte for byte: the default odd-qubit sender throughout.
+TELEPORT_BASELINE = Path(__file__).with_name("teleport_baseline.txt")
+TELEPORT_RUNS = [
+    ("bell_product:4", 1, 1),
+    ("bell_product:4", 2, 2),
+    ("bell_product:4", 3, 3),
+    ("bell_product:4", 4, 4),
+    ("cluster4", 2, 5),
+]
 
 
 @pytest.fixture
@@ -164,6 +176,15 @@ class TestAnalysisCommands:
         assert "minimum fidelity: 1.000000000" in text
         rows = [l for l in text.splitlines() if l.strip() and l.lstrip()[0].isdigit()]
         assert len(rows) == 16
+
+    def test_teleport_stdout_matches_baseline(self, state_file, capsys):
+        printed = []
+        for spec, n_payload, seed in TELEPORT_RUNS:
+            resource = state_file(spec)
+            argv = ["teleport", "--resource", resource, "--payload-qubits", str(n_payload)]
+            assert main([*argv, "--seed", str(seed)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "".join(printed).encode("utf-8") == TELEPORT_BASELINE.read_bytes()
 
     def test_teleport_rejects_overload(self, state_file, capsys):
         assert main(

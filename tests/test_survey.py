@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import runpy
 import sys
 from contextlib import redirect_stdout
@@ -12,25 +13,49 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmes import capacity
 from tmes.claims import FIGURES, VERDICTS
+from tmes.states import make_state, parse_spec
 
 SURVEY = Path(__file__).resolve().parents[1] / "scripts" / "capacity_survey.py"
 # The survey's --json document, pinned byte for byte.
 BASELINE = Path(__file__).with_name("survey_baseline.json")
 
 
+def run_survey(out: Path, patch: pytest.MonkeyPatch) -> str:
+    """Run the survey with --json ``out``; returns what it printed."""
+    printed = io.StringIO()
+    patch.setattr(sys, "argv", [str(SURVEY), "--json", str(out)])
+    with redirect_stdout(printed), pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SURVEY), run_name="__main__")
+    assert stop.value.code == 0
+    assert printed.getvalue().endswith(f"wrote {out}\n")
+    return printed.getvalue()
+
+
 @pytest.fixture(scope="module")
 def survey_json(tmp_path_factory):
     """The bytes the survey writes with --json, run once per module."""
     out = tmp_path_factory.mktemp("survey") / "survey.json"
-    printed = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, redirect_stdout(printed):
-        patch.setattr(sys, "argv", [str(SURVEY), "--json", str(out)])
-        with pytest.raises(SystemExit) as stop:
-            runpy.run_path(str(SURVEY), run_name="__main__")
-    assert stop.value.code == 0
-    assert printed.getvalue().endswith(f"wrote {out}\n")
+    with pytest.MonkeyPatch.context() as patch:
+        run_survey(out, patch)
     return out.read_bytes()
+
+
+def test_survey_scores_each_cut_once(tmp_path, monkeypatch):
+    # The verdict folds over the rows already reported, so no balanced cut
+    # of any state is scored twice.
+    scored = []
+    stacks = capacity._cut_stacks
+
+    def counting(state, cuts):
+        scored.extend((state.num_qubits, tuple(sorted(cut.sender))) for cut in cuts)
+        return stacks(state, cuts)
+
+    monkeypatch.setattr(capacity, "_cut_stacks", counting)
+    run_survey(tmp_path / "survey.json", monkeypatch)
+    qubits = [make_state(parse_spec(spec)).num_qubits for spec in VERDICTS]
+    assert len(scored) == sum(math.comb(n, (n + 1) // 2) for n in qubits)
 
 
 def test_survey_json_matches_baseline(survey_json):
