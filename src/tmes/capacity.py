@@ -100,7 +100,9 @@ class TeleportProtocol:
     Schmidt basis to the computational basis and undoes the Pauli, parking
     the payload on the first n_payload receiver qubits.  With a single block
     (rank exactly 2^n_payload) the family has 4^n_payload members and outcome
-    probabilities are uniform 4^{-n_payload}.
+    probabilities are uniform 4^{-n_payload}.  ``measurement_conj`` is the
+    read-only complex conjugate of ``measurement_family``, formed once here
+    for every simulation that projects onto the family.
     """
 
     cut: Partition
@@ -109,6 +111,7 @@ class TeleportProtocol:
     corrections: np.ndarray
     outcome_labels: tuple[tuple[int, int], ...]
     probabilities: tuple[float, ...]
+    measurement_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_payload < 1:
@@ -135,7 +138,9 @@ class TeleportProtocol:
             raise ValueError(f"correction {bad[0]} is not unitary")
         if any(p < -EXACT_ATOL for p in probs) or abs(sum(probs) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must be a distribution")
-        object.__setattr__(self, "measurement_family", _freeze(fam))
+        fam = _freeze(fam)
+        object.__setattr__(self, "measurement_family", fam)
+        object.__setattr__(self, "measurement_conj", _freeze(fam.conj()))
         object.__setattr__(self, "corrections", _freeze(corr))
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "probabilities", probs)
@@ -266,7 +271,7 @@ def simulate_teleportation(
     )
     # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
     # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
-    v = protocol.measurement_family.conj()[:, None, :] @ mat
+    v = protocol.measurement_conj[:, None, :] @ mat
     prob = np.real(v.conj() @ v.transpose(0, 2, 1))[:, 0, 0]
     ok = prob > EXACT_ATOL
     unit = v[:, 0, :] / np.sqrt(np.where(ok, prob, 1.0))[:, None]

@@ -34,6 +34,7 @@ from .serialize import (
     save_operator_set,
     save_state,
     state_to_dict,
+    write_file,
 )
 from .states import make_state, parse_spec
 from .statevec import Partition, PureState, schmidt_spectrum
@@ -193,9 +194,7 @@ def _cmd_verify(args) -> int:
         f"{counts['recorded']} recorded"
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_file(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote report to {args.report}")
     return 1 if counts["fail"] else 0
 

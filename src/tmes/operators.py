@@ -176,6 +176,27 @@ def gamma_set() -> OperatorSet:
     return OperatorSet(2, tuple(gamma(i) for i in range(1, 17)))
 
 
+def _lift(g: np.ndarray) -> np.ndarray:
+    """One step of the four-block recursion on a (m, n, n) stack of members.
+
+    Member a is paired with its cyclic successor a+1.  The output stack of
+    4m members lists the diagonal family, the diagonal family with negated
+    lower block, then the two antidiagonal counterparts.
+    """
+    m, n, _ = g.shape
+    succ = np.roll(g, -1, axis=0)
+    # Axes: antidiagonal?, negated lower block?, member.
+    out = np.zeros((2, 2, m, 2 * n, 2 * n), dtype=complex)
+    for k, sign in enumerate((1.0, -1.0)):
+        out[0, k, :, :n, :n] = g
+        # The lower block is sign * succ, multiplied as a complex product so
+        # that signed zeros come out as they always have.
+        np.multiply(sign, succ, out=out[0, k, :, n:, n:])
+        out[1, k, :, :n, n:] = g
+        np.multiply(sign, succ, out=out[1, k, :, n:, :n])
+    return out.reshape(4 * m, 2 * n, 2 * n)
+
+
 def sigma_construct(base: OperatorSet) -> OperatorSet:
     """Lift a level-d family to level d+1 by the four-block recursion.
 
@@ -183,20 +204,9 @@ def sigma_construct(base: OperatorSet) -> OperatorSet:
     diagonal family, the diagonal family with negated lower block, then the
     two antidiagonal counterparts.
     """
-    g = [m.matrix for m in base.members]
-    succ = g[1:] + g[:1]
-    zero = np.zeros_like(g[0])
-    blocks: list[np.ndarray] = []
-    for sign in (1.0, -1.0):
-        blocks.extend(
-            np.block([[a, zero], [zero, sign * b]]) for a, b in zip(g, succ)
-        )
-    for sign in (1.0, -1.0):
-        blocks.extend(
-            np.block([[zero, a], [sign * b, zero]]) for a, b in zip(g, succ)
-        )
     lvl = base.level + 1
-    return OperatorSet(lvl, tuple(LocalOperator(lvl, m) for m in blocks))
+    stack = _lift(np.stack([m.matrix for m in base.members]))
+    return OperatorSet(lvl, tuple(LocalOperator(lvl, m) for m in stack))
 
 
 def family_bytes(level: int) -> int:
@@ -218,16 +228,47 @@ def operator_family(level: int) -> OperatorSet:
             f"a level-{level} family needs 16^{level + 1} bytes, above the "
             f"{MAX_DENSE_BYTES // 2**20} MiB cap"
         )
-    fam = pauli_set()
+    # Intermediate levels stay bare stacks; only the requested level is
+    # wrapped and validated.
+    stack = np.stack(_SIGMA)
     for _ in range(level - 1):
-        fam = sigma_construct(fam)
-    return fam
+        stack = _lift(stack)
+    return OperatorSet(level, tuple(LocalOperator(level, m) for m in stack))
 
 
-def independence_rank(ops: Sequence[LocalOperator], tol: float = ATOL) -> int:
+def _support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of a boolean (rows x columns) support in which
+    every row has a nonzero entry; two rows are linked when they share a
+    column.
+
+    Returns (row label, column label): a row's label is the lowest row index
+    of its component, and a column carries its rows' label, or the row count
+    when no row uses it.  Found by min-label propagation through the columns,
+    with pointer jumping on the row labels.
+    """
+    nrows = len(support)
+    r, c = np.nonzero(support)
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    label = np.arange(nrows)
+    while True:
+        col = np.full(support.shape[1], nrows)
+        np.minimum.at(col, c, label[r])
+        new = np.minimum.reduceat(col[c], starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label, col
+        label = new
+
+
+def independence_rank(ops: Sequence[LocalOperator]) -> int:
     """Linear-independence rank of the flattened, row-normalized matrices.
 
-    Singular values above ``tol`` times the largest are counted.
+    Zero operators add nothing.  The rows fall into the connected components
+    of their nonzero support, two rows being linked when they share a
+    nonzero column; permuting rows and columns into that block-diagonal form
+    leaves the singular values unchanged.  So each component gets its own
+    SVD, and singular values above ATOL times the largest over all of them
+    are counted.
     """
     ops = list(ops)
     if not ops:
@@ -236,9 +277,21 @@ def independence_rank(ops: Sequence[LocalOperator], tol: float = ATOL) -> int:
     if len(arities) != 1:
         raise ValueError(f"mixed arities in operator list: {sorted(arities)}")
     rows = np.stack([op.matrix.reshape(-1) for op in ops])
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))
+    support = rows != 0
+    nonzero = support.any(axis=1)
+    if not nonzero.all():
+        rows, support = rows[nonzero], support[nonzero]
+        if not len(rows):
+            return 0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    label, col = _support_components(support)
+    s = np.concatenate(
+        [
+            np.linalg.svd(rows[np.ix_(label == root, col == root)], compute_uv=False)
+            for root in np.flatnonzero(label == np.arange(len(label)))
+        ]
+    )
+    return int(np.sum(s > ATOL * s.max()))
 
 
 def pauli_string(indices: Sequence[int]) -> LocalOperator:

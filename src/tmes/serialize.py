@@ -9,6 +9,7 @@ malformed file fails with a ValueError that names the offending field.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -144,8 +145,23 @@ def operator_set_from_dict(data: dict) -> OperatorSet:
     return OperatorSet(level, members)
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, over the old bytes in place.
+
+    The file is not truncated on open; its tail is cut after the write.  On
+    ext4, truncating a file to zero makes its close start writeback, and the
+    next truncation of that file waits for the disk, so saves repeated to
+    one path stalled now and again for a disk round trip.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if fh.seekable():
+            fh.truncate()
+
+
 def _save(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_file(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _load(path: str | Path) -> dict:

@@ -331,3 +331,32 @@ def shannon_bits(values) -> float:
         if v > 0:
             total -= v * math.log2(v)
     return total
+
+
+def dense_independence_rank(matrices, atol: float = 1e-9) -> int:
+    """Rank of the flattened, row-normalized matrices by one SVD of the whole
+    row stack: singular values above ``atol`` times the largest.  Zero
+    matrices are left out, so a list of them has rank 0."""
+    rows = np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in matrices])
+    norms = np.linalg.norm(rows, axis=1)
+    rows = rows[norms > 0] / norms[norms > 0, None]
+    if not len(rows):
+        return 0
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > atol * s[0]))
+
+
+def block_sigma_construct(matrices) -> list[np.ndarray]:
+    """One level of the four-block recursion, one ``np.block`` per member:
+    each g_a is paired with its cyclic successor g_{a+1} on the diagonal,
+    on the diagonal with the lower block negated, then on the antidiagonal
+    in the same two ways."""
+    g = list(matrices)
+    succ = g[1:] + g[:1]
+    zero = np.zeros_like(g[0])
+    out = []
+    for sign in (1.0, -1.0):
+        out.extend(np.block([[a, zero], [zero, sign * b]]) for a, b in zip(g, succ))
+    for sign in (1.0, -1.0):
+        out.extend(np.block([[zero, a], [sign * b, zero]]) for a, b in zip(g, succ))
+    return out

@@ -296,6 +296,16 @@ class TestTeleportProtocol:
                 probabilities=(),
             )
 
+    def test_conjugate_family_is_kept_read_only(self):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        fam = proto.measurement_family
+        assert proto.measurement_conj.tobytes() == fam.conj().tobytes()
+        with pytest.raises(ValueError):
+            proto.measurement_conj[0, 0] = 0.0
+        # a replaced family brings its own conjugate
+        swapped = dataclasses.replace(proto, measurement_family=fam[::-1])
+        assert np.array_equal(swapped.measurement_conj, fam[::-1].conj())
+
     def test_fields_are_copied_on_construction(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
         fam = proto.measurement_family.copy()

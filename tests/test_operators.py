@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import block_sigma_construct, dense_independence_rank
 from tmes.operators import (
     OperatorSet,
     PlacementReport,
@@ -200,6 +202,101 @@ class TestFamilies:
             OperatorSet(1, (sigma(0), sigma(1), sigma(2), scaled))
 
 
+def _block_family(level: int) -> list[np.ndarray]:
+    mats = list(S)
+    for _ in range(level - 1):
+        mats = block_sigma_construct(mats)
+    return mats
+
+
+def _stack(members) -> np.ndarray:
+    return np.stack([m.matrix for m in members])
+
+
+class TestStackedLift:
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_family_matches_block_recursion(self, level):
+        got = _stack(operator_family(level).members)
+        want = np.stack(_block_family(level))
+        assert np.array_equal(got, want)
+        # bit for bit, signed zeros included, as `tmes op gen` prints them
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("base", [gamma_set, lambda: operator_family(3)])
+    def test_sigma_construct_matches_block_recursion(self, base):
+        base = base()
+        got = _stack(sigma_construct(base).members)
+        want = np.stack(block_sigma_construct([m.matrix for m in base.members]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_only_the_requested_level_is_validated(self, monkeypatch):
+        # every member of the returned family is checked for unitarity, and
+        # no member of an intermediate level is
+        checked = []
+        is_unitary = LocalOperator.is_unitary
+
+        def spy(op, *args, **kwargs):
+            checked.append(op.arity)
+            return is_unitary(op, *args, **kwargs)
+
+        monkeypatch.setattr(LocalOperator, "is_unitary", spy)
+        operator_family(3)
+        assert checked == [3] * 64
+
+
+def _random_operator_list(seed: int, arity: int = 3) -> list[LocalOperator]:
+    """Monomial and sparse operators with duplicates, scaled copies and sums,
+    so that the rank falls below the count and the support splits.
+
+    Every operator lives on one cyclic shift pattern (i, i + k mod 2^arity);
+    distinct shifts share no entry, so the shifts are the support blocks.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2**arity
+    shifts = rng.choice(dim, 5, replace=False)
+    groups: list[list[np.ndarray]] = [[] for _ in shifts]
+
+    def on_shift(g: int, rows, values) -> np.ndarray:
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[rows, (rows + shifts[g]) % dim] = values
+        return mat
+
+    for g in range(3):
+        for _ in range(rng.integers(2, 5)):
+            values = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            groups[g].append(on_shift(g, np.arange(dim), values))
+    for _ in range(4):
+        g = rng.integers(len(shifts))
+        rows = rng.choice(dim, 3, replace=False)
+        groups[g].append(on_shift(g, rows, rng.normal(size=3)))
+    for _ in range(3):
+        group = groups[rng.integers(3)]
+        i, j = rng.integers(len(group), size=2)
+        group.append(group[i].copy())
+        group.append((rng.normal() + 1j * rng.normal()) * group[j])
+        group.append(group[i] + group[j])
+    mats = [m for group in groups for m in group]
+    return [LocalOperator(arity, mats[k]) for k in rng.permutation(len(mats))]
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Shapes of the matrices handed to ``np.linalg.svd`` during the test."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def _pauli_pairs() -> list[LocalOperator]:
+    return [pauli_string((a, b)) for a in range(4) for b in range(4)]
+
+
 class TestIndependenceRank:
     def test_dependent_list(self):
         assert independence_rank([sigma(0), sigma(0), sigma(1)]) == 2
@@ -209,6 +306,40 @@ class TestIndependenceRank:
             independence_rank([])
         with pytest.raises(ValueError):
             independence_rank([sigma(0), cnot()])
+
+    def test_zero_member_adds_nothing(self):
+        zero = LocalOperator(1, np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert independence_rank([zero]) == 0
+            assert independence_rank([sigma(0), zero]) == 1
+            assert independence_rank([zero, sigma(1), zero, sigma(2)]) == 2
+        assert dense_independence_rank([zero.matrix, S[0]]) == 1
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_family_rank_matches_dense_oracle(self, level):
+        fam = operator_family(level)
+        got = independence_rank(fam.members)
+        assert got == dense_independence_rank(_stack(fam.members)) == 4**level
+
+    @pytest.mark.parametrize("ops", [gamma_set().members, _pauli_pairs()])
+    def test_table_rank_matches_dense_oracle(self, ops):
+        assert independence_rank(ops) == dense_independence_rank(_stack(ops)) == 16
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lists_match_dense_oracle(self, seed, svd_shapes):
+        ops = _random_operator_list(seed)
+        got = independence_rank(ops)
+        blocks = [rows for rows, _ in svd_shapes]
+        assert got == dense_independence_rank(_stack(ops))
+        assert got < len(ops)
+        # the support split into blocks that together hold every row
+        assert len(blocks) > 1 and sum(blocks) == len(ops)
+
+    def test_level_four_rank_makes_two_half_size_svds(self, svd_shapes):
+        # the diagonal and antidiagonal halves of the family share no column
+        assert independence_rank(operator_family(4).members) == 256
+        assert [rows for rows, _ in svd_shapes] == [128, 128]
 
 
 class TestPauliString:

@@ -24,6 +24,7 @@ from tmes.serialize import (
     save_state,
     state_from_dict,
     state_to_dict,
+    write_file,
 )
 from tmes.states import basis_state, bell, chi, cluster5, hs, w_state
 
@@ -210,6 +211,21 @@ class TestFileFormat:
         save_state(chi(), a)
         save_state(chi(), b)
         assert a.read_text() == b.read_text()
+
+    def test_save_over_a_longer_file_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_state(cluster5(), path)
+        save_state(bell(), path)
+        fresh = tmp_path / "fresh.json"
+        save_state(bell(), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert np.array_equal(load_state(path).amplitudes, bell().amplitudes)
+
+    def test_write_file_creates_grows_and_shrinks(self, tmp_path):
+        path = tmp_path / "t.txt"
+        for text in ("short\n", "a longer line \u00e9\n", "x", ""):
+            write_file(path, text)
+            assert path.read_text(encoding="utf-8") == text
 
     def test_dump_is_sorted_and_indented(self, tmp_path):
         path = tmp_path / "s.json"
