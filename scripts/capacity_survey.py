@@ -14,6 +14,7 @@ import json
 
 from tmes.capacity import cut_reports, tmes_verdict
 from tmes.claims import VERDICTS
+from tmes.serialize import write_file
 from tmes.states import make_state, parse_spec
 
 # Every state with an expected verdict in the claim suite, named by its spec
@@ -83,9 +84,7 @@ def main() -> int:
 
     if args.json:
         doc = {"format_version": 1, "kind": "capacity_survey", "states": results}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_file(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
     return 0
 

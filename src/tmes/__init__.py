@@ -8,7 +8,6 @@ can carry, and whether a state is maximal for both tasks at once.
 from .capacity import (
     CutReport,
     SdcCodebook,
-    TeleportOutcome,
     TeleportProtocol,
     TeleportResult,
     TmesVerdict,

@@ -198,30 +198,28 @@ def build_teleport_protocol(
     )
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
-    index: int
-    pauli_label: int
-    block_index: int
-    probability: float
-    fidelity: float
-
-
 @dataclass(frozen=True, eq=False)
 class TeleportResult:
-    """Per-outcome probabilities and fidelities of one simulated run."""
+    """Exact probability and fidelity of every outcome of one simulated run:
+    read-only float arrays in ``protocol.outcome_labels`` order."""
 
     payload: PureState
     protocol: TeleportProtocol
-    outcomes: tuple[TeleportOutcome, ...]
+    probabilities: np.ndarray
+    fidelities: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("probabilities", "fidelities"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), float)))
 
     @property
     def total_probability(self) -> float:
-        return float(sum(o.probability for o in self.outcomes))
+        # Summed left to right, as a Python sum; np.sum adds pairwise.
+        return float(sum(self.probabilities.tolist()))
 
     @property
     def min_fidelity(self) -> float:
-        return float(min(o.fidelity for o in self.outcomes))
+        return float(self.fidelities.min())
 
 
 # The last protocol simulate_teleportation built, keyed weakly on its
@@ -254,9 +252,9 @@ def simulate_teleportation(
     ``payload`` may be a PureState or a qubit count; a count draws a seeded
     Haar-random payload, once the cut is known to carry that many qubits.
     Every outcome reports its exact probability and the fidelity of the
-    corrected receiver state with the payload.  Consecutive calls with the
-    same ``state`` object, cut and payload size share one protocol, built
-    and validated on the first of them.
+    corrected receiver state with the payload, one array entry each.
+    Consecutive calls with the same ``state`` object, cut and payload size
+    share one protocol, built and validated on the first of them.
     """
     p = payload if isinstance(payload, int) else payload.num_qubits
     protocol = _memo_protocol(state, cut, p)
@@ -280,13 +278,7 @@ def simulate_teleportation(
     rho = reduced @ reduced.conj().transpose(0, 2, 1)
     amps = payload.amplitudes
     fid = np.real(amps.conj() @ (rho @ amps)[:, :, None])[:, 0]
-    prob = np.where(ok, prob, 0.0)
-    fid = np.where(ok, fid, 1.0)
-    outcomes = [
-        TeleportOutcome(i, q, j, float(prob[i]), float(fid[i]))
-        for i, (q, j) in enumerate(protocol.outcome_labels)
-    ]
-    return TeleportResult(payload, protocol, tuple(outcomes))
+    return TeleportResult(payload, protocol, np.where(ok, prob, 0.0), np.where(ok, fid, 1.0))
 
 
 def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ...]:
@@ -451,14 +443,13 @@ def sdc_max_messages(
 class SdcCodebook:
     """Pauli-string encodings with pairwise orthogonal encoded states.
 
-    ``stack`` (read-only, one row per message) holds the encoded amplitudes
-    that decoding projects onto.
+    Row i of ``stack`` (read-only) is the unit vector of 2^n >= 2 amplitudes
+    that encodes message i, Pauli string ``labels[i]`` on the sender.
     """
 
     sender_set: frozenset[int]
     labels: tuple[int, ...]
-    encoded_states: tuple[PureState, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray
 
     def __post_init__(self) -> None:
         labels = tuple(int(x) for x in self.labels)
@@ -467,10 +458,17 @@ class SdcCodebook:
         nlabels = 4 ** len(self.sender_set)
         if not all(0 <= x < nlabels for x in labels):
             raise ValueError(f"codebook labels must lie in 0..{nlabels - 1}: {labels}")
-        if len(labels) != len(self.encoded_states):
-            raise ValueError("codebook fields must have equal length")
-        stack = np.stack([s.amplitudes for s in self.encoded_states])
+        stack = np.asarray(self.stack, dtype=complex)
+        dim = stack.shape[-1] if stack.ndim == 2 else 0
+        if dim < 2 or dim & (dim - 1) or len(stack) != len(labels):
+            raise ValueError(f"need {len(labels)} rows of 2^n >= 2 amplitudes, got {stack.shape}")
+        if not np.isfinite(stack).all():
+            raise ValueError("encoded states have a NaN or infinite amplitude")
         gram = stack.conj() @ stack.T
+        norms = np.sqrt(np.real(np.diagonal(gram)))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
+        if bad.size:
+            raise ValueError(f"encoded state {bad[0]} is not normalized: norm = {norms[bad[0]]}")
         off = gram - np.diag(np.diagonal(gram))
         if np.max(np.abs(off)) > ATOL:
             raise ValueError("encoded states are not pairwise orthogonal")
@@ -505,8 +503,7 @@ def build_sdc_codebook(
         )
     chosen = labels[:num_messages]
     stack = apply_paulis(state.amplitudes, qubits, chosen)
-    encoded = tuple(PureState(state.num_qubits, amps) for amps in stack)
-    return SdcCodebook(frozenset(qubits), chosen, encoded)
+    return SdcCodebook(frozenset(qubits), chosen, stack)
 
 
 def simulate_sdc(

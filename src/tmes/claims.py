@@ -581,12 +581,10 @@ def _teleport_trials(state, sender, n_payload, config):
     count = None
     for t in range(PAYLOAD_TRIALS):
         res = simulate_teleportation(state, cut, haar_random_state(n_payload, config.seed + t))
-        count = len(res.outcomes)
+        count = len(res.probabilities)
         uniform = 1.0 / count
         worst_fid = min(worst_fid, res.min_fidelity)
-        worst_prob_dev = max(
-            worst_prob_dev, max(abs(o.probability - uniform) for o in res.outcomes)
-        )
+        worst_prob_dev = max(worst_prob_dev, float(np.max(np.abs(res.probabilities - uniform))))
         worst_total_dev = max(worst_total_dev, abs(res.total_probability - 1.0))
     if worst_fid < 1.0 - config.tolerance:
         bad.append(f"worst fidelity {worst_fid} below 1")

@@ -37,7 +37,7 @@ from .serialize import (
     write_file,
 )
 from .states import make_state, parse_spec
-from .statevec import Partition, PureState, schmidt_spectrum
+from .statevec import MAX_DENSE_BYTES, MAX_QUBITS, Partition, PureState, schmidt_spectrum
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -92,6 +92,11 @@ def _cmd_state_show(args) -> int:
 
 
 def _cmd_op_gen(args) -> int:
+    # Each of the 16^level entries prints as an [re, im] pair of at least 49
+    # bytes; the first test keeps an absurd level from forming a huge integer.
+    if args.level > MAX_QUBITS or 49 * 16**args.level > MAX_DENSE_BYTES:
+        cap = MAX_DENSE_BYTES // 2**20
+        raise ValueError(f"a level-{args.level} family as JSON is above the {cap} MiB cap")
     family = operator_family(args.level)
     if args.out:
         save_operator_set(family, args.out)
@@ -139,12 +144,10 @@ def _cmd_teleport(args) -> int:
     print(f"resource: {state.num_qubits} qubits, cut {_fmt_cut(cut)}")
     print(f"payload: {args.payload_qubits} Haar-random qubit(s), seed {args.seed}")
     print("outcome  pauli  block  probability   fidelity")
-    for o in result.outcomes:
-        digits = "".join(str(d) for d in pauli_digits(o.pauli_label, args.payload_qubits))
-        print(
-            f"{o.index:7d}  {digits:>5s}  {o.block_index:5d}  "
-            f"{o.probability:.9f}  {o.fidelity:.9f}"
-        )
+    probs, fids = result.probabilities.tolist(), result.fidelities.tolist()
+    for i, (q, j) in enumerate(result.protocol.outcome_labels):
+        digits = "".join(str(d) for d in pauli_digits(q, args.payload_qubits))
+        print(f"{i:7d}  {digits:>5s}  {j:5d}  {probs[i]:.9f}  {fids[i]:.9f}")
     print(f"total probability: {result.total_probability:.9f}")
     print(f"minimum fidelity: {result.min_fidelity:.9f}")
     return 0

@@ -14,7 +14,7 @@ that may be products get an SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -32,6 +32,7 @@ from .statevec import (
     SchmidtSpectrum,
     _check_tol,
     _cut_stacks,
+    _freeze,
     _qubit_set,
     check_qubits,
     cut_spectra,
@@ -154,18 +155,20 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalFamily:
-    """All Pauli-string relabelings of a state on a subset, with their Gram
-    matrix (indexed by Pauli label)."""
+    """All Pauli-string relabelings of a state on a subset: row d of ``stack``
+    is Pauli string d applied, ``gram`` their overlaps; both read-only."""
 
     subset: frozenset[int]
-    states: tuple[PureState, ...]
-    gram: np.ndarray
+    stack: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.gram, dtype=complex)
-        g.setflags(write=False)
+        stack = np.asarray(self.stack, dtype=complex)
+        gram = stack.conj() @ stack.T  # before the copy: one temporary at a time
+        gram.setflags(write=False)
         object.__setattr__(self, "subset", frozenset(self.subset))
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "stack", _freeze(stack))
+        object.__setattr__(self, "gram", gram)
 
     def mutually_orthogonal(self, tol: float = ATOL) -> bool:
         off = self.gram - np.diag(np.diagonal(self.gram))
@@ -175,16 +178,14 @@ class OrthogonalFamily:
 def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFamily:
     """Apply all 4^|subset| Pauli strings on the subset and collect overlaps.
 
-    Refused before allocating when the 4^|subset| states exceed MAX_DENSE_BYTES.
+    Refused before allocating when the states and their Gram matrix exceed MAX_DENSE_BYTES.
     """
     n = state.num_qubits
     qubits = _qubit_set(subset, n, "subset")
-    if 16 * 4 ** len(qubits) * 2**n > MAX_DENSE_BYTES:
+    if 16 * 4 ** len(qubits) * (2**n + 4 ** len(qubits)) > MAX_DENSE_BYTES:
         raise ValueError(
-            f"a family of 4^{len(qubits)} {n}-qubit states is above the "
-            f"{MAX_DENSE_BYTES // 2**20} MiB cap"
+            f"a family of 4^{len(qubits)} {n}-qubit states and its Gram matrix "
+            f"is above the {MAX_DENSE_BYTES // 2**20} MiB cap"
         )
     stack = apply_paulis(state.amplitudes, qubits, range(4 ** len(qubits)))
-    states = tuple(PureState(n, amps) for amps in stack)
-    gram = stack.conj() @ stack.T
-    return OrthogonalFamily(frozenset(qubits), states, gram)
+    return OrthogonalFamily(frozenset(qubits), stack)

@@ -174,10 +174,10 @@ def test_criterion_07_protocol_oracle():
         cut = Partition.from_sender(sender, state.num_qubits)
         for seed in range(20):
             result = simulate_teleportation(state, cut, payload, seed=seed)
-            uniform = 1.0 / len(result.outcomes)
+            uniform = 1.0 / len(result.probabilities)
             ok = ok and result.min_fidelity >= 1.0 - FID_TOL
             ok = ok and all(
-                abs(o.probability - uniform) <= FID_TOL for o in result.outcomes
+                abs(p - uniform) <= FID_TOL for p in result.probabilities.tolist()
             )
             ok = ok and abs(result.total_probability - 1.0) <= FID_TOL
     decoded = 0

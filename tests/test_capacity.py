@@ -55,6 +55,7 @@ from tmes.capacity import (
     tmes_verdict,
 )
 from tmes.claims import FIGURES, VERDICTS
+from tmes.invariants import orthogonal_family
 from tmes.operators import pauli_string
 from tmes.pauli import pauli_digits, pauli_expectations, pauli_label
 from tmes.statevec import (
@@ -315,11 +316,11 @@ class TestTeleportProtocol:
 
     def test_perfect_on_maximally_entangled_cut(self):
         result = simulate_teleportation(cluster4(), _cut((1, 3), 4), 2, seed=1)
-        assert len(result.outcomes) == 16
+        assert len(result.probabilities) == 16
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
         assert result.min_fidelity >= 1.0 - 1e-9
-        for out in result.outcomes:
-            assert out.probability == pytest.approx(1.0 / 16.0, abs=1e-9)
+        for prob in result.probabilities:
+            assert prob == pytest.approx(1.0 / 16.0, abs=1e-9)
 
     def test_two_block_nonuniform_spectrum(self):
         # capacity 1 from multiplicities (2, 2); two Schmidt blocks with
@@ -328,12 +329,12 @@ class TestTeleportProtocol:
         cut = _cut((1, 2), 4)
         assert teleport_capacity(state, cut) == 1
         result = simulate_teleportation(state, cut, 1, seed=3)
-        assert len(result.outcomes) == 8
-        got = sorted(out.probability for out in result.outcomes)
+        assert len(result.probabilities) == 8
+        got = sorted(result.probabilities.tolist())
         assert got == pytest.approx([0.1] * 4 + [0.15] * 4, abs=1e-9)
         assert result.min_fidelity >= 1.0 - 1e-9
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
-        labels = [out.block_index for out in result.outcomes]
+        labels = [j for _, j in result.protocol.outcome_labels]
         assert sorted(labels) == [0, 0, 0, 0, 1, 1, 1, 1]
 
     @pytest.mark.parametrize(
@@ -380,25 +381,36 @@ class TestTeleportProtocol:
         cut = _cut(sender, state.num_qubits)
         result = simulate_teleportation(state, cut, n_payload, seed=11)
         proto = result.protocol
-        assert len(result.outcomes) == len(proto.outcome_labels)
-        for out, meas, corr in zip(
-            result.outcomes, proto.measurement_family, proto.corrections
+        k = len(proto.outcome_labels)
+        assert result.probabilities.shape == result.fidelities.shape == (k,)
+        for got_prob, got_fid, meas, corr in zip(
+            result.probabilities, result.fidelities,
+            proto.measurement_family, proto.corrections,
         ):
             prob, fid = brute_teleport_outcome(
                 state.amplitudes, state.num_qubits, sender,
                 result.payload.amplitudes, meas, corr,
             )
-            assert out.probability == pytest.approx(prob, abs=1e-12)
-            assert out.fidelity == pytest.approx(fid, abs=1e-12)
-            assert (out.pauli_label, out.block_index) == proto.outcome_labels[out.index]
+            assert got_prob == pytest.approx(prob, abs=1e-12)
+            assert got_fid == pytest.approx(fid, abs=1e-12)
 
     def test_protocol_probabilities_match_simulation(self):
         state = _nonuniform_state()
         cut = _cut((1, 2), 4)
         proto = build_teleport_protocol(state, cut, 1)
         result = simulate_teleportation(state, cut, 1, seed=9)
-        for stated, out in zip(proto.probabilities, result.outcomes):
-            assert out.probability == pytest.approx(stated, abs=1e-9)
+        assert result.probabilities.tolist() == pytest.approx(proto.probabilities, abs=1e-9)
+
+    def test_result_arrays_are_read_only(self):
+        result = simulate_teleportation(cluster4(), _cut((1, 3), 4), 2, seed=1)
+        for arr in (result.probabilities, result.fidelities):
+            assert arr.dtype == float
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        probs = result.probabilities.copy()
+        again = dataclasses.replace(result, probabilities=probs)
+        probs[0] = 0.0
+        assert np.array_equal(again.probabilities, result.probabilities)
 
     def test_integer_payload_draws_seeded_state(self):
         cut = _cut((1, 3), 4)
@@ -409,15 +421,14 @@ class TestTeleportProtocol:
         assert np.array_equal(
             by_count.payload.amplitudes, explicit.payload.amplitudes
         )
-        for a, b in zip(by_count.outcomes, explicit.outcomes):
-            assert a.probability == pytest.approx(b.probability, abs=1e-12)
-            assert a.fidelity == pytest.approx(b.fidelity, abs=1e-12)
+        assert by_count.probabilities == pytest.approx(explicit.probabilities, abs=1e-12)
+        assert by_count.fidelities == pytest.approx(explicit.fidelities, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS)
     def test_ghz3_single_qubit_payloads(self, seed):
         result = simulate_teleportation(ghz(3), _cut((1, 2), 3), 1, seed=seed)
-        assert len(result.outcomes) == 4
+        assert len(result.probabilities) == 4
         assert result.min_fidelity >= 1.0 - 1e-9
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
 
@@ -438,6 +449,37 @@ class TestTeleportProtocol:
         assert result.total_probability == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "run,most",
+    [
+        # Default arguments build each input before the spy goes in.
+        (lambda state=bell_product(3): build_sdc_codebook(state, (1, 3, 5)), 0),
+        (lambda state=cluster5(): orthogonal_family(state, (1, 3, 5)), 0),
+        # the joint payload-resource state is the one PureState a run needs
+        (
+            lambda state=bell_product(4), payload=haar_random_state(2, seed=3): (
+                simulate_teleportation(state, _cut((1, 3, 5, 7), 8), payload)
+            ),
+            1,
+        ),
+    ],
+    ids=["sdc-codebook", "orthogonal-family", "teleport"],
+)
+def test_results_build_no_state_per_member(monkeypatch, run, most):
+    # Multi-member results are one array each: 64 codebook rows or family
+    # members and 16 teleport outcomes, none of them wrapped as a PureState.
+    built = []
+    check = PureState.__post_init__
+
+    def spy(self):
+        built.append(self.num_qubits)
+        check(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", spy)
+    run()
+    assert len(built) <= most
+
+
 def _spy_on_builds(monkeypatch) -> list[tuple]:
     """Record every real protocol build that simulate_teleportation makes."""
     built = []
@@ -454,8 +496,8 @@ def _spy_on_builds(monkeypatch) -> list[tuple]:
 def _same_run(a, b) -> bool:
     """Bit-identical outcomes and protocol arrays of two teleport runs."""
     return (
-        np.array_equal([o.probability for o in a.outcomes], [o.probability for o in b.outcomes])
-        and np.array_equal([o.fidelity for o in a.outcomes], [o.fidelity for o in b.outcomes])
+        np.array_equal(a.probabilities, b.probabilities)
+        and np.array_equal(a.fidelities, b.fidelities)
         and np.array_equal(a.protocol.measurement_family, b.protocol.measurement_family)
         and np.array_equal(a.protocol.corrections, b.protocol.corrections)
         and a.protocol.outcome_labels == b.protocol.outcome_labels
@@ -625,8 +667,7 @@ class TestSdcCounts:
         labels = sdc_orthogonal_labels(cluster5(), (1, 2, 3))
         assert len(labels) == 32 == 2**5
         book = build_sdc_codebook(cluster5(), (1, 2, 3))
-        stack = np.stack([s.amplitudes for s in book.encoded_states])
-        gram = stack.conj() @ stack.T
+        gram = book.stack.conj() @ book.stack.T
         assert np.allclose(gram, np.eye(32), atol=1e-9)
 
     def test_sender_validation(self):
@@ -903,20 +944,50 @@ class TestSdcCodebook:
             simulate_sdc(cluster4(), (1, 3), 16, book)
 
     def test_direct_construction_validates(self):
-        states = (bell(), bell())
+        stack = np.stack([bell().amplitudes, bell().amplitudes])
         with pytest.raises(ValueError, match="orthogonal"):
-            SdcCodebook(frozenset({1}), (0, 1), states)
+            SdcCodebook(frozenset({1}), (0, 1), stack)
         with pytest.raises(ValueError, match="distinct"):
-            SdcCodebook(frozenset({1}), (0, 0), states)
-        with pytest.raises(ValueError, match="equal length"):
-            SdcCodebook(frozenset({1}), (0,), states)
+            SdcCodebook(frozenset({1}), (0, 0), stack)
+        with pytest.raises(ValueError, match=r"need 1 rows of 2\^n >= 2 amplitudes, got \(2, 4\)"):
+            SdcCodebook(frozenset({1}), (0,), stack)
 
     @pytest.mark.parametrize("labels", [(0, 5), (0, 4), (-1, 0)])
     def test_construction_refuses_labels_beyond_the_sender(self, labels):
         # One sender qubit has the labels 0..3 (I, X, Y, Z) only
-        states = (bell(), PureState(2, np.array([1, 0, 0, -1]) / math.sqrt(2)))
+        stack = np.array([bell().amplitudes, np.array([1, 0, 0, -1]) / math.sqrt(2)])
         with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
-            SdcCodebook(frozenset({1}), labels, states)
+            SdcCodebook(frozenset({1}), labels, stack)
+
+    @pytest.mark.parametrize(
+        "row,match",
+        [
+            ([np.nan, 0, 0, 1], "NaN or infinite amplitude"),
+            ([1, 0, 0, np.inf], "NaN or infinite amplitude"),
+            ([1, 0, 0, 1], r"encoded state 1 is not normalized: norm = 1\.41421"),
+            ([1e-3, 0, 0, 0], r"encoded state 1 is not normalized: norm = 0\.001"),
+        ],
+        ids=["nan", "inf", "long", "short"],
+    )
+    def test_construction_refuses_bad_rows(self, row, match):
+        # Each row must be what a PureState would accept: finite, unit norm
+        stack = np.array([[0, 1, 0, 0], row], dtype=complex)
+        with pytest.raises(ValueError, match=match):
+            SdcCodebook(frozenset({1}), (0, 1), stack)
+
+    @pytest.mark.parametrize(
+        "stack,match",
+        [
+            (np.eye(3)[:2], r"need 2 rows of 2\^n >= 2 amplitudes, got \(2, 3\)"),
+            (np.ones((2, 1)), r"need 2 rows of 2\^n >= 2 amplitudes, got \(2, 1\)"),
+            (np.array([1.0, 0.0]), r"need 2 rows of 2\^n >= 2 amplitudes, got \(2,\)"),
+            (np.eye(4)[:3], r"need 2 rows of 2\^n >= 2 amplitudes, got \(3, 4\)"),
+        ],
+        ids=["length-3", "length-1", "flat", "three-rows"],
+    )
+    def test_construction_refuses_bad_shapes(self, stack, match):
+        with pytest.raises(ValueError, match=match):
+            SdcCodebook(frozenset({1}), (0, 1), stack)
 
     @pytest.mark.parametrize(
         "spec,sender", list(FIGURES), ids=[f"{s}|{q}" for s, q in FIGURES]
@@ -925,15 +996,18 @@ class TestSdcCodebook:
         state = make_state(parse_spec(spec))
         book = build_sdc_codebook(state, sender)
         assert len(book) == FIGURES[spec, sender].messages
-        encoded = [e.amplitudes for e in book.encoded_states]
         for msg, label in enumerate(book.labels):
             op = pauli_string(pauli_digits(label, len(sender)))
             sent = apply_local(state, op, sender).amplitudes
-            assert simulate_sdc(state, sender, msg, book) == vdot_decode(encoded, sent) == msg
+            assert simulate_sdc(state, sender, msg, book) == vdot_decode(book.stack, sent) == msg
 
     def test_stack_is_kept_read_only(self):
         book = build_sdc_codebook(cluster4(), (1, 3))
-        assert np.array_equal(book.stack, [e.amplitudes for e in book.encoded_states])
+        stack = book.stack.copy()
+        again = dataclasses.replace(book, stack=stack)
+        assert stack.flags.writeable and not np.shares_memory(stack, again.stack)
+        stack[0] = 0.0
+        assert np.array_equal(again.stack, book.stack)
         with pytest.raises(ValueError):
             book.stack[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -961,11 +1035,9 @@ class TestSdcCodebook:
     def test_encoded_states_match_dense_strings(self, state, sender, size):
         book = build_sdc_codebook(state, sender)
         assert len(book) == size
-        for label, enc in zip(book.labels, book.encoded_states):
+        for label, enc in zip(book.labels, book.stack):
             op = pauli_string(pauli_digits(label, len(sender)))
-            assert np.array_equal(
-                enc.amplitudes, apply_local(state, op, sender).amplitudes
-            )
+            assert np.array_equal(enc, apply_local(state, op, sender).amplitudes)
 
 
 # Catalog rows come from claims.VERDICTS, named as in the survey script; the

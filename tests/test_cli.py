@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmes import cli
 from tmes.cli import main
+from tmes.operators import operator_family
 from tmes.serialize import load_state, save_state
 from tmes.states import cluster4, make_state, parse_spec
 from tmes.statevec import PureState
@@ -134,6 +136,31 @@ class TestOperatorCommand:
         assert "MiB cap" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("level", [6, 7, 10**18])
+    def test_oversized_document_is_refused_before_building(self, monkeypatch, capsys, level):
+        # level 6 would print about 820 MB of JSON; the level alone decides
+        def spy(lvl):
+            raise AssertionError(f"operator_family({lvl}) was called")
+
+        monkeypatch.setattr(cli, "operator_family", spy)
+        assert main(["op", "gen", "--level", str(level)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a level-{level} family as JSON is above the 256 MiB cap\n"
+        assert captured.out == ""
+
+    def test_level_five_passes_the_document_cap(self, monkeypatch, capsys):
+        # level 5 (about 51 MB) still prints; a level-1 family stands in
+        built = []
+
+        def spy(level):
+            built.append(level)
+            return operator_family(1)
+
+        monkeypatch.setattr(cli, "operator_family", spy)
+        assert main(["op", "gen", "--level", "5"]) == 0
+        assert built == [5]
+        assert json.loads(capsys.readouterr().out)["kind"] == "operator_set"
 
 
 class TestAnalysisCommands:

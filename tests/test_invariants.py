@@ -14,6 +14,7 @@ from tmes.capacity import haar_random_state
 from tmes.claims import VERDICTS
 from tmes.invariants import (
     ObstructionReport,
+    OrthogonalFamily,
     all_bipartition_spectra,
     all_bipartitions,
     conversion_obstruction,
@@ -27,7 +28,6 @@ from tmes.statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
-    overlap,
     tensor,
 )
 from tmes.states import (
@@ -263,11 +263,11 @@ class TestGenuineMultipartite:
 class TestOrthogonalFamily:
     def test_gram_matches_manual_overlaps(self):
         fam = orthogonal_family(ghz(3), (1, 2))
-        assert len(fam.states) == 16
+        assert fam.stack.shape == (16, 8)
         assert fam.gram.shape == (16, 16)
         for i in (0, 3, 7):
             for j in (1, 5, 11):
-                want = overlap(fam.states[i], fam.states[j])
+                want = np.vdot(fam.stack[i], fam.stack[j])
                 assert fam.gram[i, j] == pytest.approx(want, abs=1e-12)
         assert np.allclose(np.diagonal(fam.gram), 1.0, atol=1e-12)
 
@@ -296,6 +296,18 @@ class TestOrthogonalFamily:
         fam = orthogonal_family(bell(), (1,))
         with pytest.raises(ValueError):
             fam.gram[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            fam.stack[0, 0] = 0.0
+
+    def test_caller_stack_stays_writable_and_apart(self):
+        stack = orthogonal_family(bell(), (1,)).stack.copy()
+        fam = OrthogonalFamily(frozenset({1}), stack)
+        assert stack.flags.writeable
+        assert not np.shares_memory(stack, fam.stack)
+        gram = fam.gram.copy()
+        stack[:] = 0.0
+        assert np.array_equal(fam.gram, gram)
+        assert np.array_equal(fam.gram, fam.stack.conj() @ fam.stack.T)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -308,3 +320,9 @@ class TestOrthogonalFamily:
         # the first one is built
         with pytest.raises(ValueError, match="MiB cap"):
             orthogonal_family(basis_state("0" * MAX_QUBITS), range(1, 8))
+
+    def test_size_cap_counts_the_gram_matrix(self):
+        # 4^6 states of 2^12 amplitudes are 256 MiB, at the cap, and their
+        # Gram matrix 256 MiB more: refused before either is built
+        with pytest.raises(ValueError, match="and its Gram matrix is above the 256 MiB cap"):
+            orthogonal_family(basis_state("0" * MAX_QUBITS), range(1, 7))
