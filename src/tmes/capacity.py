@@ -36,6 +36,7 @@ from .statevec import (
     PureState,
     SchmidtSpectrum,
     _check_tol,
+    _check_unitary,
     _cut_stacks,
     _freeze,
     _qubit_set,
@@ -132,10 +133,7 @@ class TeleportProtocol:
             raise ValueError("protocol has a NaN or infinite entry")
         if np.max(np.abs(fam.conj() @ fam.T - np.eye(k))) > ATOL:
             raise ValueError("measurement family is not orthonormal")
-        unitarity = np.abs(corr.conj().transpose(0, 2, 1) @ corr - np.eye(recv_dim))
-        bad = np.flatnonzero(np.max(unitarity, axis=(1, 2)) > ATOL)
-        if bad.size:
-            raise ValueError(f"correction {bad[0]} is not unitary")
+        _check_unitary(corr, "correction")
         if any(p < -EXACT_ATOL for p in probs) or abs(sum(probs) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must be a distribution")
         fam = _freeze(fam)

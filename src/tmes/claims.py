@@ -907,7 +907,7 @@ def _pauli_base(config: ClaimConfig):
     rank1 = independence_rank(base.members)
     if rank1 != 4:
         bad.append(f"single-qubit rank {rank1} != 4")
-    strings = [pauli_string(pauli_digits(d, 2)) for d in range(16)]
+    strings = np.stack([pauli_string(pauli_digits(d, 2)).matrix for d in range(16)])
     rank2 = independence_rank(strings)
     if rank2 != 16:
         bad.append(f"two-qubit string rank {rank2} != 16")
@@ -925,19 +925,17 @@ def _pauli_base(config: ClaimConfig):
 @_register("gamma-certification", "The block construction yields sixteen independent two-qubit unitaries forming an orthogonal basis.")
 def _gamma_certification(config: ClaimConfig):
     bad = []
-    listed = gamma_set()
-    generated = operator_family(2)
-    if len(listed.members) != 16 or len(generated.members) != 16:
+    listed = gamma_set().members
+    generated = operator_family(2).members
+    if len(listed) != 16 or len(generated) != 16:
         bad.append("family size is not 16")
-    worst = 0.0
-    for a, b in zip(listed.members, generated.members):
-        worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
+    worst = float(np.max(np.abs(listed - generated)))
     if worst > 1e-12:
         bad.append(f"generated family departs from the listed one by {worst:.2e}")
-    rank = independence_rank(listed.members)
+    rank = independence_rank(listed)
     if rank != 16:
         bad.append(f"independence rank {rank} != 16")
-    stack = np.stack([m.matrix.reshape(-1) for m in listed.members])
+    stack = listed.reshape(16, -1)
     gram = stack.conj() @ stack.T
     off = float(np.max(np.abs(gram - np.diag(np.diagonal(gram)))))
     if off > config.tolerance:
@@ -991,10 +989,7 @@ def _serialization(config: ClaimConfig):
             bad.append(f"state {label} did not survive the round trip")
     fam = gamma_set()
     fam_back = operator_set_from_dict(json.loads(json.dumps(operator_set_to_dict(fam))))
-    if fam_back.level != fam.level or any(
-        not np.array_equal(a.matrix, b.matrix)
-        for a, b in zip(fam.members, fam_back.members)
-    ):
+    if fam_back.level != fam.level or not np.array_equal(fam.members, fam_back.members):
         bad.append("operator family did not survive the round trip")
     op_back = operator_from_dict(json.loads(json.dumps(operator_to_dict(u_chi()))))
     if not np.array_equal(op_back.matrix, u_chi().matrix):

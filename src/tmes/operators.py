@@ -21,6 +21,8 @@ from .statevec import (
     MAX_QUBITS,
     LocalOperator,
     PureState,
+    _check_unitary,
+    _freeze,
     apply_local,
     overlap,
 )
@@ -100,17 +102,18 @@ _GAMMA_LAYOUT: tuple[tuple[bool, int, int, float], ...] = (
 )
 
 
+def _gamma_matrix(anti: bool, a: int, b: int, sign: float) -> np.ndarray:
+    upper, lower = _SIGMA[a], sign * _SIGMA[b]
+    if anti:
+        return np.block([[_ZERO2, upper], [lower, _ZERO2]])
+    return np.block([[upper, _ZERO2], [_ZERO2, lower]])
+
+
 def gamma(index: int) -> LocalOperator:
     """Member ``index`` (1..16) of the two-qubit gamma table."""
     if not 1 <= index <= 16:
         raise ValueError(f"gamma index must be 1..16, got {index}")
-    anti, a, b, sign = _GAMMA_LAYOUT[index - 1]
-    upper, lower = _SIGMA[a], sign * _SIGMA[b]
-    if anti:
-        mat = np.block([[_ZERO2, upper], [lower, _ZERO2]])
-    else:
-        mat = np.block([[upper, _ZERO2], [_ZERO2, lower]])
-    return LocalOperator(2, mat)
+    return LocalOperator(2, _gamma_matrix(*_GAMMA_LAYOUT[index - 1]))
 
 
 _NAMED = {
@@ -142,38 +145,38 @@ def named_operator(name: str) -> LocalOperator:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A level-d family: exactly 4^d unitary operators of arity d."""
+    """A level-d family: ``members`` is a read-only (4^d, 2^d, 2^d) stack of
+    unitaries, copied from the caller's array; d is read off its shape."""
 
-    level: int
-    members: tuple[LocalOperator, ...]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError("operator set level must be at least 1")
-        members = tuple(self.members)
-        if len(members) != 4**self.level:
-            raise ValueError(
-                f"a level-{self.level} set needs {4 ** self.level} members, "
-                f"got {len(members)}"
-            )
-        for i, m in enumerate(members):
-            if m.arity != self.level:
-                raise ValueError(
-                    f"member {i} has arity {m.arity}, expected {self.level}"
-                )
-            if not m.is_unitary():
-                raise ValueError(f"member {i} is not unitary")
-        object.__setattr__(self, "members", members)
+        stack = np.asarray(self.members, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("operator family has a NaN or infinite entry")
+        if stack.ndim != 3:
+            raise ValueError(f"expected a stack of matrices, got shape {stack.shape}")
+        count, rows, cols = stack.shape
+        if rows != cols or rows < 2 or rows & (rows - 1):
+            raise ValueError(f"members must be 2^d x 2^d with d >= 1, got {rows}x{cols}")
+        if count != rows * rows:
+            raise ValueError(f"a family of {rows}x{rows} matrices has {rows * rows} members, got {count}")
+        _check_unitary(stack, "member")
+        object.__setattr__(self, "members", _freeze(stack))
+
+    @property
+    def level(self) -> int:
+        return self.members.shape[1].bit_length() - 1
 
 
 def pauli_set() -> OperatorSet:
     """The level-1 base family {sigma0, sigma1, sigma2, sigma3}."""
-    return OperatorSet(1, tuple(sigma(i) for i in range(4)))
+    return OperatorSet(np.stack(_SIGMA))
 
 
 def gamma_set() -> OperatorSet:
     """The full gamma table as a level-2 family."""
-    return OperatorSet(2, tuple(gamma(i) for i in range(1, 17)))
+    return OperatorSet(np.stack([_gamma_matrix(*row) for row in _GAMMA_LAYOUT]))
 
 
 def _lift(g: np.ndarray) -> np.ndarray:
@@ -204,9 +207,7 @@ def sigma_construct(base: OperatorSet) -> OperatorSet:
     diagonal family, the diagonal family with negated lower block, then the
     two antidiagonal counterparts.
     """
-    lvl = base.level + 1
-    stack = _lift(np.stack([m.matrix for m in base.members]))
-    return OperatorSet(lvl, tuple(LocalOperator(lvl, m) for m in stack))
+    return OperatorSet(_lift(base.members))
 
 
 def family_bytes(level: int) -> int:
@@ -229,11 +230,11 @@ def operator_family(level: int) -> OperatorSet:
             f"{MAX_DENSE_BYTES // 2**20} MiB cap"
         )
     # Intermediate levels stay bare stacks; only the requested level is
-    # wrapped and validated.
+    # validated.
     stack = np.stack(_SIGMA)
     for _ in range(level - 1):
         stack = _lift(stack)
-    return OperatorSet(level, tuple(LocalOperator(level, m) for m in stack))
+    return OperatorSet(stack)
 
 
 def _support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +261,9 @@ def _support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         label = new
 
 
-def independence_rank(ops: Sequence[LocalOperator]) -> int:
-    """Linear-independence rank of the flattened, row-normalized matrices.
+def independence_rank(stack: np.ndarray) -> int:
+    """Linear-independence rank of the flattened, row-normalized matrices of
+    a (k, m, m) stack.
 
     Zero operators add nothing.  The rows fall into the connected components
     of their nonzero support, two rows being linked when they share a
@@ -270,20 +272,19 @@ def independence_rank(ops: Sequence[LocalOperator]) -> int:
     SVD, and singular values above ATOL times the largest over all of them
     are counted.
     """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    arities = {op.arity for op in ops}
-    if len(arities) != 1:
-        raise ValueError(f"mixed arities in operator list: {sorted(arities)}")
-    rows = np.stack([op.matrix.reshape(-1) for op in ops])
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or not stack.size:
+        raise ValueError(f"need a nonempty stack of matrices, got shape {stack.shape}")
+    rows = stack.reshape(len(stack), -1)
+    if not np.isfinite(rows).all():
+        raise ValueError("operators have a NaN or infinite entry")
     support = rows != 0
     nonzero = support.any(axis=1)
     if not nonzero.all():
         rows, support = rows[nonzero], support[nonzero]
         if not len(rows):
             return 0
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     label, col = _support_components(support)
     s = np.concatenate(
         [

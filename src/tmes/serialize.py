@@ -22,8 +22,9 @@ FORMAT_VERSION = 1
 CONVENTION = "q1-msb"
 
 
-def _pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _pairs(arr: np.ndarray) -> list:
+    """Nested lists of the array's shape with each entry an [re, im] pair."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def _is_real(x: Any) -> bool:
@@ -91,10 +92,6 @@ def state_from_dict(data: dict) -> PureState:
     return PureState(n, amps)
 
 
-def _matrix_to_rows(mat: np.ndarray) -> list[list[list[float]]]:
-    return [_pairs(row) for row in mat]
-
-
 def _matrix_from_rows(rows: Any, arity: int) -> np.ndarray:
     if not isinstance(rows, list):
         raise ValueError("matrix must be a list of rows")
@@ -112,7 +109,7 @@ def operator_to_dict(op: LocalOperator) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "operator",
         "arity": op.arity,
-        "matrix": _matrix_to_rows(op.matrix),
+        "matrix": _pairs(op.matrix),
     }
 
 
@@ -127,7 +124,7 @@ def operator_set_to_dict(ops: OperatorSet) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "operator_set",
         "level": ops.level,
-        "operators": [_matrix_to_rows(m.matrix) for m in ops.members],
+        "operators": _pairs(ops.members),
     }
 
 
@@ -139,10 +136,7 @@ def operator_set_from_dict(data: dict) -> OperatorSet:
         raise ValueError("operators must be a list of matrices")
     if not _is_power_of_two(len(operators), 2 * level):
         raise ValueError(f"operators must hold 4^{level} matrices, got {len(operators)}")
-    members = tuple(
-        LocalOperator(level, _matrix_from_rows(rows, level)) for rows in operators
-    )
-    return OperatorSet(level, members)
+    return OperatorSet(np.stack([_matrix_from_rows(rows, level) for rows in operators]))
 
 
 def write_file(path: str | Path, text: str) -> None:

@@ -156,9 +156,6 @@ class LocalOperator:
             np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim))) <= tol
         )
 
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.arity, self.matrix.conj().T)
-
 
 def _check_density(mat: np.ndarray) -> None:
     """Refuse a matrix, or a stack of them, that is not finite, Hermitian
@@ -171,6 +168,17 @@ def _check_density(mat: np.ndarray) -> None:
     bad = np.flatnonzero(np.abs(tr - 1.0) > ATOL)
     if bad.size:
         raise ValueError(f"density matrix trace is {complex(tr[bad[0]])!r}, expected 1")
+
+
+def _check_unitary(stack: np.ndarray, what: str) -> None:
+    """Refuse a finite (k, m, m) stack with a member U whose U^H U departs
+    from the identity by more than ATOL, naming the first as ``what i``."""
+    gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+    diag = np.arange(stack.shape[1])
+    gram[:, diag, diag] -= 1.0
+    bad = np.flatnonzero(np.abs(gram).max(axis=(1, 2)) > ATOL)
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} is not unitary")
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,11 +106,10 @@ def test_criterion_03_cluster5_construction():
 def test_criterion_04_gamma_certification():
     members = [gamma(k) for k in range(1, 17)]
     unitary = all(m.is_unitary(tol=AMP_TOL) for m in members)
-    rank = independence_rank(members)
+    rank = independence_rank(np.stack([m.matrix for m in members]))
     lifted = sigma_construct(pauli_set())
     reproduced = all(
-        np.array_equal(a.matrix, b.matrix)
-        for a, b in zip(lifted.members, members)
+        np.array_equal(a, b.matrix) for a, b in zip(lifted.members, members)
     )
     _criterion(
         4,
@@ -128,7 +127,9 @@ def test_criterion_05_family_recursion():
     for level in (3, 4):
         fam = operator_family(level)
         ok = ok and len(fam.members) == 4**level
-        ok = ok and all(m.is_unitary(tol=AMP_TOL) for m in fam.members)
+        ok = ok and all(
+            LocalOperator(level, m).is_unitary(tol=AMP_TOL) for m in fam.members
+        )
         ranks[level] = independence_rank(fam.members)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0

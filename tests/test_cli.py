@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -111,7 +112,25 @@ class TestStateCommands:
         assert "error:" in capsys.readouterr().err
 
 
+# sha256 of `tmes op gen --level L` stdout, pinned byte for byte (signed
+# zeros and float repr included) with the byte count at level 4.
+OP_GEN_SHA256 = {
+    1: "c66aa83a413db371c52c9f84a25b060b5b83c3b51294c9eb273ab8888ae991f1",
+    2: "b38a28af718cb5d5b83e38b0c3ff689acd899a7bc3d824c4c10fda34cd669eff",
+    3: "5f87335e7cc655b16b9c1fb9f97b9449bf8d7c9dacaf899f321bbe29cfc086e9",
+    4: "646bc1595415bc0840be22b6004b6fb7e52e4ebe61b3fcaa5ca407809f110830",
+}
+
+
 class TestOperatorCommand:
+    @pytest.mark.parametrize("level", sorted(OP_GEN_SHA256))
+    def test_gen_stdout_bytes_are_pinned(self, capsys, level):
+        assert main(["op", "gen", "--level", str(level)]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == OP_GEN_SHA256[level]
+        if level == 4:
+            assert len(out) == 3_358_103
+
     def test_gen_level_three(self, capsys):
         assert main(["op", "gen", "--level", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import block_sigma_construct, dense_independence_rank
+from tmes import operators
 from tmes.operators import (
     OperatorSet,
     PlacementReport,
@@ -29,6 +30,7 @@ from tmes.operators import (
     u_y,
     u_z,
 )
+from tmes.serialize import operator_set_from_dict, operator_set_to_dict
 from tmes.statevec import MAX_DENSE_BYTES, MAX_QUBITS, LocalOperator
 from tmes.states import basis_state, bell_product, cluster4
 
@@ -148,8 +150,7 @@ class TestFamilies:
         for level in (1, 2, 3):
             fam = operator_family(level)
             assert fam.level == level
-            assert len(fam.members) == 4**level
-            assert all(m.arity == level for m in fam.members)
+            assert fam.members.shape == (4**level, 2**level, 2**level)
         with pytest.raises(ValueError):
             operator_family(0)
 
@@ -171,35 +172,130 @@ class TestFamilies:
             operator_family(level)
 
     def test_level_two_family_is_the_gamma_table(self):
-        fam = operator_family(2)
-        for got, want in zip(fam.members, gamma_set().members):
-            assert np.allclose(got.matrix, want.matrix, atol=1e-12)
+        assert np.allclose(operator_family(2).members, gamma_set().members, atol=1e-12)
 
     def test_recursion_block_structure(self):
         lifted = sigma_construct(pauli_set())
         # diagonal family pairs g_a with its cyclic successor
         assert np.allclose(
-            lifted.members[0].matrix, np.block([[S[0], Z2], [Z2, S[1]]]), atol=1e-15
+            lifted.members[0], np.block([[S[0], Z2], [Z2, S[1]]]), atol=1e-15
         )
         assert np.allclose(
-            lifted.members[3].matrix, np.block([[S[3], Z2], [Z2, S[0]]]), atol=1e-15
+            lifted.members[3], np.block([[S[3], Z2], [Z2, S[0]]]), atol=1e-15
         )
         # second family negates the lower block, third moves to the antidiagonal
         assert np.allclose(
-            lifted.members[4].matrix, np.block([[S[0], Z2], [Z2, -S[1]]]), atol=1e-15
+            lifted.members[4], np.block([[S[0], Z2], [Z2, -S[1]]]), atol=1e-15
         )
         assert np.allclose(
-            lifted.members[8].matrix, np.block([[Z2, S[0]], [S[1], Z2]]), atol=1e-15
+            lifted.members[8], np.block([[Z2, S[0]], [S[1], Z2]]), atol=1e-15
         )
 
     def test_operator_set_validation(self):
+        with pytest.raises(ValueError, match="has 4 members, got 3"):
+            OperatorSet(np.stack([S[0]] * 3))
+        with pytest.raises(ValueError, match="has 4 members, got 16"):
+            OperatorSet(np.stack([S[0]] * 16))
+        with pytest.raises(ValueError, match="member 3 is not unitary"):
+            OperatorSet(np.stack([S[0], S[1], S[2], 2.0 * S[0]]))
+
+
+class TestOperatorSet:
+    @pytest.mark.parametrize(
+        "stack,message",
+        [
+            (S[1], r"expected a stack of matrices, got shape \(2, 2\)"),
+            (np.zeros((4, 2, 2, 1)), "expected a stack of matrices"),
+            (np.zeros((4, 2, 4)), r"2\^d x 2\^d with d >= 1, got 2x4"),
+            (np.ones((1, 1, 1)), r"2\^d x 2\^d with d >= 1, got 1x1"),
+            (np.zeros((0, 0, 0)), r"2\^d x 2\^d with d >= 1, got 0x0"),
+            (np.stack([np.eye(3)] * 9), r"2\^d x 2\^d with d >= 1, got 3x3"),
+            (np.zeros((0, 2, 2)), "has 4 members, got 0"),
+            (np.stack([np.eye(4)] * 4), "4x4 matrices has 16 members, got 4"),
+        ],
+        ids=["2-d", "4-d", "not-square", "side-1", "side-0", "side-3", "empty", "count"],
+    )
+    def test_refuses_bad_shapes(self, stack, message):
+        with pytest.raises(ValueError, match=message):
+            OperatorSet(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_refuses_non_finite_entries_first(self, bad):
+        # A NaN makes every comparison with ATOL false, so it would pass the
+        # unitarity check; the finiteness check runs before any other.
+        stack = operator_family(2).members.copy()
+        stack[5, 1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            OperatorSet(stack)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            OperatorSet(np.full((3, 2, 5), bad))
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-6, 0.5j])
+    def test_refuses_a_scaled_member_by_index(self, scale):
+        stack = operator_family(2).members.copy()
+        stack[11] *= scale
+        with pytest.raises(ValueError, match="^member 11 is not unitary$"):
+            OperatorSet(stack)
+
+    def test_accepts_a_unitary_within_tolerance(self):
+        stack = operator_family(2).members * np.exp(0.3j)
+        stack[7] *= 1.0 + 1e-11
+        assert OperatorSet(stack).level == 2
+
+    def test_members_are_a_read_only_copy(self):
+        stack = operator_family(2).members.copy()
+        fam = OperatorSet(stack)
+        assert not fam.members.flags.writeable
+        assert not np.shares_memory(fam.members, stack)
+        assert stack.flags.writeable
+        stack[0] = 0.0
+        assert np.array_equal(fam.members, operator_family(2).members)
         with pytest.raises(ValueError):
-            OperatorSet(1, tuple(sigma(0) for _ in range(3)))
-        with pytest.raises(ValueError):
-            OperatorSet(2, tuple(sigma(0) for _ in range(16)))
-        scaled = LocalOperator(1, 2.0 * S[0])
-        with pytest.raises(ValueError):
-            OperatorSet(1, (sigma(0), sigma(1), sigma(2), scaled))
+            fam.members[0, 0, 0] = 2.0
+
+    def test_level_is_read_off_the_shape(self):
+        for level in (1, 2, 3):
+            fam = operator_family(level)
+            assert fam.level == level
+            with pytest.raises(AttributeError):
+                fam.level = level + 1
+        with pytest.raises(TypeError):
+            OperatorSet(np.stack([S[0]] * 4), level=1)
+
+    def test_real_input_is_stored_complex(self):
+        fam = OperatorSet(np.stack([S[0].real, S[1].real, S[3].real, -S[0].real]))
+        assert fam.members.dtype == complex and fam.level == 1
+
+
+@pytest.mark.parametrize(
+    "run,members",
+    [
+        (lambda: operator_family(5), 1024),
+        (lambda: operator_family(1), 4),
+        (lambda base=gamma_set(): sigma_construct(base), 64),
+        (pauli_set, 4),
+        (gamma_set, 16),
+        (
+            lambda doc=operator_set_to_dict(operator_family(3)): operator_set_from_dict(doc),
+            64,
+        ),
+    ],
+    ids=["family-5", "family-1", "sigma-construct", "pauli-set", "gamma-set", "from-dict"],
+)
+def test_family_paths_build_no_local_operator(monkeypatch, run, members):
+    # Each family is one stack, and no member is wrapped as a LocalOperator.
+    # Default arguments build the inputs before the spy goes in.
+    built = []
+    check = LocalOperator.__post_init__
+
+    def spy(self):
+        built.append(self.arity)
+        check(self)
+
+    monkeypatch.setattr(LocalOperator, "__post_init__", spy)
+    fam = run()
+    assert built == []
+    assert len(fam.members) == members
 
 
 def _block_family(level: int) -> list[np.ndarray]:
@@ -209,14 +305,10 @@ def _block_family(level: int) -> list[np.ndarray]:
     return mats
 
 
-def _stack(members) -> np.ndarray:
-    return np.stack([m.matrix for m in members])
-
-
 class TestStackedLift:
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_family_matches_block_recursion(self, level):
-        got = _stack(operator_family(level).members)
+        got = operator_family(level).members
         want = np.stack(_block_family(level))
         assert np.array_equal(got, want)
         # bit for bit, signed zeros included, as `tmes op gen` prints them
@@ -225,26 +317,26 @@ class TestStackedLift:
     @pytest.mark.parametrize("base", [gamma_set, lambda: operator_family(3)])
     def test_sigma_construct_matches_block_recursion(self, base):
         base = base()
-        got = _stack(sigma_construct(base).members)
-        want = np.stack(block_sigma_construct([m.matrix for m in base.members]))
+        got = sigma_construct(base).members
+        want = np.stack(block_sigma_construct(list(base.members)))
         assert got.tobytes() == want.tobytes()
 
     def test_only_the_requested_level_is_validated(self, monkeypatch):
-        # every member of the returned family is checked for unitarity, and
-        # no member of an intermediate level is
+        # the returned family is checked for unitarity by one stacked check,
+        # and no intermediate level is checked
         checked = []
-        is_unitary = LocalOperator.is_unitary
+        check = operators._check_unitary
 
-        def spy(op, *args, **kwargs):
-            checked.append(op.arity)
-            return is_unitary(op, *args, **kwargs)
+        def spy(stack, what):
+            checked.append(stack.shape)
+            check(stack, what)
 
-        monkeypatch.setattr(LocalOperator, "is_unitary", spy)
+        monkeypatch.setattr(operators, "_check_unitary", spy)
         operator_family(3)
-        assert checked == [3] * 64
+        assert checked == [(64, 8, 8)]
 
 
-def _random_operator_list(seed: int, arity: int = 3) -> list[LocalOperator]:
+def _random_operator_list(seed: int, arity: int = 3) -> np.ndarray:
     """Monomial and sparse operators with duplicates, scaled copies and sums,
     so that the rank falls below the count and the support splits.
 
@@ -276,7 +368,7 @@ def _random_operator_list(seed: int, arity: int = 3) -> list[LocalOperator]:
         group.append((rng.normal() + 1j * rng.normal()) * group[j])
         group.append(group[i] + group[j])
     mats = [m for group in groups for m in group]
-    return [LocalOperator(arity, mats[k]) for k in rng.permutation(len(mats))]
+    return np.stack([mats[k] for k in rng.permutation(len(mats))])
 
 
 @pytest.fixture
@@ -293,45 +385,74 @@ def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _pauli_pairs() -> list[LocalOperator]:
-    return [pauli_string((a, b)) for a in range(4) for b in range(4)]
+def _pauli_pairs() -> np.ndarray:
+    return np.stack([pauli_string((a, b)).matrix for a in range(4) for b in range(4)])
 
 
 class TestIndependenceRank:
     def test_dependent_list(self):
-        assert independence_rank([sigma(0), sigma(0), sigma(1)]) == 2
+        assert independence_rank(np.stack([S[0], S[0], S[1]])) == 2
 
     def test_rejects_empty_and_mixed(self):
         with pytest.raises(ValueError):
-            independence_rank([])
+            independence_rank(np.empty((0, 2, 2)))
         with pytest.raises(ValueError):
-            independence_rank([sigma(0), cnot()])
+            independence_rank([sigma(0).matrix, cnot().matrix])
+
+    @pytest.mark.parametrize(
+        "stack",
+        [np.empty((0, 2, 2)), np.empty((3, 0, 0)), S[1], np.zeros(4), []],
+        ids=["no-members", "empty-matrices", "2-d", "1-d", "empty-list"],
+    )
+    def test_refuses_empty_and_flat_stacks(self, stack):
+        with pytest.raises(ValueError, match="nonempty stack of matrices"):
+            independence_rank(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_refuses_non_finite_entries(self, bad):
+        # a ValueError at the boundary, never a LinAlgError from the SVD
+        stack = operator_family(2).members.copy()
+        stack[3, 0, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite") as caught:
+            independence_rank(stack)
+        assert not isinstance(caught.value, np.linalg.LinAlgError)
+
+    def test_leaves_a_read_only_input_untouched(self):
+        stack = _random_operator_list(0)
+        stack[0] = 0.0
+        stack.setflags(write=False)
+        before = stack.tobytes()
+        assert independence_rank(stack) == dense_independence_rank(stack)
+        assert stack.tobytes() == before
+        fam = operator_family(3)
+        assert independence_rank(fam.members) == 64
+        assert fam.members.tobytes() == np.stack(_block_family(3)).tobytes()
 
     def test_zero_member_adds_nothing(self):
-        zero = LocalOperator(1, np.zeros((2, 2)))
+        zero = np.zeros((2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert independence_rank([zero]) == 0
-            assert independence_rank([sigma(0), zero]) == 1
-            assert independence_rank([zero, sigma(1), zero, sigma(2)]) == 2
-        assert dense_independence_rank([zero.matrix, S[0]]) == 1
+            assert independence_rank(np.stack([zero])) == 0
+            assert independence_rank(np.stack([S[0], zero])) == 1
+            assert independence_rank(np.stack([zero, S[1], zero, S[2]])) == 2
+        assert dense_independence_rank([zero, S[0]]) == 1
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_family_rank_matches_dense_oracle(self, level):
         fam = operator_family(level)
         got = independence_rank(fam.members)
-        assert got == dense_independence_rank(_stack(fam.members)) == 4**level
+        assert got == dense_independence_rank(fam.members) == 4**level
 
     @pytest.mark.parametrize("ops", [gamma_set().members, _pauli_pairs()])
     def test_table_rank_matches_dense_oracle(self, ops):
-        assert independence_rank(ops) == dense_independence_rank(_stack(ops)) == 16
+        assert independence_rank(ops) == dense_independence_rank(ops) == 16
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lists_match_dense_oracle(self, seed, svd_shapes):
         ops = _random_operator_list(seed)
         got = independence_rank(ops)
         blocks = [rows for rows, _ in svd_shapes]
-        assert got == dense_independence_rank(_stack(ops))
+        assert got == dense_independence_rank(ops)
         assert got < len(ops)
         # the support split into blocks that together hold every row
         assert len(blocks) > 1 and sum(blocks) == len(ops)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tmes.capacity import haar_random_state
-from tmes.operators import gamma_set, operator_family, pauli_set, u_chi, u_w2
+from tmes.operators import gamma_set, operator_family, pauli_set, sigma, u_chi, u_w2
 from tmes.serialize import (
     CONVENTION,
     FORMAT_VERSION,
@@ -126,20 +126,20 @@ class TestMalformedDocuments:
         ],
     )
     def test_operator_fields(self, patch, field):
-        doc = {**operator_to_dict(pauli_set().members[1]), **patch}
+        doc = {**operator_to_dict(sigma(1)), **patch}
         with pytest.raises(ValueError, match=field):
             operator_from_dict(doc)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_operator_with_json_non_finite_entry_is_refused(self, bad):
-        text = json.dumps(operator_to_dict(pauli_set().members[0]))
+        text = json.dumps(operator_to_dict(sigma(0)))
         text = text.replace("[1.0, 0.0]", f"[{bad}, 0.0]", 1)
         doc = json.loads(text)
         with pytest.raises(ValueError, match="NaN or infinite"):
             operator_from_dict(doc)
 
     def test_operator_missing_matrix(self):
-        doc = operator_to_dict(pauli_set().members[1])
+        doc = operator_to_dict(sigma(1))
         del doc["matrix"]
         with pytest.raises(ValueError, match="missing field 'matrix'"):
             operator_from_dict(doc)
@@ -184,18 +184,23 @@ class TestOperatorSetRoundTrip:
         save_operator_set(ops, path)
         back = load_operator_set(path)
         assert back.level == 2
-        assert len(back.members) == 16
-        for got, want in zip(back.members, ops.members):
-            assert np.array_equal(got.matrix, want.matrix)
+        assert back.members.shape == (16, 4, 4)
+        assert back.members.tobytes() == ops.members.tobytes()
 
     def test_level_three_round_trip(self):
         ops = operator_family(3)
         back = operator_set_from_dict(operator_set_to_dict(ops))
-        assert len(back.members) == 64
-        assert all(
-            np.array_equal(a.matrix, b.matrix)
-            for a, b in zip(back.members, ops.members)
-        )
+        assert back.level == 3 and len(back.members) == 64
+        assert back.members.tobytes() == ops.members.tobytes()
+        assert not back.members.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_entry_is_refused(self, bad):
+        text = json.dumps(operator_set_to_dict(pauli_set()))
+        text = text.replace("[-0.0, -1.0]", f"[-0.0, {bad}]", 1)
+        assert bad in text
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            operator_set_from_dict(json.loads(text))
 
     def test_kind_mismatch_rejected(self):
         doc = operator_set_to_dict(gamma_set())

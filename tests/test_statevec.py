@@ -437,10 +437,6 @@ class TestLocalOperator:
         assert _random_unitary(2, seed=4).is_unitary()
         assert not LocalOperator(1, np.array([[1.0, 0.0], [0.0, 2.0]])).is_unitary()
 
-    def test_dagger_inverts(self):
-        op = _random_unitary(1, seed=8)
-        assert np.allclose(op.dagger().matrix @ op.matrix, np.eye(2), atol=1e-12)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LocalOperator(2, np.eye(2))
