@@ -10,11 +10,10 @@ writes a machine-readable document.
 from __future__ import annotations
 
 import argparse
-import json
 
 from tmes.capacity import cut_reports, tmes_verdict
 from tmes.claims import VERDICTS
-from tmes.serialize import write_file
+from tmes.serialize import document_text, write_file
 from tmes.states import make_state, parse_spec
 
 # Every state with an expected verdict in the claim suite, named by its spec
@@ -84,7 +83,7 @@ def main() -> int:
 
     if args.json:
         doc = {"format_version": 1, "kind": "capacity_survey", "states": results}
-        write_file(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_file(args.json, document_text(doc))
         print(f"wrote {args.json}")
     return 0
 

@@ -10,7 +10,6 @@ families).  Reports are deterministic given the configuration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
@@ -49,10 +48,12 @@ from .operators import (
 )
 from .pauli import pauli_digits
 from .serialize import (
+    document_text,
     operator_set_from_dict,
     operator_set_to_dict,
     operator_to_dict,
     operator_from_dict,
+    parse_document,
     state_from_dict,
     state_to_dict,
 )
@@ -981,17 +982,16 @@ def _serialization(config: ClaimConfig):
         "haar3": haar_random_state(3, config.seed),
     }
     for label, state in states.items():
-        doc = json.loads(json.dumps(state_to_dict(state)))
-        back = state_from_dict(doc)
+        back = state_from_dict(parse_document(document_text(state_to_dict(state))))
         if back.num_qubits != state.num_qubits or not np.array_equal(
             back.amplitudes, state.amplitudes
         ):
             bad.append(f"state {label} did not survive the round trip")
     fam = gamma_set()
-    fam_back = operator_set_from_dict(json.loads(json.dumps(operator_set_to_dict(fam))))
+    fam_back = operator_set_from_dict(parse_document(document_text(operator_set_to_dict(fam))))
     if fam_back.level != fam.level or not np.array_equal(fam.members, fam_back.members):
         bad.append("operator family did not survive the round trip")
-    op_back = operator_from_dict(json.loads(json.dumps(operator_to_dict(u_chi()))))
+    op_back = operator_from_dict(parse_document(document_text(operator_to_dict(u_chi()))))
     if not np.array_equal(op_back.matrix, u_chi().matrix):
         bad.append("single operator did not survive the round trip")
     return _finish(bad, f"{len(states)} states and the operator family round-trip exactly", {"states": sorted(states)})
@@ -1068,6 +1068,8 @@ def run_claim_suite(config: ClaimConfig | None = None) -> tuple[ClaimReport, ...
         selected = sorted(_REGISTRY)
     else:
         selected = sorted(set(config.claim_ids))
+        if not selected:
+            raise ValueError("the claim selection is empty")
         unknown = [cid for cid in selected if cid not in _REGISTRY]
         if unknown:
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")

@@ -11,7 +11,6 @@ never sees the state.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable, Sequence
 
@@ -29,6 +28,8 @@ from .invariants import conversion_obstruction
 from .operators import operator_family
 from .pauli import pauli_digits
 from .serialize import (
+    check_family_text_size,
+    document_text,
     load_state,
     operator_set_to_dict,
     save_operator_set,
@@ -37,7 +38,7 @@ from .serialize import (
     write_file,
 )
 from .states import make_state, parse_spec
-from .statevec import MAX_DENSE_BYTES, MAX_QUBITS, Partition, PureState, schmidt_spectrum
+from .statevec import Partition, PureState, schmidt_spectrum
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -74,7 +75,7 @@ def _cmd_state_build(args) -> int:
         save_state(state, args.out)
         print(f"wrote {state.num_qubits}-qubit state to {args.out}")
     else:
-        print(json.dumps(state_to_dict(state), indent=2, sort_keys=True))
+        sys.stdout.write(document_text(state_to_dict(state)))
     return 0
 
 
@@ -92,17 +93,13 @@ def _cmd_state_show(args) -> int:
 
 
 def _cmd_op_gen(args) -> int:
-    # Each of the 16^level entries prints as an [re, im] pair of at least 49
-    # bytes; the first test keeps an absurd level from forming a huge integer.
-    if args.level > MAX_QUBITS or 49 * 16**args.level > MAX_DENSE_BYTES:
-        cap = MAX_DENSE_BYTES // 2**20
-        raise ValueError(f"a level-{args.level} family as JSON is above the {cap} MiB cap")
+    check_family_text_size(args.level)
     family = operator_family(args.level)
     if args.out:
         save_operator_set(family, args.out)
         print(f"wrote {len(family.members)} operators at level {args.level} to {args.out}")
     else:
-        print(json.dumps(operator_set_to_dict(family), indent=2, sort_keys=True))
+        sys.stdout.write(document_text(operator_set_to_dict(family)))
     return 0
 
 
@@ -197,17 +194,18 @@ def _cmd_verify(args) -> int:
         f"{counts['recorded']} recorded"
     )
     if args.report:
-        write_file(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_file(args.report, document_text(doc))
         print(f"wrote report to {args.report}")
     return 1 if counts["fail"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)"
     )
-    common.add_argument(
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
         "--seed", type=int, default=0, help="base random seed (default 0)"
     )
 
@@ -219,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="build or inspect catalog states")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
-    p_build = state_sub.add_parser(
-        "build", parents=[common], help="construct a catalog state"
-    )
+    p_build = state_sub.add_parser("build", help="construct a catalog state")
     p_build.add_argument(
         "spec",
         help="state spec, e.g. bell, bell:psi-, ghz:4, w:2, cluster4, "
@@ -229,59 +225,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--out", help="write JSON here instead of stdout")
     p_build.set_defaults(handler=_cmd_state_build)
-    p_show = state_sub.add_parser(
-        "show", parents=[common], help="print a stored state"
-    )
+    p_show = state_sub.add_parser("show", help="print a stored state")
     p_show.add_argument("file")
     p_show.set_defaults(handler=_cmd_state_show)
 
     p_op = sub.add_parser("op", help="generate operator families")
     op_sub = p_op.add_subparsers(dest="op_command", required=True)
-    p_gen = op_sub.add_parser(
-        "gen", parents=[common], help="generate the level-d family (4^d members)"
-    )
+    p_gen = op_sub.add_parser("gen", help="generate the level-d family (4^d members)")
     p_gen.add_argument("--level", type=int, required=True)
     p_gen.add_argument("--out", help="write JSON here instead of stdout")
     p_gen.set_defaults(handler=_cmd_op_gen)
 
-    p_cap = sub.add_parser(
-        "capacity", parents=[common], help="teleportation capacity across a cut"
-    )
+    p_cap = sub.add_parser("capacity", help="teleportation capacity across a cut")
     p_cap.add_argument("--state", required=True)
     p_cap.add_argument("--sender", help="comma-separated sender qubits (default: odd)")
     p_cap.set_defaults(handler=_cmd_capacity)
 
     p_tel = sub.add_parser(
-        "teleport", parents=[common], help="simulate teleportation of a random payload"
+        "teleport", parents=[seed], help="simulate teleportation of a random payload"
     )
     p_tel.add_argument("--resource", required=True)
     p_tel.add_argument("--sender", help="comma-separated sender qubits (default: odd)")
     p_tel.add_argument("--payload-qubits", type=int, required=True)
     p_tel.set_defaults(handler=_cmd_teleport)
 
-    p_sdc = sub.add_parser(
-        "sdc", parents=[common], help="maximum orthogonal Pauli encodings"
-    )
+    p_sdc = sub.add_parser("sdc", parents=[tol], help="maximum orthogonal Pauli encodings")
     p_sdc.add_argument("--state", required=True)
     p_sdc.add_argument("--sender", help="comma-separated sender qubits (default: odd)")
     p_sdc.set_defaults(handler=_cmd_sdc)
 
-    p_tmes = sub.add_parser(
-        "tmes", parents=[common], help="combined maximality verdict"
-    )
+    p_tmes = sub.add_parser("tmes", parents=[tol], help="combined maximality verdict")
     p_tmes.add_argument("--state", required=True)
     p_tmes.set_defaults(handler=_cmd_tmes)
 
-    p_obs = sub.add_parser(
-        "obstruct", parents=[common], help="spectral conversion obstructions"
-    )
+    p_obs = sub.add_parser("obstruct", help="spectral conversion obstructions")
     p_obs.add_argument("--source", required=True)
     p_obs.add_argument("--target", required=True)
     p_obs.add_argument("--subset", required=True, help="acting qubits, e.g. 1,3")
     p_obs.set_defaults(handler=_cmd_obstruct)
 
     p_ver = sub.add_parser(
-        "verify", parents=[common], help="run the claim verification suite"
+        "verify", parents=[tol, seed], help="run the claim verification suite"
     )
     p_ver.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p_ver.add_argument("--report", help="write a JSON report here")

@@ -216,6 +216,16 @@ def family_bytes(level: int) -> int:
     return 16 * 16**level
 
 
+def check_family_size(level: int) -> None:
+    """Refuse a level-``level`` family above MAX_DENSE_BYTES.  The first
+    test keeps an absurd level from forming a huge integer."""
+    if level > MAX_QUBITS or family_bytes(level) > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a level-{level} family needs 16^{level + 1} bytes, above the "
+            f"{MAX_DENSE_BYTES // 2**20} MiB cap"
+        )
+
+
 def operator_family(level: int) -> OperatorSet:
     """Level-``level`` family obtained by iterating the recursion on the Paulis.
 
@@ -223,12 +233,7 @@ def operator_family(level: int) -> OperatorSet:
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    # The first test keeps an absurd level from forming a huge integer.
-    if level > MAX_QUBITS or family_bytes(level) > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"a level-{level} family needs 16^{level + 1} bytes, above the "
-            f"{MAX_DENSE_BYTES // 2**20} MiB cap"
-        )
+    check_family_size(level)
     # Intermediate levels stay bare stacks; only the requested level is
     # validated.
     stack = np.stack(_SIGMA)

@@ -1,9 +1,9 @@
-"""JSON round-trip for states, single operators, and operator families.
+"""JSON documents for states, single operators, and operator families.
 
-Amplitudes and matrix entries are stored as [re, im] pairs.  Python float
-repr round-trips IEEE doubles exactly, so save/load is bit-exact.  Loading
-checks the shape of a document before building anything from it, so a
-malformed file fails with a ValueError that names the offending field.
+This module alone knows the document text and its [re, im] pairs.  Python
+float repr round-trips IEEE doubles exactly, so save/load is bit-exact.
+Loading checks each size against the ``statevec`` policy before forming any
+2^n, so a malformed file fails with a ValueError naming the offending field.
 """
 
 from __future__ import annotations
@@ -15,11 +15,40 @@ from typing import Any
 
 import numpy as np
 
-from .operators import OperatorSet
-from .statevec import LocalOperator, PureState
+from .operators import OperatorSet, check_family_size
+from .statevec import (
+    MAX_DENSE_BYTES,
+    MAX_QUBITS,
+    LocalOperator,
+    PureState,
+    check_qubits,
+    check_state_size,
+)
 
 FORMAT_VERSION = 1
 CONVENTION = "q1-msb"
+
+
+def document_text(doc: dict) -> str:
+    """The text of a document: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_document(text: str) -> Any:
+    """Parse document text; nesting too deep for the parser is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("document is nested too deeply to parse") from None
+
+
+def check_family_text_size(level: int) -> None:
+    """Refuse a level whose document would pass MAX_DENSE_BYTES: each of its
+    16^level entries prints in at least 49 bytes.  The first test keeps an
+    absurd level from forming a huge integer."""
+    if level > MAX_QUBITS or 49 * 16**level > MAX_DENSE_BYTES:
+        cap = MAX_DENSE_BYTES // 2**20
+        raise ValueError(f"a level-{level} family as JSON is above the {cap} MiB cap")
 
 
 def _pairs(arr: np.ndarray) -> list:
@@ -27,17 +56,18 @@ def _pairs(arr: np.ndarray) -> list:
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def _is_real(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _unpairs(pairs: Any, field: str) -> np.ndarray:
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and _is_real(p[0]) and _is_real(p[1])
-        for p in pairs
-    ):
-        raise ValueError(f"{field} must be a list of [re, im] pairs of real numbers")
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+def _unpairs(value: Any, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Inverse of ``_pairs``, converted in one pass: ``value`` nests exactly
+    ``shape + (2,)`` deep with an int or float (not a bool) at each leaf, and
+    each entry is bit for bit ``complex(re, im)``, signed zeros included."""
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape + (2,) or not set(map(type, arr.flat)) <= {int, float}:
+        raise ValueError(f"{field} must be real [re, im] pairs nested as {shape + (2,)}")
+    try:
+        parts = arr.astype(float)
+    except OverflowError:
+        raise ValueError(f"{field} holds a number beyond the float range") from None
+    return parts.view(complex).reshape(shape)
 
 
 def _field(data: dict, key: str) -> Any:
@@ -51,11 +81,6 @@ def _positive_int(data: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
     return value
-
-
-def _is_power_of_two(size: int, exponent: int) -> bool:
-    """size == 2**exponent, decided without computing the power."""
-    return size.bit_length() == exponent + 1 and size & (size - 1) == 0
 
 
 def _check_header(data: dict, kind: str) -> None:
@@ -84,24 +109,11 @@ def state_from_dict(data: dict) -> PureState:
     if data.get("convention") != CONVENTION:
         raise ValueError(f"unsupported convention {data.get('convention')!r}")
     n = _positive_int(data, "num_qubits")
-    amps = _unpairs(_field(data, "amplitudes"), "amplitudes")
-    if not _is_power_of_two(amps.size, n):
-        raise ValueError(
-            f"state claims {n} qubits but carries {amps.shape[0]} amplitudes"
-        )
-    return PureState(n, amps)
-
-
-def _matrix_from_rows(rows: Any, arity: int) -> np.ndarray:
-    if not isinstance(rows, list):
-        raise ValueError("matrix must be a list of rows")
-    mat = [_unpairs(row, "matrix rows") for row in rows]
-    if not _is_power_of_two(len(mat), arity) or any(r.size != len(mat) for r in mat):
-        raise ValueError(
-            f"operator of arity {arity} needs a 2^{arity} x 2^{arity} matrix, "
-            f"got {len(mat)} rows of lengths {sorted({r.size for r in mat})}"
-        )
-    return np.array(mat, dtype=complex)
+    check_state_size(n, "a state")
+    amps = _field(data, "amplitudes")
+    if isinstance(amps, list) and len(amps) != 2**n:
+        raise ValueError(f"state claims {n} qubits but carries {len(amps)} amplitudes")
+    return PureState(n, _unpairs(amps, (2**n,), "amplitudes"))
 
 
 def operator_to_dict(op: LocalOperator) -> dict:
@@ -116,7 +128,9 @@ def operator_to_dict(op: LocalOperator) -> dict:
 def operator_from_dict(data: dict) -> LocalOperator:
     _check_header(data, "operator")
     arity = _positive_int(data, "arity")
-    return LocalOperator(arity, _matrix_from_rows(_field(data, "matrix"), arity))
+    check_qubits(arity, "operator arity")
+    matrix = _unpairs(_field(data, "matrix"), (2**arity,) * 2, f"matrix of arity {arity}")
+    return LocalOperator(arity, matrix)
 
 
 def operator_set_to_dict(ops: OperatorSet) -> dict:
@@ -131,12 +145,9 @@ def operator_set_to_dict(ops: OperatorSet) -> dict:
 def operator_set_from_dict(data: dict) -> OperatorSet:
     _check_header(data, "operator_set")
     level = _positive_int(data, "level")
-    operators = _field(data, "operators")
-    if not isinstance(operators, list):
-        raise ValueError("operators must be a list of matrices")
-    if not _is_power_of_two(len(operators), 2 * level):
-        raise ValueError(f"operators must hold 4^{level} matrices, got {len(operators)}")
-    return OperatorSet(np.stack([_matrix_from_rows(rows, level) for rows in operators]))
+    check_family_size(level)
+    shape = (4**level, 2**level, 2**level)
+    return OperatorSet(_unpairs(_field(data, "operators"), shape, f"operators of level {level}"))
 
 
 def write_file(path: str | Path, text: str) -> None:
@@ -155,11 +166,11 @@ def write_file(path: str | Path, text: str) -> None:
 
 
 def _save(data: dict, path: str | Path) -> None:
-    write_file(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_file(path, document_text(data))
 
 
-def _load(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def _load(path: str | Path) -> Any:
+    return parse_document(Path(path).read_text())
 
 
 def save_state(state: PureState, path: str | Path) -> None:

@@ -198,10 +198,6 @@ class DensityMatrix:
         _check_density(mat)
         object.__setattr__(self, "matrix", _freeze(mat))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in descending order."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
-
 
 def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     """Group a descending value sequence into (representative, multiplicity) runs.

@@ -65,6 +65,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown claim ids"):
             run_claim_suite(ClaimConfig(claim_ids=("no-such-claim",)))
 
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="claim selection is empty"):
+            run_claim_suite(ClaimConfig(claim_ids=()))
+
     def test_subset_selection(self):
         reports = run_claim_suite(ClaimConfig(claim_ids=("bell-catalog",)))
         assert len(reports) == 1

@@ -11,8 +11,9 @@ import pytest
 
 from tmes import cli
 from tmes.cli import main
+from tmes.claims import VERDICTS
 from tmes.operators import operator_family
-from tmes.serialize import load_state, save_state
+from tmes.serialize import load_state, save_operator_set, save_state
 from tmes.states import cluster4, make_state, parse_spec
 from tmes.statevec import PureState
 
@@ -59,6 +60,13 @@ class TestStateCommands:
         for bits in ("0000", "0011", "1110", "1101"):
             assert f"|{bits}>  +0.500000000" in text
 
+    @pytest.mark.parametrize("spec", sorted(VERDICTS))
+    def test_build_stdout_is_the_saved_file(self, tmp_path, capsys, spec):
+        path = tmp_path / "state.json"
+        save_state(make_state(parse_spec(spec)), path)
+        assert main(["state", "build", spec]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
     def test_every_spec_kind_builds(self, capsys):
         specs = [
             "bell", "bell:psi-", "ghz:4", "w:2", "omega", "chi", "hs",
@@ -82,6 +90,7 @@ class TestStateCommands:
         assert main(["state", "build", "septet:7"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # A dict patches a valid 1-qubit document; a string is the whole file.
     @pytest.mark.parametrize(
         "patch",
         [
@@ -90,21 +99,30 @@ class TestStateCommands:
             {"amplitudes": [1, 0]},
             {"num_qubits": "1"},
             {"num_qubits": None},
+            "[" * 200_000,
+            {"amplitudes": [[int("9" * 400), 0], [0, 0]]},
         ],
-        ids=["string-amplitude", "json-nan", "bare-numbers", "string-count", "missing-count"],
+        ids=[
+            "string-amplitude", "json-nan", "bare-numbers", "string-count",
+            "missing-count", "deep-nesting", "huge-integer",
+        ],
     )
     def test_malformed_state_file_fails_cleanly(self, tmp_path, capsys, patch):
-        doc = {
-            "format_version": 1, "kind": "state", "convention": "q1-msb",
-            "num_qubits": 1, "amplitudes": [[1, 0], [0, 0]],
-        }
-        doc.update(patch)
-        doc = {k: v for k, v in doc.items() if v is not None}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(patch, str):
+            path.write_text(patch)
+        else:
+            doc = {
+                "format_version": 1, "kind": "state", "convention": "q1-msb",
+                "num_qubits": 1, "amplitudes": [[1, 0], [0, 0]],
+            }
+            doc.update(patch)
+            doc = {k: v for k, v in doc.items() if v is not None}
+            path.write_text(json.dumps(doc))
         assert main(["tmes", "--state", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_show_missing_file(self, capsys):
@@ -130,6 +148,12 @@ class TestOperatorCommand:
         assert hashlib.sha256(out).hexdigest() == OP_GEN_SHA256[level]
         if level == 4:
             assert len(out) == 3_358_103
+
+    def test_gen_stdout_is_the_saved_file(self, tmp_path, capsys):
+        path = tmp_path / "fam.json"
+        save_operator_set(operator_family(2), path)
+        assert main(["op", "gen", "--level", "2"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
     def test_gen_level_three(self, capsys):
         assert main(["op", "gen", "--level", "3"]) == 0
@@ -367,6 +391,12 @@ class TestVerifyCommand:
         assert main(["verify", "--claims", "made-up"]) == 1
         assert "unknown claim ids" in capsys.readouterr().err
 
+    def test_empty_claim_selection(self, capsys):
+        assert main(["verify", "--claims", ","]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the claim selection is empty\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -384,6 +414,24 @@ class TestUsageErrors:
     def test_exit_code_two(self, argv, capsys):
         assert main(argv) == 2
         capsys.readouterr()
+
+    # --tol belongs to sdc, tmes and verify, --seed to teleport and verify;
+    # a command that would ignore the flag refuses it as a usage error.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "build", "bell", "--tol", "5"],
+            ["state", "build", "bell", "--seed", "9"],
+            ["capacity", "--state", "s.json", "--tol", "1e-9"],
+            ["capacity", "--state", "s.json", "--seed", "1"],
+            ["op", "gen", "--level", "1", "--seed", "1"],
+            ["sdc", "--state", "s.json", "--seed", "1"],
+            ["teleport", "--resource", "s.json", "--payload-qubits", "1", "--tol", "0.1"],
+        ],
+    )
+    def test_ignored_flag_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

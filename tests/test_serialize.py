@@ -28,6 +28,9 @@ from tmes.serialize import (
 )
 from tmes.states import basis_state, bell, chi, cluster5, hs, w_state
 
+# The [re, im] stack of the level-1 family, for documents with one bad member.
+PAULI_OPERATORS = operator_set_to_dict(pauli_set())["operators"]
+
 
 class TestStateRoundTrip:
     @pytest.mark.parametrize(
@@ -90,6 +93,9 @@ class TestMalformedDocuments:
             ({"num_qubits": True}, "num_qubits"),
             ({"num_qubits": 0}, "num_qubits"),
             ({"num_qubits": 1.0}, "num_qubits"),
+            ({"amplitudes": [[None, 0], [0, 0]]}, "amplitudes"),
+            ({"amplitudes": [[[1, 0]], [[0, 0]]]}, "amplitudes"),
+            ({"amplitudes": [[int("9" * 400), 0], [0, 0]]}, "amplitudes"),
         ],
     )
     def test_state_fields(self, patch, field):
@@ -105,10 +111,17 @@ class TestMalformedDocuments:
             state_from_dict(doc)
 
     def test_huge_qubit_count_is_refused_by_arithmetic(self):
-        # 2**(10**18) is never formed: the check compares bit lengths.
+        # 2**(10**18) is never formed: the size policy compares qubit counts.
         doc = {**state_to_dict(basis_state("0")), "num_qubits": 10**18}
-        with pytest.raises(ValueError, match="carries 2 amplitudes"):
+        with pytest.raises(ValueError, match="above the 256 MiB cap"):
             state_from_dict(doc)
+
+    def test_entries_are_bit_identical_to_complex(self):
+        # int and float leaves, signed zeros included, decode as complex(re, im)
+        pairs = [[-0.0, -0.0], [0, 1], [0.0, -0.0], [-0.0, 0]]
+        doc = {**state_to_dict(basis_state("00")), "amplitudes": pairs}
+        want = np.array([complex(re, im) for re, im in pairs])
+        assert state_from_dict(doc).amplitudes.tobytes() == want.tobytes()
 
     def test_non_finite_amplitude_is_refused_by_the_state(self):
         doc = {**state_to_dict(basis_state("0")), "amplitudes": [[float("nan"), 0], [0, 0]]}
@@ -123,6 +136,7 @@ class TestMalformedDocuments:
             ({"matrix": [[[1, 0]], [[0, 0], [1, 0]]]}, "arity"),
             ({"matrix": [[1, 0], [0, 1]]}, "matrix"),
             ({"matrix": {"rows": []}}, "matrix"),
+            ({"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "matrix"),
         ],
     )
     def test_operator_fields(self, patch, field):
@@ -148,8 +162,9 @@ class TestMalformedDocuments:
         "patch,field",
         [
             ({"level": 1.5}, "level"),
-            ({"level": 10**18}, "operators"),
+            ({"level": 10**18}, "level"),
             ({"operators": None}, "operators"),
+            ({"operators": PAULI_OPERATORS[:3] + [[[[1, 0]]]]}, "operators"),
         ],
     )
     def test_operator_set_fields(self, patch, field):
