@@ -3,8 +3,9 @@
 For every state in ``tmes.claims.VERDICTS`` the script formats the
 ``cut_reports`` of the maximality test, one per balanced sender set: the
 clustered spectrum, teleport capacity and message count per cut, then the
-combined verdict folded over those same reports.  ``--json`` additionally
-writes a machine-readable document.
+combined verdict folded over those same reports.  Message counts are taken
+at the library's ``ATOL``, the threshold every front end decides at.
+``--json`` additionally writes a machine-readable document.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ def fmt_spectrum(clusters) -> str:
     return " ".join(f"{v:.6g}x{m}" for v, m in clusters)
 
 
-def survey_state(name, state, tol):
-    reports = list(cut_reports(state, tol))
+def survey_state(name, state):
+    reports = list(cut_reports(state))
     rows = [
         {
             "sender": sorted(report.cut.sender),
@@ -37,7 +38,7 @@ def survey_state(name, state, tol):
         }
         for report in reports
     ]
-    verdict = tmes_verdict(reports, tol)
+    verdict = tmes_verdict(reports)
     return {
         "name": name,
         "qubits": state.num_qubits,
@@ -55,13 +56,12 @@ def survey_state(name, state, tol):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--json", help="also write the survey to this path")
     args = parser.parse_args()
 
     results = []
     for name, state in CATALOG:
-        entry = survey_state(name, state, args.tol)
+        entry = survey_state(name, state)
         results.append(entry)
         n = entry["qubits"]
         print(f"{name}  ({n} qubits)")

@@ -40,7 +40,6 @@ from .statevec import (
     _cut_stacks,
     _freeze,
     _qubit_set,
-    _split_matrix,
     _stack_marginals,
     _stack_spectra,
     check_qubits,
@@ -149,19 +148,20 @@ def build_teleport_protocol(
 ) -> TeleportProtocol:
     """Measurement family and corrections for an n_payload-qubit payload.
 
-    Requires teleport_capacity(state, cut) >= n_payload.  The Schmidt rank
-    splits into blocks of 2^n_payload equal coefficients; each block
-    contributes one measurement state per payload Pauli string.  Outcome
-    (q, j) sits at index q * nblocks + j.
+    Requires teleport_capacity(state, cut) >= n_payload, read off the
+    protocol's own Schmidt decomposition.  The Schmidt rank splits into
+    blocks of 2^n_payload equal coefficients; each block contributes one
+    measurement state per payload Pauli string.  Outcome (q, j) sits at
+    index q * nblocks + j.
     """
     if n_payload < 1:
         raise ValueError("payload must hold at least one qubit")
-    cap = teleport_capacity(state, cut)
+    coeffs, a_vecs, b_vecs = schmidt_decomposition(state, cut)
+    cap = _capacity(SchmidtSpectrum(coeffs * coeffs), len(cut.receiver))
     if n_payload > cap:
         raise ValueError(
             f"cut supports teleporting {cap} qubits, requested {n_payload}"
         )
-    coeffs, a_vecs, b_vecs = schmidt_decomposition(state, cut)
     rank = coeffs.size
     block = 2**n_payload
     nblocks = rank // block
@@ -258,16 +258,15 @@ def simulate_teleportation(
     protocol = _memo_protocol(state, cut, p)
     if isinstance(payload, int):
         payload = haar_random_state(payload, seed)
-    sender, receiver = cut.sides()
-    # Payload qubits come first in the joint state, then the resource's.
-    mat = _split_matrix(
-        tensor(payload, state),
-        [*range(1, p + 1), *(p + q for q in sender)],
-        [p + q for q in receiver],
+    # Payload qubits come first in the joint state, then the resource's; the
+    # payload joins the sender side.
+    joint = Partition.from_sender(
+        [*range(1, p + 1), *(p + q for q in cut.sender)], p + state.num_qubits
     )
+    ((_, stack),) = _cut_stacks(tensor(payload, state), (joint,))
     # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
     # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
-    v = protocol.measurement_conj[:, None, :] @ mat
+    v = protocol.measurement_conj[:, None, :] @ stack[0]
     prob = np.real(v.conj() @ v.transpose(0, 2, 1))[:, 0, 0]
     ok = prob > EXACT_ATOL
     unit = v[:, 0, :] / np.sqrt(np.where(ok, prob, 1.0))[:, None]
@@ -479,17 +478,16 @@ class SdcCodebook:
 
 
 def build_sdc_codebook(
-    state: PureState,
-    sender_set: Iterable[int],
-    num_messages: int | None = None,
-    tol: float = ATOL,
+    state: PureState, sender_set: Iterable[int], num_messages: int | None = None
 ) -> SdcCodebook:
     """Codebook of ``num_messages`` orthogonal encodings (default: maximum).
 
-    Raises when the requested size exceeds the attainable maximum.
+    Labels are picked at ``ATOL``, the threshold ``SdcCodebook`` checks the
+    encodings against.  Raises when the requested size exceeds the
+    attainable maximum.
     """
     qubits = _sender_qubits(state, sender_set)
-    labels = sdc_orthogonal_labels(state, qubits, tol)
+    labels = sdc_orthogonal_labels(state, qubits)
     if num_messages is None:
         num_messages = len(labels)
     if num_messages < 1:
@@ -610,7 +608,8 @@ def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict
     best_msgs = 0
     joint: Partition | None = None
     teleport_witness: Partition | None = None
-    for part, _, cap, msgs in chain([first], reports):
+    for report in chain([first], reports):
+        part, cap, msgs = report.cut, report.capacity, report.messages
         if part.num_qubits != n:
             raise ValueError(f"reports mix {n}- and {part.num_qubits}-qubit cuts")
         best_cap = max(best_cap, cap)

@@ -73,6 +73,8 @@ from .states import (
     w_state,
 )
 from .statevec import (
+    ATOL,
+    EXACT_ATOL,
     LocalOperator,
     Partition,
     apply_local,
@@ -93,9 +95,10 @@ INVARIANCE_TRIALS = 50
 
 @dataclass(frozen=True)
 class ClaimConfig:
-    """Knobs for the claim suite; defaults reproduce the reference run."""
+    """Seed and claim selection of a suite run; defaults reproduce the
+    reference run.  Claims assert at ``ATOL`` (``EXACT_ATOL`` for identities
+    exact to the digit) and call the library at its default thresholds."""
 
-    tolerance: float = 1e-9
     seed: int = 0
     claim_ids: tuple[str, ...] | None = None
 
@@ -154,10 +157,10 @@ def _spec_doc(spectrum) -> list[float]:
     return [float(x) for x in spectrum.eigenvalues]
 
 
-def _spectrum_close(spectrum, expected, tol: float) -> bool:
+def _spectrum_close(spectrum, expected) -> bool:
     vals = np.asarray(spectrum.eigenvalues)
     exp = np.asarray(expected, dtype=float)
-    return vals.shape == exp.shape and bool(np.max(np.abs(vals - exp)) <= tol)
+    return vals.shape == exp.shape and bool(np.max(np.abs(vals - exp)) <= ATOL)
 
 
 HALF = (0.5, 0.5)
@@ -250,7 +253,7 @@ def _key(sender) -> str:
     return ",".join(str(q) for q in sender)
 
 
-def _check_spectra(spec: str, senders, tol):
+def _check_spectra(spec: str, senders):
     """Schmidt spectra of a catalog state across ``senders``, checked
     against FIGURES; returns (bad, data)."""
     bad = []
@@ -260,7 +263,7 @@ def _check_spectra(spec: str, senders, tol):
         got = schmidt_spectrum(state, _cut(sender, state.num_qubits))
         expected = FIGURES[spec, sender].spectrum
         data[_key(sender)] = _spec_doc(got)
-        if not _spectrum_close(got, expected, tol):
+        if not _spectrum_close(got, expected):
             bad.append(f"{spec} cut {sender}: got {data[_key(sender)]}, expected {list(expected)}")
     return bad, data
 
@@ -282,14 +285,14 @@ def _bell_catalog(config: ClaimConfig):
     states = {}
     for kind, amps in printed.items():
         states[kind] = bell(kind)
-        if np.max(np.abs(states[kind].amplitudes - np.array(amps))) > config.tolerance:
+        if np.max(np.abs(states[kind].amplitudes - np.array(amps))) > ATOL:
             bad.append(f"{kind} amplitudes differ from the printed form")
     kinds = list(printed)
     worst = 0.0
     for i, a in enumerate(kinds):
         for b in kinds[i + 1 :]:
             worst = max(worst, abs(overlap(states[a], states[b])))
-    if worst > config.tolerance:
+    if worst > ATOL:
         bad.append(f"pairs are not mutually orthogonal (worst overlap {worst:.2e})")
     return _finish(bad, "printed amplitudes confirmed, pairwise orthogonal", {"worst_overlap": worst})
 
@@ -303,7 +306,7 @@ def _spectra_ghz(config: ClaimConfig):
         state = ghz(n)
         for cut in all_bipartitions(n):
             spec = schmidt_spectrum(state, cut)
-            if not _spectrum_close(spec, HALF, config.tolerance):
+            if not _spectrum_close(spec, HALF):
                 bad.append(f"ghz{n} cut {sorted(cut.sender)}: {_spec_doc(spec)}")
         data[f"ghz{n}_cuts"] = len(all_bipartitions(n))
         total += data[f"ghz{n}_cuts"]
@@ -312,16 +315,16 @@ def _spectra_ghz(config: ClaimConfig):
 
 @_register("spectra-cluster", "Cluster states are rank four and flat across the odd/even cut, rank two across neighbor cuts.")
 def _spectra_cluster(config: ClaimConfig):
-    bad4, data4 = _check_spectra("cluster4", [(1, 3), (1, 2), (1,)], config.tolerance)
-    bad5, data5 = _check_spectra("cluster5", [(1, 3, 5), (1,)], config.tolerance)
+    bad4, data4 = _check_spectra("cluster4", [(1, 3), (1, 2), (1,)])
+    bad5, data5 = _check_spectra("cluster5", [(1, 3, 5), (1,)])
     return _finish(bad4 + bad5, "odd/even cuts flat at 1/4, edge cuts at 1/2", {"cluster4": data4, "cluster5": data5})
 
 
 @_register("spectra-chi-omega", "The four-term and eight-term phase states are flat on two of the three balanced cuts and rank two on the third.")
 def _spectra_chi_omega(config: ClaimConfig):
     senders = [(1, 2), (1, 3), (1, 4)]
-    bad_c, data_c = _check_spectra("chi", senders, config.tolerance)
-    bad_o, data_o = _check_spectra("omega", senders, config.tolerance)
+    bad_c, data_c = _check_spectra("chi", senders)
+    bad_o, data_o = _check_spectra("omega", senders)
     return _finish(
         bad_c + bad_o,
         "both states: flat across {1,2} and {1,3}, two-level across {1,4}",
@@ -331,25 +334,25 @@ def _spectra_chi_omega(config: ClaimConfig):
 
 @_register("spectra-hs", "The six-term phase state has the same spectrum {1/2, 1/6, 1/6, 1/6} on every balanced cut.")
 def _spectra_hs(config: ClaimConfig):
-    bad, data = _check_spectra("hs", [(1, 2), (1, 3), (1, 4)], config.tolerance)
+    bad, data = _check_spectra("hs", [(1, 2), (1, 3), (1, 4)])
     ent = entropy(schmidt_spectrum(hs(), _cut((1, 2), 4)))
     data["balanced_entropy"] = float(ent)
-    if abs(ent - 1.79248125036058) > 1e-9:
+    if abs(ent - 1.79248125036058) > ATOL:
         bad.append(f"balanced-cut entropy {ent} differs from 1.79248125036058")
     return _finish(bad, "all three balanced cuts agree, entropy 1.7925 bits", data)
 
 
 @_register("spectra-w2", "The weighted three-qubit superposition has single-qubit spectra {5/6,1/6}, {2/3,1/3}, {1/2,1/2}.")
 def _spectra_w2(config: ClaimConfig):
-    bad, data = _check_spectra("w:2", [(1,), (2,), (3,)], config.tolerance)
+    bad, data = _check_spectra("w:2", [(1,), (2,), (3,)])
     return _finish(bad, "qubit spectra match the closed forms", data)
 
 
 @_register("spectra-products", "Bell-pair products are flat across interleaved cuts and rank one across the pairing cut.")
 def _spectra_products(config: ClaimConfig):
-    bad2, data2 = _check_spectra("bell_product:2", [(1, 3), (1, 2)], config.tolerance)
-    bad1, data1 = _check_spectra("odd_resource:1", [(1, 3), (3,)], config.tolerance)
-    bad3, data3 = _check_spectra("odd_resource:2", [(1, 3, 5), (5,)], config.tolerance)
+    bad2, data2 = _check_spectra("bell_product:2", [(1, 3), (1, 2)])
+    bad1, data1 = _check_spectra("odd_resource:1", [(1, 3), (3,)])
+    bad3, data3 = _check_spectra("odd_resource:2", [(1, 3, 5), (5,)])
     return _finish(
         bad2 + bad1 + bad3,
         "interleaved cuts flat, pairing cuts rank one",
@@ -366,7 +369,7 @@ def _uniform_marginals(config: ClaimConfig):
         rho = partial_trace(state, keep).matrix
         dev = float(np.max(np.abs(rho - np.eye(rho.shape[0]) / rho.shape[0])))
         data[label] = dev
-        if dev > config.tolerance:
+        if dev > ATOL:
             bad.append(f"{label}: deviation {dev:.2e}")
 
     for n in (3, 4, 5):
@@ -388,7 +391,7 @@ def _uniform_marginals(config: ClaimConfig):
 def _construct_ghz3(config: ClaimConfig):
     src = tensor(bell(), basis_state("0"))
     out = apply_local(src, cnot(), (1, 3))
-    ok = states_close(out, ghz(3), config.tolerance)
+    ok = states_close(out, ghz(3))
     dev = float(np.max(np.abs(out.amplitudes - ghz(3).amplitudes)))
     return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
 
@@ -397,7 +400,7 @@ def _construct_ghz3(config: ClaimConfig):
 def _construct_cluster4(config: ClaimConfig):
     out = apply_local(bell_product(2), cnot(), (1, 3))
     dev = float(np.max(np.abs(out.amplitudes - cluster4().amplitudes)))
-    ok = dev <= config.tolerance
+    ok = dev <= ATOL
     return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
 
 
@@ -406,7 +409,7 @@ def _construct_cluster5(config: ClaimConfig):
     mid = apply_local(odd_resource(2), cnot(), (1, 3))
     out = apply_local(mid, cnot(), (3, 5))
     dev = float(np.max(np.abs(out.amplitudes - cluster5().amplitudes)))
-    ok = dev <= config.tolerance
+    ok = dev <= ATOL
     return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
 
 
@@ -425,7 +428,7 @@ def _tmes_doc(verdict) -> dict:
     }
 
 
-def _profile(spec: str, config: ClaimConfig, caps=(), msgs=()):
+def _profile(spec: str, caps=(), msgs=()):
     """Measure a catalog state against FIGURES and VERDICTS.
 
     Computes the teleport capacity across each sender in ``caps``, the
@@ -445,10 +448,10 @@ def _profile(spec: str, config: ClaimConfig, caps=(), msgs=()):
             bad.append(f"{spec}: capacity across {sender} is {got} != {want}")
     for sender in msgs:
         want = FIGURES[spec, sender].messages
-        got_msgs[_key(sender)] = got = sdc_max_messages(state, sender, config.tolerance)
+        got_msgs[_key(sender)] = got = sdc_max_messages(state, sender)
         if got != want:
             bad.append(f"{spec}: {got} messages through {sender} != {want}")
-    verdict = is_tmes(state, config.tolerance)
+    verdict = is_tmes(state)
     part = verdict.witnessing_partition
     got_verdict = Verdict(
         verdict.is_tmes,
@@ -463,32 +466,32 @@ def _profile(spec: str, config: ClaimConfig, caps=(), msgs=()):
 
 @_register("bell-maximal", "A Bell pair teleports one qubit and carries four messages: maximal on two qubits.")
 def _bell_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("bell", config, [(1,)], [(1,)])
+    bad, caps, msgs, tmes = _profile("bell", [(1,)], [(1,)])
     return _finish(bad, "capacity 1, messages 4, maximal", {"capacity": caps["1"], "messages": msgs["1"], "tmes": tmes})
 
 
 @_register("ghz3-maximal", "The three-qubit GHZ state teleports one qubit and carries eight messages through a two-qubit sender.")
 def _ghz3_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("ghz:3", config, [(1, 2)], [(1, 2)])
+    bad, caps, msgs, tmes = _profile("ghz:3", [(1, 2)], [(1, 2)])
     return _finish(bad, "capacity 1, messages 8, maximal", {"capacity": caps["1,2"], "messages": msgs["1,2"], "tmes": tmes})
 
 
 @_register("ghz4-not-maximal", "The four-qubit GHZ state misses both thresholds: one teleported qubit and eight messages on every balanced split.")
 def _ghz4_not_maximal(config: ClaimConfig):
     pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    bad, caps, msgs, tmes = _profile("ghz:4", config, pairs[:3], pairs)
+    bad, caps, msgs, tmes = _profile("ghz:4", pairs[:3], pairs)
     return _finish(bad, "capacity 1 < 2 and 8 < 16 messages on every split", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("ghz5-not-maximal", "The five-qubit GHZ state reaches sixteen messages but only one teleported qubit, so it is not maximal.")
 def _ghz5_not_maximal(config: ClaimConfig):
-    bad, _, _, tmes = _profile("ghz:5", config)
+    bad, _, _, tmes = _profile("ghz:5")
     return _finish(bad, "best figures 1 qubit and 16 < 32 messages", {"tmes": tmes})
 
 
 @_register("cluster4-maximal", "The four-qubit cluster state teleports two qubits and carries sixteen messages through the odd pair.")
 def _cluster4_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("cluster4", config, [(1, 3), (1, 2)], [(1, 3)])
+    bad, caps, msgs, tmes = _profile("cluster4", [(1, 3), (1, 2)], [(1, 3)])
     return _finish(
         bad,
         "capacity 2 and 16 messages on the odd/even split",
@@ -498,34 +501,34 @@ def _cluster4_maximal(config: ClaimConfig):
 
 @_register("cluster5-maximal", "The five-qubit cluster state teleports two qubits and carries thirty-two messages through the odd triple.")
 def _cluster5_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("cluster5", config, [(1, 3, 5)], [(1, 3, 5)])
+    bad, caps, msgs, tmes = _profile("cluster5", [(1, 3, 5)], [(1, 3, 5)])
     return _finish(bad, "capacity 2 and 32 messages on the odd triple", {"capacity": caps["1,3,5"], "messages": msgs["1,3,5"], "tmes": tmes})
 
 
 @_register("chi-maximal", "The eight-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
 def _chi_maximal(config: ClaimConfig):
     senders = [(1, 2), (1, 3), (1, 4)]
-    bad, caps, msgs, tmes = _profile("chi", config, senders, senders)
+    bad, caps, msgs, tmes = _profile("chi", senders, senders)
     return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("omega-maximal", "The four-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
 def _omega_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("omega", config, [(1, 2), (1, 3), (1, 4)], [(1, 3), (2, 4)])
+    bad, caps, msgs, tmes = _profile("omega", [(1, 2), (1, 3), (1, 4)], [(1, 3), (2, 4)])
     return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("hs-not-maximal", "The six-term phase state teleports nothing across any balanced cut and stays below sixteen messages.")
 def _hs_not_maximal(config: ClaimConfig):
     senders = [(1, 2), (1, 3), (1, 4)]
-    bad, caps, msgs, tmes = _profile("hs", config, senders, senders)
+    bad, caps, msgs, tmes = _profile("hs", senders, senders)
     return _finish(bad, "capacity 0 everywhere; messages stay below 16", {"capacities": caps, "messages": msgs, "tmes": tmes})
 
 
 @_register("w2-maximal", "The weighted three-qubit superposition is maximal through the {1,2} sender but not through every pair.")
 def _w2_maximal(config: ClaimConfig):
     senders = [(1, 2), (1, 3), (2, 3)]
-    bad, caps, msgs, tmes = _profile("w:2", config, senders, senders)
+    bad, caps, msgs, tmes = _profile("w:2", senders, senders)
     return _finish(
         bad,
         "maximal through (1, 2); other pairs fall short of 8 messages",
@@ -535,8 +538,8 @@ def _w2_maximal(config: ClaimConfig):
 
 @_register("bell-product-maximal", "Two interleaved Bell pairs pass the maximality test despite being biseparable.")
 def _bell_product_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("bell_product:2", config, [(1, 3)], [(1, 3)])
-    gme = genuine_multipartite(bell_product(2), config.tolerance)
+    bad, caps, msgs, tmes = _profile("bell_product:2", [(1, 3)], [(1, 3)])
+    gme = genuine_multipartite(bell_product(2))
     if gme:
         bad.append("product state reported as genuinely multipartite")
     return _finish(
@@ -551,7 +554,7 @@ def _odd_resource_maximal(config: ClaimConfig):
     bad = []
     data = {}
     for label, spec, sender in (("n3", "odd_resource:1", (1, 3)), ("n5", "odd_resource:2", (1, 3, 5))):
-        case_bad, caps, msgs, tmes = _profile(spec, config, [sender], [sender])
+        case_bad, caps, msgs, tmes = _profile(spec, [sender], [sender])
         bad += case_bad
         data[label] = {"capacity": caps[_key(sender)], "messages": msgs[_key(sender)], "tmes": tmes}
     return _finish(bad, "three- and five-qubit resources both maximal", data)
@@ -559,8 +562,8 @@ def _odd_resource_maximal(config: ClaimConfig):
 
 @_register("basis-not-maximal", "Computational basis states fail the maximality test and carry only the classical message count.")
 def _basis_not_maximal(config: ClaimConfig):
-    bad_two, _, msgs_two, _ = _profile("basis:00", config, msgs=[(1,)])
-    bad_four, caps_four, msgs_four, _ = _profile("basis:0000", config, [(1, 3)], [(1, 3)])
+    bad_two, _, msgs_two, _ = _profile("basis:00", msgs=[(1,)])
+    bad_four, caps_four, msgs_four, _ = _profile("basis:0000", [(1, 3)], [(1, 3)])
     return _finish(
         bad_two + bad_four,
         "message counts collapse to the classical values; no teleportation",
@@ -587,11 +590,11 @@ def _teleport_trials(state, sender, n_payload, config):
         worst_fid = min(worst_fid, res.min_fidelity)
         worst_prob_dev = max(worst_prob_dev, float(np.max(np.abs(res.probabilities - uniform))))
         worst_total_dev = max(worst_total_dev, abs(res.total_probability - 1.0))
-    if worst_fid < 1.0 - config.tolerance:
+    if worst_fid < 1.0 - ATOL:
         bad.append(f"worst fidelity {worst_fid} below 1")
-    if worst_prob_dev > config.tolerance:
+    if worst_prob_dev > ATOL:
         bad.append(f"outcome probabilities deviate from uniform by {worst_prob_dev:.2e}")
-    if worst_total_dev > config.tolerance:
+    if worst_total_dev > ATOL:
         bad.append(f"total probability off by {worst_total_dev:.2e}")
     data = {
         "outcomes": count,
@@ -673,14 +676,14 @@ def _protocol_structure(config: ClaimConfig):
     if len(fam) != 16:
         bad.append(f"family size {len(fam)} != 16")
     gram_dev = float(np.max(np.abs(fam.conj() @ fam.T - np.eye(len(fam)))))
-    if gram_dev > config.tolerance:
+    if gram_dev > ATOL:
         bad.append(f"measurement family departs orthonormality by {gram_dev:.2e}")
     prob_dev = float(max(abs(p - 1 / 16) for p in proto.probabilities))
-    if prob_dev > config.tolerance:
+    if prob_dev > ATOL:
         bad.append(f"outcome weights deviate from 1/16 by {prob_dev:.2e}")
     if corr.shape[1:] != (4, 4) or np.max(
         np.abs(corr.conj().transpose(0, 2, 1) @ corr - np.eye(4))
-    ) > config.tolerance:
+    ) > ATOL:
         bad.append("corrections are not two-qubit unitaries")
     if [lab for lab in proto.outcome_labels] != [(q, 0) for q in range(16)]:
         bad.append("outcome labels are not the sixteen Pauli labels")
@@ -703,7 +706,7 @@ def _sdc_roundtrip(config: ClaimConfig):
     for label, spec, sender in cases:
         state = make_state(parse_spec(spec))
         want = FIGURES[spec, sender].messages
-        book = build_sdc_codebook(state, sender, tol=config.tolerance)
+        book = build_sdc_codebook(state, sender)
         wrong = [i for i in range(len(book)) if simulate_sdc(state, sender, i, book) != i]
         data[label] = {"messages": len(book), "decode_errors": wrong}
         if len(book) != want:
@@ -723,7 +726,7 @@ def _sdc_rejects(config: ClaimConfig):
         ("basis_ask3", basis_state("00"), (1,), 3),
     ):
         try:
-            build_sdc_codebook(state, sender, ask, tol=config.tolerance)
+            build_sdc_codebook(state, sender, ask)
         except ValueError as err:
             data[label] = str(err)
         else:
@@ -744,7 +747,7 @@ def _sender_invariance(config: ClaimConfig):
         u = LocalOperator(2, haar_random_unitary(4, rng))
         moved = apply_local(state, u, (1, 3))
         caps.add(teleport_capacity(moved, cut))
-        msgs.add(sdc_max_messages(moved, (1, 3), config.tolerance))
+        msgs.add(sdc_max_messages(moved, (1, 3)))
     bad = []
     if caps != {want.capacity}:
         bad.append(f"capacities drifted to {sorted(caps)}")
@@ -774,7 +777,7 @@ def _obstruct_ghz4(config: ClaimConfig):
     src = bell_product(2)
     tgt = ghz(4)
     report = conversion_obstruction(src, tgt, (1, 3))
-    place = find_realizing_application(cnot(), src, tgt, config.tolerance)
+    place = find_realizing_application(cnot(), src, tgt)
     bad = []
     if not report.obstructed:
         bad.append("no spectral obstruction found")
@@ -818,7 +821,7 @@ def _constructive_triples(config: ClaimConfig):
     )
     for label, src, tgt, subset in cases:
         report = conversion_obstruction(src, tgt, subset)
-        place = find_realizing_application(cnot(), src, tgt, config.tolerance)
+        place = find_realizing_application(cnot(), src, tgt)
         data[label] = {
             "obstructed": report.obstructed,
             "found": place.found,
@@ -840,10 +843,10 @@ def _chi_discrepancy(config: ClaimConfig):
     differing = [
         i
         for i in range(16)
-        if abs(produced.amplitudes[i] - tgt.amplitudes[i]) > config.tolerance
+        if abs(produced.amplitudes[i] - tgt.amplitudes[i]) > ATOL
     ]
-    place = find_realizing_application(u_chi(), src, tgt, config.tolerance)
-    verdict = is_tmes(produced, config.tolerance)
+    place = find_realizing_application(u_chi(), src, tgt)
+    verdict = is_tmes(produced)
     data = {
         "overlap_with_target": [float(ov.real), float(ov.imag)],
         "differing_amplitude_indices": differing,
@@ -876,7 +879,7 @@ def _chi_discrepancy(config: ClaimConfig):
 def _w2_unrealizable(config: ClaimConfig):
     src = tensor(bell(), basis_state("0"))
     tgt = w_state(2)
-    place = find_realizing_application(u_w2(), src, tgt, config.tolerance)
+    place = find_realizing_application(u_w2(), src, tgt)
     obstructions = {}
     for pair in ((1, 2), (1, 3), (2, 3)):
         report = conversion_obstruction(src, tgt, pair)
@@ -917,7 +920,7 @@ def _pauli_base(config: ClaimConfig):
         for b in range(4):
             prod = sigma(a).matrix @ sigma(b).matrix
             worst = min(worst, abs(np.trace(sigma(a ^ b).matrix.conj().T @ prod)) / 2)
-    if worst < 1.0 - config.tolerance:
+    if worst < 1.0 - ATOL:
         bad.append(f"label composition broke down (worst witness {worst})")
     data = {"rank_singles": rank1, "rank_pairs": rank2, "composition_witness": worst}
     return _finish(bad, "ranks 4 and 16; products match the label group up to phase", data)
@@ -931,7 +934,7 @@ def _gamma_certification(config: ClaimConfig):
     if len(listed) != 16 or len(generated) != 16:
         bad.append("family size is not 16")
     worst = float(np.max(np.abs(listed - generated)))
-    if worst > 1e-12:
+    if worst > EXACT_ATOL:
         bad.append(f"generated family departs from the listed one by {worst:.2e}")
     rank = independence_rank(listed)
     if rank != 16:
@@ -939,7 +942,7 @@ def _gamma_certification(config: ClaimConfig):
     stack = listed.reshape(16, -1)
     gram = stack.conj() @ stack.T
     off = float(np.max(np.abs(gram - np.diag(np.diagonal(gram)))))
-    if off > config.tolerance:
+    if off > ATOL:
         bad.append(f"members are not trace-orthogonal (max overlap {off:.2e})")
     data = {"rank": rank, "listed_vs_generated": worst, "max_trace_overlap": off}
     return _finish(bad, "16 unitaries, rank 16, pairwise trace-orthogonal", data)
@@ -1003,27 +1006,27 @@ def _diagnostics(config: ClaimConfig):
     data = {}
     e_bell = entropy(schmidt_spectrum(bell(), _cut((1,), 2)))
     data["bell_entropy"] = float(e_bell)
-    if abs(e_bell - 1.0) > config.tolerance:
+    if abs(e_bell - 1.0) > ATOL:
         bad.append(f"Bell entropy {e_bell} != 1")
     e_w2 = entropy(schmidt_spectrum(w_state(2), _cut((1,), 3)))
     data["w2_qubit1_entropy"] = float(e_w2)
-    if abs(e_w2 - 0.650022421648354) > 1e-9:
+    if abs(e_w2 - 0.650022421648354) > ATOL:
         bad.append(f"weighted-state entropy {e_w2} != 0.650022421648354")
     neg_bell = negativity(bell(), _cut((1,), 2))
     data["bell_negativity"] = float(neg_bell)
-    if abs(neg_bell - 0.5) > config.tolerance:
+    if abs(neg_bell - 0.5) > ATOL:
         bad.append(f"Bell negativity {neg_bell} != 1/2")
     neg_ghz4 = negativity(ghz(4), _cut((1, 2), 4))
     data["ghz4_negativity"] = float(neg_ghz4)
-    if abs(neg_ghz4 - 0.5) > config.tolerance:
+    if abs(neg_ghz4 - 0.5) > ATOL:
         bad.append(f"GHZ negativity {neg_ghz4} != 1/2")
     gme_true = {"ghz3": ghz(3), "cluster4": cluster4(), "chi": chi(), "omega": omega(), "hs": hs(), "cluster5": cluster5(), "w2": w_state(2)}
     gme_false = {"bell_product2": bell_product(2), "odd1": odd_resource(1), "basis0000": basis_state("0000")}
     for label, state in gme_true.items():
-        if not genuine_multipartite(state, config.tolerance):
+        if not genuine_multipartite(state):
             bad.append(f"{label} reported as not genuinely multipartite")
     for label, state in gme_false.items():
-        if genuine_multipartite(state, config.tolerance):
+        if genuine_multipartite(state):
             bad.append(f"{label} reported as genuinely multipartite")
     data["genuine_multipartite_true"] = sorted(gme_true)
     data["genuine_multipartite_false"] = sorted(gme_false)
@@ -1035,19 +1038,19 @@ def _orthogonal_witness(config: ClaimConfig):
     bad = []
     data = {}
     fam4 = orthogonal_family(cluster4(), (1, 3))
-    data["cluster4_orthogonal"] = fam4.mutually_orthogonal(config.tolerance)
+    data["cluster4_orthogonal"] = fam4.mutually_orthogonal()
     if not data["cluster4_orthogonal"]:
         bad.append("cluster4 family on the odd pair is not orthogonal")
     fam5 = orthogonal_family(cluster5(), (1, 3, 5))
-    data["cluster5_full_orthogonal"] = fam5.mutually_orthogonal(config.tolerance)
+    data["cluster5_full_orthogonal"] = fam5.mutually_orthogonal()
     if data["cluster5_full_orthogonal"]:
         bad.append("64 states cannot be orthogonal in a 32-dimensional space")
-    labels = sdc_orthogonal_labels(cluster5(), (1, 3, 5), config.tolerance)
+    labels = sdc_orthogonal_labels(cluster5(), (1, 3, 5))
     sub = fam5.gram[np.ix_(labels, labels)]
     off = float(np.max(np.abs(sub - np.diag(np.diagonal(sub)))))
     data["cluster5_witness_size"] = len(labels)
     data["cluster5_witness_max_overlap"] = off
-    if len(labels) != 32 or off > config.tolerance:
+    if len(labels) != 32 or off > ATOL:
         bad.append(f"cluster5 witness family of {len(labels)} states has overlap {off:.2e}")
     fam_basis = orthogonal_family(basis_state("00"), (1,))
     mags = np.abs(fam_basis.gram)
@@ -1056,7 +1059,7 @@ def _orthogonal_witness(config: ClaimConfig):
     )
     dev = float(np.max(np.abs(mags - pattern)))
     data["basis_gram_deviation"] = dev
-    if dev > config.tolerance:
+    if dev > ATOL:
         bad.append(f"basis-state family Gram deviates from the two-class pattern by {dev:.2e}")
     return _finish(bad, "16 orthogonal on cluster4, a 32-state witness on cluster5, two classes on a basis state", data)
 
@@ -1099,7 +1102,7 @@ def suite_report_doc(
         "kind": "claim_suite_report",
         "generated_at": stamp,
         "config": {
-            "tolerance": config.tolerance,
+            "tolerance": ATOL,
             "seed": config.seed,
             "payload_trials": PAYLOAD_TRIALS,
             "invariance_trials": INVARIANCE_TRIALS,

@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 on a runtime failure or a failed claim, 2 on a
 usage error.  A bad ``--sender`` or ``--subset`` (malformed, empty, a
 repeated qubit, or a qubit the state does not have) is a runtime failure:
 only the loaded state can tell whether a qubit list fits it, and argparse
-never sees the state.
+never sees the state.  No flag sets a tolerance: every command decides at the
+library's ``ATOL``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .serialize import (
     write_file,
 )
 from .states import make_state, parse_spec
-from .statevec import Partition, PureState, schmidt_spectrum
+from .statevec import EXACT_ATOL, Partition, PureState, schmidt_spectrum
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -85,7 +86,7 @@ def _cmd_state_show(args) -> int:
     print(f"norm: {float(np.linalg.norm(state.amplitudes)):.12f}")
     print("amplitudes:")
     for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) <= 1e-12:
+        if abs(amp) <= EXACT_ATOL:
             continue
         bits = format(idx, f"0{state.num_qubits}b")
         print(f"  |{bits}>  {amp.real:+.9f} {amp.imag:+.9f}i")
@@ -120,7 +121,7 @@ def _cmd_capacity(args) -> int:
 def _cmd_sdc(args) -> int:
     state = load_state(args.state)
     sender = _sender_or_default(args, state)
-    labels = sdc_orthogonal_labels(state, sender, args.tol)
+    labels = sdc_orthogonal_labels(state, sender)
     count = len(labels)
     print(f"sender: {_fmt_set(sender)}")
     print(f"messages: {count} (log2 = {np.log2(count):g})")
@@ -152,7 +153,7 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_tmes(args) -> int:
     state = load_state(args.state)
-    verdict = is_tmes(state, args.tol)
+    verdict = is_tmes(state)
     n = state.num_qubits
     print(f"qubits: {n}")
     print(f"maximal for both tasks: {'yes' if verdict.is_tmes else 'no'}")
@@ -181,8 +182,10 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ids = tuple(p.strip() for p in args.claims.split(",") if p.strip()) if args.claims else None
-    config = ClaimConfig(tolerance=args.tol, seed=args.seed, claim_ids=ids)
+    ids = None
+    if args.claims is not None:
+        ids = tuple(p.strip() for p in args.claims.split(",") if p.strip())
+    config = ClaimConfig(seed=args.seed, claim_ids=ids)
     reports = run_claim_suite(config)
     width = max(len(r.claim_id) for r in reports)
     for r in reports:
@@ -200,10 +203,6 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
-        "--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)"
-    )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
         "--seed", type=int, default=0, help="base random seed (default 0)"
@@ -249,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("--payload-qubits", type=int, required=True)
     p_tel.set_defaults(handler=_cmd_teleport)
 
-    p_sdc = sub.add_parser("sdc", parents=[tol], help="maximum orthogonal Pauli encodings")
+    p_sdc = sub.add_parser("sdc", help="maximum orthogonal Pauli encodings")
     p_sdc.add_argument("--state", required=True)
     p_sdc.add_argument("--sender", help="comma-separated sender qubits (default: odd)")
     p_sdc.set_defaults(handler=_cmd_sdc)
 
-    p_tmes = sub.add_parser("tmes", parents=[tol], help="combined maximality verdict")
+    p_tmes = sub.add_parser("tmes", help="combined maximality verdict")
     p_tmes.add_argument("--state", required=True)
     p_tmes.set_defaults(handler=_cmd_tmes)
 
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.set_defaults(handler=_cmd_obstruct)
 
     p_ver = sub.add_parser(
-        "verify", parents=[tol, seed], help="run the claim verification suite"
+        "verify", parents=[seed], help="run the claim verification suite"
     )
     p_ver.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p_ver.add_argument("--report", help="write a JSON report here")

@@ -285,14 +285,6 @@ class Partition:
         return tuple(sorted(self.sender)), tuple(sorted(self.receiver))
 
 
-def _require_cut(state: PureState, cut: Partition) -> None:
-    if cut.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"partition covers {cut.num_qubits} qubits but the state has "
-            f"{state.num_qubits}"
-        )
-
-
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product with ``a``'s qubits first (most significant)."""
     return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
@@ -333,14 +325,6 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(len(kept), m @ m.conj().T)
 
 
-def _split_matrix(
-    state: PureState, rows: Sequence[int], cols: Sequence[int]
-) -> np.ndarray:
-    psi = state.tensor_view()
-    perm = [q - 1 for q in rows] + [q - 1 for q in cols]
-    return psi.transpose(perm).reshape(2 ** len(rows), 2 ** len(cols))
-
-
 def schmidt_decomposition(
     state: PureState, cut: Partition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,9 +335,8 @@ def schmidt_decomposition(
     sender qubits and ``receiver_vectors[k, :]`` one on the sorted receiver
     qubits.  Coefficients with squared weight below EXACT_ATOL are dropped.
     """
-    _require_cut(state, cut)
-    a, b = cut.sides()
-    u, s, vh = np.linalg.svd(_split_matrix(state, a, b), full_matrices=False)
+    ((_, stack),) = _cut_stacks(state, (cut,))
+    u, s, vh = np.linalg.svd(stack[0], full_matrices=False)
     keep = (s * s) > EXACT_ATOL
     return s[keep], u[:, keep], vh[keep, :]
 
@@ -361,12 +344,18 @@ def schmidt_decomposition(
 def _cut_stacks(
     state: PureState, cuts: Sequence[Partition]
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per sender size, the positions in ``cuts`` of that size and the stack
-    of their ``_split_matrix`` matrices (rows are the sender), ascending size.
+    """Per sender size, ascending, the positions in ``cuts`` of that size and
+    the stack of their amplitude matrices: rows indexed by the sorted sender
+    qubits, columns by the sorted receiver qubits.  Every function that lays
+    a state out across a cut reads it from here.
     """
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
-        _require_cut(state, cut)
+        if cut.num_qubits != state.num_qubits:
+            raise ValueError(
+                f"partition covers {cut.num_qubits} qubits but the state has "
+                f"{state.num_qubits}"
+            )
         groups.setdefault(len(cut.sender), []).append(i)
     psi = state.tensor_view()
     n = state.num_qubits
@@ -433,9 +422,8 @@ def negativity(state: PureState, cut: Partition) -> float:
     sum s^2) / 2 (Vidal & Werner, PRA 65, 032314, 2002), taken from the raw
     singular values of one SVD across the cut.
     """
-    _require_cut(state, cut)
-    a, b = cut.sides()
-    s = np.linalg.svd(_split_matrix(state, a, b), compute_uv=False)
+    ((_, stack),) = _cut_stacks(state, (cut,))
+    s = np.linalg.svd(stack[0], compute_uv=False)
     # Rounding may leave -1 ulp on a product state; negativity is >= 0.
     return max(float((np.sum(s) ** 2 - np.sum(s * s)) / 2.0), 0.0)
 

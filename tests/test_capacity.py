@@ -925,6 +925,12 @@ class TestSdcCodebook:
         for msg in range(len(book)):
             assert simulate_sdc(cluster4(), (1, 3), msg, book) == msg
 
+    def test_labels_are_the_orthogonal_labels(self):
+        # w:2 runs the clique search; the codebook takes its labels at the
+        # ATOL that SdcCodebook checks the encodings against.
+        book = build_sdc_codebook(w_state(2), (1, 2))
+        assert book.labels == sdc_orthogonal_labels(w_state(2), (1, 2))
+
     def test_truncated_codebook(self):
         book = build_sdc_codebook(ghz(3), (1, 2), num_messages=5)
         assert len(book) == 5

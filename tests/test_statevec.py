@@ -315,6 +315,30 @@ class TestCutSpectra:
             cut_spectra(bell(), [Partition.from_sender((1,), 3)])
 
 
+def _public_signatures():
+    """(qualified name, parameter names) of every public callable of ``tmes``
+    and ``statevec``, and of every public method of their classes."""
+    for module in (tmes, statevec):
+        for name in dir(module):
+            obj = getattr(module, name)
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("tmes"):
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [
+                    m for key, m in inspect.getmembers(obj, inspect.isroutine)
+                    if not key.startswith("_")
+                ]
+            for member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                yield member.__qualname__, list(params)
+
+
 class TestClusterValues:
     def test_groups_close_values(self):
         clusters = cluster_values((0.5, 0.5 - 1e-9, 0.25))
@@ -331,28 +355,37 @@ class TestClusterValues:
     def test_no_public_callable_takes_rtol(self):
         # Clustering is at the fixed CLUSTER_RTOL everywhere; no signature
         # offers a relative tolerance to set.
-        checked = 0
-        for module in (tmes, statevec):
-            for name in dir(module):
-                obj = getattr(module, name)
-                if name.startswith("_") or not callable(obj):
-                    continue
-                if not getattr(obj, "__module__", "").startswith("tmes"):
-                    continue
-                members = [obj]
-                if inspect.isclass(obj):
-                    members += [
-                        m for key, m in inspect.getmembers(obj, inspect.isroutine)
-                        if not key.startswith("_")
-                    ]
-                for member in members:
-                    try:
-                        params = inspect.signature(member).parameters
-                    except (TypeError, ValueError):
-                        continue
-                    assert "rtol" not in params, f"{name}.{member.__name__}"
-                    checked += 1
-        assert checked > 80
+        signatures = list(_public_signatures())
+        for name, params in signatures:
+            assert "rtol" not in params, name
+        assert len(signatures) > 80
+
+    def test_only_counts_and_predicates_take_a_tolerance(self):
+        # A threshold is a parameter only where it defines a count (the SDC
+        # message count, the verdicts built on it, genuine multipartiteness)
+        # or is a comparison's own bound.  What asserts, builds or reports
+        # (the claim suite, codebooks) decides at ATOL.
+        takes = {
+            name
+            for name, params in _public_signatures()
+            if {"tol", "atol", "tolerance"} & set(params)
+        }
+        assert takes == {
+            "sdc_orthogonal_labels",
+            "sdc_max_messages",
+            "cut_reports",
+            "is_tmes",
+            "tmes_verdict",
+            "genuine_multipartite",
+            "find_realizing_application",
+            "states_close",
+            "LocalOperator.is_unitary",
+            "OrthogonalFamily.mutually_orthogonal",
+        }
+        assert "tolerance" not in inspect.signature(tmes.ClaimConfig).parameters
+        assert list(inspect.signature(tmes.build_sdc_codebook).parameters) == [
+            "state", "sender_set", "num_messages"
+        ]
 
 
 class TestDiagnostics:

@@ -42,6 +42,15 @@ def survey_json(tmp_path_factory):
     return out.read_bytes()
 
 
+def test_survey_refuses_tol(monkeypatch, capsys):
+    # Message counts are taken at ATOL; no flag sets another threshold.
+    monkeypatch.setattr(sys, "argv", [str(SURVEY), "--tol", "1e-9"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SURVEY), run_name="__main__")
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_survey_scores_each_cut_once(tmp_path, monkeypatch):
     # The verdict folds over the rows already reported, so no balanced cut
     # of any state is scored twice.
