@@ -37,6 +37,7 @@ from .statevec import (
     SchmidtSpectrum,
     _check_tol,
     _check_unitary,
+    _cut_matrix,
     _cut_stacks,
     _freeze,
     _qubit_set,
@@ -148,11 +149,10 @@ def build_teleport_protocol(
 ) -> TeleportProtocol:
     """Measurement family and corrections for an n_payload-qubit payload.
 
-    Requires teleport_capacity(state, cut) >= n_payload, read off the
-    protocol's own Schmidt decomposition.  The Schmidt rank splits into
-    blocks of 2^n_payload equal coefficients; each block contributes one
-    measurement state per payload Pauli string.  Outcome (q, j) sits at
-    index q * nblocks + j.
+    Requires teleport_capacity(state, cut) >= n_payload.  The Schmidt rank
+    splits into blocks of 2^n_payload equal coefficients; each block
+    contributes one measurement state per payload Pauli string.  Outcome
+    (q, j) sits at index q * nblocks + j.
     """
     if n_payload < 1:
         raise ValueError("payload must hold at least one qubit")
@@ -258,15 +258,16 @@ def simulate_teleportation(
     protocol = _memo_protocol(state, cut, p)
     if isinstance(payload, int):
         payload = haar_random_state(payload, seed)
-    # Payload qubits come first in the joint state, then the resource's; the
-    # payload joins the sender side.
-    joint = Partition.from_sender(
-        [*range(1, p + 1), *(p + q for q in cut.sender)], p + state.num_qubits
+    sender, receiver = cut.sides()
+    # Payload qubits come first in the joint state, then the resource's.
+    mat = _cut_matrix(
+        tensor(payload, state),
+        [*range(1, p + 1), *(p + q for q in sender)],
+        [p + q for q in receiver],
     )
-    ((_, stack),) = _cut_stacks(tensor(payload, state), (joint,))
     # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
     # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
-    v = protocol.measurement_conj[:, None, :] @ stack[0]
+    v = protocol.measurement_conj[:, None, :] @ mat
     prob = np.real(v.conj() @ v.transpose(0, 2, 1))[:, 0, 0]
     ok = prob > EXACT_ATOL
     unit = v[:, 0, :] / np.sqrt(np.where(ok, prob, 1.0))[:, None]
@@ -419,9 +420,8 @@ def sdc_orthogonal_labels(
     from a one-matrix cut stack.
     """
     qubits = _sender_qubits(state, sender_set)
-    cut = Partition.from_sender(qubits, state.num_qubits)
-    ((_, stack),) = _cut_stacks(state, (cut,))
-    expect = pauli_expectations(_stack_marginals(stack))
+    sides = Partition.from_sender(qubits, state.num_qubits).sides()
+    expect = pauli_expectations(_stack_marginals(_cut_matrix(state, *sides)[None]))
     pivots, closed = _coset_pivots(expect, tol)
     if closed[0]:
         labels = np.arange(expect.shape[1])
@@ -482,9 +482,8 @@ def build_sdc_codebook(
 ) -> SdcCodebook:
     """Codebook of ``num_messages`` orthogonal encodings (default: maximum).
 
-    Labels are picked at ``ATOL``, the threshold ``SdcCodebook`` checks the
-    encodings against.  Raises when the requested size exceeds the
-    attainable maximum.
+    Labels are picked at the ``ATOL`` that ``SdcCodebook`` checks.  Raises
+    when the requested size exceeds the attainable maximum.
     """
     qubits = _sender_qubits(state, sender_set)
     labels = sdc_orthogonal_labels(state, qubits)

@@ -170,9 +170,9 @@ class OrthogonalFamily:
         object.__setattr__(self, "stack", _freeze(stack))
         object.__setattr__(self, "gram", gram)
 
-    def mutually_orthogonal(self, tol: float = ATOL) -> bool:
+    def mutually_orthogonal(self) -> bool:
         off = self.gram - np.diag(np.diagonal(self.gram))
-        return bool(np.max(np.abs(off)) <= tol)
+        return bool(np.max(np.abs(off)) <= ATOL)
 
 
 def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFamily:

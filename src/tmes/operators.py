@@ -328,13 +328,13 @@ class PlacementReport:
 
 
 def find_realizing_application(
-    op: LocalOperator, source: PureState, target: PureState, tol: float = ATOL
+    op: LocalOperator, source: PureState, target: PureState
 ) -> PlacementReport:
     """Search every ordered target tuple for one where ``op`` maps ``source``
     onto ``target`` up to global phase.
 
     Placements are tried in lexicographic order; the first with overlap
-    magnitude 1 within ``tol`` wins.  Otherwise the best placement and its
+    magnitude 1 within ATOL wins.  Otherwise the best placement and its
     overlap are reported.
     """
     if source.num_qubits != target.num_qubits:
@@ -350,7 +350,7 @@ def find_realizing_application(
     best_placement: tuple[int, ...] = ()
     for placement in permutations(range(1, source.num_qubits + 1), op.arity):
         mag = abs(overlap(target, apply_local(source, op, placement)))
-        if mag >= 1.0 - tol:
+        if mag >= 1.0 - ATOL:
             return PlacementReport(True, placement, placement, float(mag))
         if mag > best_mag:
             best_mag, best_placement = float(mag), placement

@@ -150,10 +150,10 @@ class LocalOperator:
             raise ValueError("operator has a NaN or infinite entry")
         object.__setattr__(self, "matrix", _freeze(mat))
 
-    def is_unitary(self, tol: float = ATOL) -> bool:
+    def is_unitary(self) -> bool:
         dim = self.matrix.shape[0]
         return bool(
-            np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim))) <= tol
+            np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim))) <= ATOL
         )
 
 
@@ -285,6 +285,14 @@ class Partition:
         return tuple(sorted(self.sender)), tuple(sorted(self.receiver))
 
 
+def _require_cut(state: PureState, cut: Partition) -> None:
+    if cut.num_qubits != state.num_qubits:
+        raise ValueError(
+            f"partition covers {cut.num_qubits} qubits but the state has "
+            f"{state.num_qubits}"
+        )
+
+
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product with ``a``'s qubits first (most significant)."""
     return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
@@ -319,10 +327,25 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept qubits (ascending index order)."""
     n = state.num_qubits
     kept = _qubit_set(keep, n, "kept qubits")
-    traced = [q for q in range(1, n + 1) if q not in kept]
-    perm = [q - 1 for q in kept] + [q - 1 for q in traced]
-    m = state.tensor_view().transpose(perm).reshape(2 ** len(kept), -1)
+    m = _cut_matrix(state, kept, [q for q in range(1, n + 1) if q not in kept])
     return DensityMatrix(len(kept), m @ m.conj().T)
+
+
+def _cut_matrix(
+    state: PureState,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The amplitudes as a matrix, rows and columns indexed by the qubits
+    ``rows`` and ``cols`` in the order given; written into ``out`` (one
+    matrix of a ``_cut_stacks`` stack) when given.  Every function that lays
+    a ``PureState`` out across a cut reads it from here."""
+    psi = state.tensor_view().transpose([q - 1 for q in (*rows, *cols)])
+    if out is None:
+        return psi.reshape(2 ** len(rows), 2 ** len(cols))
+    out.reshape(psi.shape)[...] = psi
+    return out
 
 
 def schmidt_decomposition(
@@ -335,8 +358,8 @@ def schmidt_decomposition(
     sender qubits and ``receiver_vectors[k, :]`` one on the sorted receiver
     qubits.  Coefficients with squared weight below EXACT_ATOL are dropped.
     """
-    ((_, stack),) = _cut_stacks(state, (cut,))
-    u, s, vh = np.linalg.svd(stack[0], full_matrices=False)
+    _require_cut(state, cut)
+    u, s, vh = np.linalg.svd(_cut_matrix(state, *cut.sides()), full_matrices=False)
     keep = (s * s) > EXACT_ATOL
     return s[keep], u[:, keep], vh[keep, :]
 
@@ -345,26 +368,18 @@ def _cut_stacks(
     state: PureState, cuts: Sequence[Partition]
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """Per sender size, ascending, the positions in ``cuts`` of that size and
-    the stack of their amplitude matrices: rows indexed by the sorted sender
-    qubits, columns by the sorted receiver qubits.  Every function that lays
-    a state out across a cut reads it from here.
+    the stack of their ``_cut_matrix`` matrices, sender qubits on the rows.
     """
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
-        if cut.num_qubits != state.num_qubits:
-            raise ValueError(
-                f"partition covers {cut.num_qubits} qubits but the state has "
-                f"{state.num_qubits}"
-            )
+        _require_cut(state, cut)
         groups.setdefault(len(cut.sender), []).append(i)
-    psi = state.tensor_view()
     n = state.num_qubits
     for size in sorted(groups):
         where = groups[size]
         stack = np.empty((len(where), 2**size, 2 ** (n - size)), dtype=complex)
         for out, i in zip(stack, where):
-            a, b = cuts[i].sides()
-            out.reshape(psi.shape)[...] = psi.transpose([q - 1 for q in a + b])
+            _cut_matrix(state, *cuts[i].sides(), out)
         yield where, stack
 
 
@@ -422,8 +437,8 @@ def negativity(state: PureState, cut: Partition) -> float:
     sum s^2) / 2 (Vidal & Werner, PRA 65, 032314, 2002), taken from the raw
     singular values of one SVD across the cut.
     """
-    ((_, stack),) = _cut_stacks(state, (cut,))
-    s = np.linalg.svd(stack[0], compute_uv=False)
+    _require_cut(state, cut)
+    s = np.linalg.svd(_cut_matrix(state, *cut.sides()), compute_uv=False)
     # Rounding may leave -1 ulp on a product state; negativity is >= 0.
     return max(float((np.sum(s) ** 2 - np.sum(s * s)) / 2.0), 0.0)
 
@@ -437,8 +452,8 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def states_close(a: PureState, b: PureState, atol: float = ATOL) -> bool:
-    """Amplitude-wise equality within ``atol`` (no global-phase allowance)."""
+def states_close(a: PureState, b: PureState) -> bool:
+    """Amplitude-wise equality within ATOL (no global-phase allowance)."""
     if a.num_qubits != b.num_qubits:
         return False
-    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= atol)
+    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= ATOL)

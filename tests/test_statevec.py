@@ -360,11 +360,11 @@ class TestClusterValues:
             assert "rtol" not in params, name
         assert len(signatures) > 80
 
-    def test_only_counts_and_predicates_take_a_tolerance(self):
+    def test_only_counts_take_a_tolerance(self):
         # A threshold is a parameter only where it defines a count (the SDC
-        # message count, the verdicts built on it, genuine multipartiteness)
-        # or is a comparison's own bound.  What asserts, builds or reports
-        # (the claim suite, codebooks) decides at ATOL.
+        # message count, the verdicts built on it, genuine multipartiteness).
+        # What asserts, builds, compares or reports (the claim suite,
+        # codebooks, the closeness and unitarity predicates) decides at ATOL.
         takes = {
             name
             for name, params in _public_signatures()
@@ -377,10 +377,6 @@ class TestClusterValues:
             "is_tmes",
             "tmes_verdict",
             "genuine_multipartite",
-            "find_realizing_application",
-            "states_close",
-            "LocalOperator.is_unitary",
-            "OrthogonalFamily.mutually_orthogonal",
         }
         assert "tolerance" not in inspect.signature(tmes.ClaimConfig).parameters
         assert list(inspect.signature(tmes.build_sdc_codebook).parameters) == [
