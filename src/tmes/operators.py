@@ -266,6 +266,27 @@ def _support_components(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         label = new
 
 
+# Gershgorin margin of the full-rank certificate in independence_rank.  Any
+# value below 1 keeps every eigenvalue of B B^H away from 0; at 1/2 the
+# singular values of B lie in [sqrt(1/2), sqrt(3/2)], so the smallest is far
+# above ATOL times the largest.  Rounding in B B^H is far smaller than the
+# gap between the margin and 1, so it cannot turn a pass into a wrong rank.
+CERT_MARGIN = 0.5
+
+
+def _certified_full_rank(block: np.ndarray) -> bool:
+    """True when the Gershgorin test on B B^H proves the unit rows of
+    ``block`` independent.  A block with more rows than columns cannot have
+    full row rank, and forming its Gram would take more memory than it."""
+    p, q = block.shape
+    if p > q:
+        return False
+    gram = block @ block.conj().T
+    diag = np.arange(p)
+    gram[diag, diag] -= 1.0
+    return bool(np.abs(gram).sum(axis=1).max() <= CERT_MARGIN)
+
+
 def independence_rank(stack: np.ndarray) -> int:
     """Linear-independence rank of the flattened, row-normalized matrices of
     a (k, m, m) stack.
@@ -273,9 +294,15 @@ def independence_rank(stack: np.ndarray) -> int:
     Zero operators add nothing.  The rows fall into the connected components
     of their nonzero support, two rows being linked when they share a
     nonzero column; permuting rows and columns into that block-diagonal form
-    leaves the singular values unchanged.  So each component gets its own
-    SVD, and singular values above ATOL times the largest over all of them
-    are counted.
+    leaves the singular values unchanged.
+
+    When every component B passes the Gershgorin certificate, the rank is the
+    row count with no SVD: B has no more rows than columns and each row of
+    B B^H - I sums to at most CERT_MARGIN in absolute value, which puts every
+    singular value in [sqrt(1/2), sqrt(3/2)].  Every family the library
+    builds passes, its Gram being I to rounding.  Otherwise each component
+    gets its own SVD, and singular values above ATOL times the largest over
+    all of them are counted.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or not stack.size:
@@ -291,12 +318,14 @@ def independence_rank(stack: np.ndarray) -> int:
             return 0
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     label, col = _support_components(support)
-    s = np.concatenate(
-        [
-            np.linalg.svd(rows[np.ix_(label == root, col == root)], compute_uv=False)
-            for root in np.flatnonzero(label == np.arange(len(label)))
-        ]
-    )
+    roots = np.flatnonzero(label == np.arange(len(label)))
+
+    def block(root: int) -> np.ndarray:
+        return rows[np.ix_(label == root, col == root)]
+
+    if all(_certified_full_rank(block(root)) for root in roots):
+        return len(rows)
+    s = np.concatenate([np.linalg.svd(block(root), compute_uv=False) for root in roots])
     return int(np.sum(s > ATOL * s.max()))
 
 

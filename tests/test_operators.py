@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import block_sigma_construct, dense_independence_rank
 from tmes import operators
 from tmes.operators import (
+    CERT_MARGIN,
     OperatorSet,
     PlacementReport,
     cnot,
@@ -31,7 +35,7 @@ from tmes.operators import (
     u_z,
 )
 from tmes.serialize import operator_set_from_dict, operator_set_to_dict
-from tmes.statevec import MAX_DENSE_BYTES, MAX_QUBITS, LocalOperator
+from tmes.statevec import MAX_DENSE_BYTES, MAX_QUBITS, UNITARY_CHUNK_BYTES, LocalOperator
 from tmes.states import basis_state, bell_product, cluster4
 
 S = [
@@ -237,6 +241,14 @@ class TestOperatorSet:
         stack = operator_family(2).members.copy()
         stack[11] *= scale
         with pytest.raises(ValueError, match="^member 11 is not unitary$"):
+            OperatorSet(stack)
+
+    def test_names_the_first_bad_member_past_the_first_chunk(self):
+        # U^H U is checked UNITARY_CHUNK_BYTES at a time: 64 members of 32 x 32
+        stack = operator_family(5).members.copy()
+        stack[[200, 250]] *= 2.0
+        assert 200 >= UNITARY_CHUNK_BYTES // stack[0].nbytes
+        with pytest.raises(ValueError, match="^member 200 is not unitary$"):
             OperatorSet(stack)
 
     def test_accepts_a_unitary_within_tolerance(self):
@@ -459,10 +471,73 @@ class TestIndependenceRank:
         # the support split into blocks that together hold every row
         assert len(blocks) > 1 and sum(blocks) == len(ops)
 
-    def test_level_four_rank_makes_two_half_size_svds(self, svd_shapes):
-        # the diagonal and antidiagonal halves of the family share no column
-        assert independence_rank(operator_family(4).members) == 256
-        assert [rows for rows, _ in svd_shapes] == [128, 128]
+    def test_svds_run_only_when_the_certificate_fails(self, svd_shapes):
+        # every family the library builds is certified without an SVD
+        for level in (1, 2, 3, 4, 5):
+            assert independence_rank(operator_family(level).members) == 4**level
+        assert independence_rank(gamma_set().members) == 16
+        assert independence_rank(_pauli_pairs()) == 16
+        assert svd_shapes == []
+        # a repeated member fails the certificate on the diagonal half, and
+        # then both halves, which share no column, get their own SVD
+        ops = operator_family(4).members
+        ops = np.concatenate([ops, ops[:1]])
+        assert independence_rank(ops) == 256
+        assert [rows for rows, _ in svd_shapes] == [129, 128]
+        assert dense_independence_rank(ops) == 256
+
+    @pytest.mark.parametrize("offset,svds", [(-1e-6, 0), (1e-6, 1)])
+    def test_gram_row_sum_at_the_margin(self, offset, svds, svd_shapes):
+        # two unit rows in one block whose Gram row sum is their overlap c
+        c = CERT_MARGIN + offset
+        ops = np.zeros((2, 2, 2), dtype=complex)
+        ops[0, 0, 0] = 1.0
+        ops[1, 0] = c, math.sqrt(1.0 - c * c)
+        got = independence_rank(ops)
+        assert len(svd_shapes) == svds
+        assert got == dense_independence_rank(ops) == 2
+
+    def test_near_duplicate_member_is_not_certified(self, svd_shapes):
+        # member 3 again, nudged by 1e-10 toward member 15, which is left
+        # out: the copy's Gram row sums to 1 to rounding
+        fam = operator_family(2).members
+        ops = np.concatenate([fam[:15], fam[3:4] + 1e-10 * fam[15:]])
+        got = independence_rank(ops)
+        assert svd_shapes
+        assert got == dense_independence_rank(ops) == 15
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_orthogonal_families_match_dense_oracle(self, data):
+        # a subset of a family, some members nudged toward members left out,
+        # and copies of members nudged the same way; the nudges stay far
+        # from the ATOL threshold on either side
+        level = data.draw(st.integers(min_value=1, max_value=3), label="level")
+        fam = operator_family(level).members
+        count = len(fam)
+        keep = data.draw(st.integers(min_value=1, max_value=count - 1), label="keep")
+        ops = fam[:keep].copy()
+        eps = st.sampled_from([0.0, 1e-13, 1e-6, 0.05, 0.7])
+        member = st.integers(min_value=0, max_value=keep - 1)
+        spare = st.integers(min_value=keep, max_value=count - 1)
+        for i, j, e in data.draw(st.lists(st.tuples(member, spare, eps), max_size=4)):
+            ops[i] += e * fam[j]
+        extra = data.draw(st.lists(st.tuples(member, spare, eps), max_size=4))
+        ops = np.concatenate([ops] + [(ops[i] + e * fam[j])[None] for i, j, e in extra])
+        assert independence_rank(ops) == dense_independence_rank(ops)
+
+    def test_many_scalar_members_form_no_gram(self):
+        # 2048 members of 1 x 1 make one block of 2048 rows and one column;
+        # its 2048 x 2048 Gram would take 64 MiB
+        ops = np.exp(1j * np.arange(2048.0)).reshape(-1, 1, 1)
+        tracemalloc.start()
+        try:
+            got = independence_rank(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == dense_independence_rank(ops) == 1
+        assert peak < 8 * 2**20
 
 
 class TestPauliString:
