@@ -265,17 +265,18 @@ def simulate_teleportation(
         [*range(1, p + 1), *(p + q for q in sender)],
         [p + q for q in receiver],
     )
-    # Every outcome at once, through (k, 1, d) and (k, d, 1) operands so that
-    # matmul makes the same per-outcome BLAS calls (gemv, dot) as a loop.
-    v = protocol.measurement_conj[:, None, :] @ mat
-    prob = np.real(v.conj() @ v.transpose(0, 2, 1))[:, 0, 0]
+    # One GEMM projects every outcome; row i is the receiver's unnormalised
+    # state after outcome i.
+    v = protocol.measurement_conj @ mat
+    prob = np.sum(v.real**2 + v.imag**2, axis=1)
     ok = prob > EXACT_ATOL
-    unit = v[:, 0, :] / np.sqrt(np.where(ok, prob, 1.0))[:, None]
+    unit = v / np.sqrt(np.where(ok, prob, 1.0))[:, None]
     corrected = protocol.corrections @ unit[:, :, None]
     reduced = corrected.reshape(len(prob), 2**p, -1)
-    rho = reduced @ reduced.conj().transpose(0, 2, 1)
-    amps = payload.amplitudes
-    fid = np.real(amps.conj() @ (rho @ amps)[:, :, None])[:, 0]
+    # The payload sits on the first p receiver qubits, so the fidelity of the
+    # reduced state is sum_j |<payload| reduced[:, :, j]>|^2.
+    overlap = payload.amplitudes.conj() @ reduced
+    fid = np.sum(overlap.real**2 + overlap.imag**2, axis=1)
     return TeleportResult(payload, protocol, np.where(ok, prob, 0.0), np.where(ok, fid, 1.0))
 
 
@@ -516,7 +517,9 @@ def simulate_sdc(
             f"message index {message_index} out of range 0..{len(codebook) - 1}"
         )
     sent = apply_paulis(state.amplitudes, qubits, [codebook.labels[message_index]])[0]
-    return int(np.argmax(np.abs(codebook.stack.conj() @ sent) ** 2))
+    # |conj z| = |z|, so projecting the conjugated message onto the stack
+    # ranks the overlaps as projecting the message onto the conjugated stack.
+    return int(np.argmax(np.abs(codebook.stack @ sent.conj()) ** 2))
 
 
 @dataclass(frozen=True)

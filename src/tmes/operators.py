@@ -316,7 +316,10 @@ def independence_rank(stack: np.ndarray) -> int:
         rows, support = rows[nonzero], support[nonzero]
         if not len(rows):
             return 0
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    # Squared norms from the interleaved (re, im) float view, with none of
+    # the complex temporaries np.linalg.norm forms.
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    rows = rows / np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     label, col = _support_components(support)
     roots = np.flatnonzero(label == np.arange(len(label)))
 

@@ -5,7 +5,11 @@ Pauli factor on each qubit: 0 is I, 1 is X, 2 is Y and 3 is Z.  Up to a
 phase every string equals X^x Z^z for two s-bit masks, with the first qubit
 on the most significant bit (Aaronson & Gottesman, PRA 70, 052328, 2004).
 Up to phase, the product of two strings is the xor of their labels.  Every
-action of a label on amplitudes goes through ``pauli_rows``.
+action of a label on amplitudes goes through ``pauli_rows``, which gathers
+from a read-only table of all 4^s labels' rows, built once per length s and
+kept for the life of the process.  Lengths are capped at MAX_QUBITS // 2 = 6,
+the largest sender or payload the library forms; the s = 6 table, the
+largest, holds 6 MiB.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .statevec import MAX_QUBITS
+
 
 def pauli_digits(label: int, length: int) -> tuple[int, ...]:
     """Base-4 digits of a Pauli-string label, most significant digit first."""
@@ -38,6 +45,16 @@ def pauli_label(digits: Sequence[int]) -> int:
     return label
 
 
+def _checked_labels(labels: np.ndarray, length: int) -> np.ndarray:
+    """``labels`` as int64, refusing any outside [0, 4^length) rather than
+    reading it modulo 4^length."""
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= 4**length)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {length} factors")
+    return labels
+
+
 def xz_masks(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) bit masks of each label, so that P_label is X^x Z^z up to phase.
 
@@ -45,10 +62,7 @@ def xz_masks(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     digit from the left, matching the basis index of the qubits.  A label
     outside [0, 4^length) is refused, not read modulo 4^length.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = labels[(labels < 0) | (labels >= 4**length)]
-    if bad.size:
-        raise ValueError(f"label {bad[0]} out of range for {length} factors")
+    labels = _checked_labels(labels, length)
     x = np.zeros_like(labels)
     z = np.zeros_like(labels)
     for k in range(length):
@@ -74,8 +88,23 @@ def pauli_rows(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]
     P_d = i^{|x & z|} X^x Z^z, so for any M with 2^s rows
     (P_d M)[r] = phase[d, r] M[src[d, r]] with src = r xor x and
     phase = i^{|x & z|} (-1)^{z.src}; both have shape (len(labels), 2^s).
+    Both are fresh arrays gathered from the memoised table of all labels.
     """
-    x, z = xz_masks(labels, length)
+    labels = _checked_labels(labels, length)
+    src, phase = _all_label_rows(length)
+    return src[labels], phase[labels]
+
+
+@lru_cache(maxsize=None)
+def _all_label_rows(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``pauli_rows`` of every label 0..4^length - 1, memoised like
+    ``_all_label_masks``.  Capped at MAX_QUBITS // 2 factors, the largest
+    sender or payload the library forms."""
+    if not 0 <= length <= MAX_QUBITS // 2:
+        raise ValueError(
+            f"Pauli row tables hold at most {MAX_QUBITS // 2} factors, got {length}"
+        )
+    x, z = _all_label_masks(length)
     src = x[:, None] ^ np.arange(2**length)
     y_count = np.zeros_like(x)
     parity = np.zeros_like(src)
@@ -83,6 +112,8 @@ def pauli_rows(labels: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]
         y_count += (x & z) >> k & 1
         parity ^= (z[:, None] & src) >> k & 1
     phase = np.array([1, 1j, -1, -1j])[y_count % 4][:, None] * (1 - 2 * parity)
+    for table in (src, phase):
+        table.setflags(write=False)
     return src, phase
 
 
@@ -100,11 +131,12 @@ def apply_paulis(
     if len(set(axes)) != len(axes) or not all(0 <= a < n for a in axes):
         raise ValueError(f"qubits must be distinct and in 1..{n}, got {tuple(qubits)}")
     s = len(axes)
-    front = np.moveaxis(amps.reshape((2,) * n), axes, range(s)).reshape(2**s, -1)
+    order = axes + [a for a in range(n) if a not in axes]
+    front = amps.reshape((2,) * n).transpose(order).reshape(2**s, -1)
     src, phase = pauli_rows(np.asarray(labels), s)
     out = (phase[:, :, None] * front[src]).reshape((len(src),) + (2,) * n)
-    out = np.moveaxis(out, range(1, s + 1), [a + 1 for a in axes])
-    return out.reshape(len(src), amps.size)
+    restore = [0, *(np.argsort(order) + 1)]
+    return out.transpose(restore).reshape(len(src), amps.size)
 
 
 def pauli_expectations(rho: np.ndarray) -> np.ndarray:

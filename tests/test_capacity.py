@@ -371,11 +371,15 @@ class TestTeleportProtocol:
             (bell_product(4), (1, 3, 5, 7), 1),
             (bell_product(4), (1, 3, 5, 7), 2),
             (bell_product(4), (1, 3, 5, 7), 3),
+            (bell_product(4), (1, 3, 5, 7), 4),
             (cluster4(), (1, 3), 1),
             (cluster4(), (1, 3), 2),
             (_nonuniform_state(), (1, 2), 1),
         ],
-        ids=["bp4-p1", "bp4-p2", "bp4-p3", "cluster4-p1", "cluster4-p2", "two-block"],
+        ids=[
+            "bp4-p1", "bp4-p2", "bp4-p3", "bp4-p4",
+            "cluster4-p1", "cluster4-p2", "two-block",
+        ],
     )
     def test_outcomes_match_index_oracle(self, state, sender, n_payload):
         cut = _cut(sender, state.num_qubits)

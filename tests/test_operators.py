@@ -442,6 +442,14 @@ class TestIndependenceRank:
         assert independence_rank(fam.members) == 64
         assert fam.members.tobytes() == np.stack(_block_family(3)).tobytes()
 
+    def test_strided_stack_matches_a_copy(self):
+        # every other column of a wider stack flattens to rows whose entries
+        # are not adjacent in memory, so their float view needs a copy
+        wide = np.repeat(operator_family(2).members, 2, axis=2)
+        stack = wide[:, :, ::2]
+        assert stack.reshape(len(stack), -1).strides[1] != stack.itemsize
+        assert independence_rank(stack) == independence_rank(stack.copy()) == 16
+
     def test_zero_member_adds_nothing(self):
         zero = np.zeros((2, 2))
         with warnings.catch_warnings():

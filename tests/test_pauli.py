@@ -19,6 +19,7 @@ from tmes.capacity import haar_random_state
 from tmes.operators import pauli_string
 from tmes.pauli import (
     _all_label_masks,
+    _all_label_rows,
     apply_paulis,
     pauli_digits,
     pauli_expectations,
@@ -52,6 +53,47 @@ def test_rows_rebuild_pauli_string_matrices(length):
         mat = np.zeros((dim, dim), dtype=complex)
         mat[np.arange(dim), src[label]] = phase[label]
         assert np.array_equal(mat, pauli_string(pauli_digits(label, length)).matrix)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_rows_match_the_mask_formula(length):
+    # random labels with repeats, in no particular order
+    labels = np.random.default_rng(length).integers(0, 4**length, size=40)
+    labels[-5:] = labels[:5]
+    src, phase = pauli_rows(labels, length)
+    x, z = xz_masks(labels, length)
+    assert src.shape == phase.shape == (len(labels), 2**length)
+    for d in range(len(labels)):
+        xd, zd = int(x[d]), int(z[d])
+        want_src = [r ^ xd for r in range(2**length)]
+        y_phase = 1j ** bin(xd & zd).count("1")
+        want_phase = [y_phase * (-1) ** bin(zd & j).count("1") for j in want_src]
+        assert src[d].tolist() == want_src
+        assert phase[d].tolist() == want_phase
+
+
+def test_rows_returned_to_a_caller_do_not_write_through():
+    labels = np.array([7, 2, 7])
+    src, phase = pauli_rows(labels, 2)
+    want_src, want_phase = src.copy(), phase.copy()
+    src[:] = 0
+    phase[:] = 0.0
+    again_src, again_phase = pauli_rows(labels, 2)
+    assert np.array_equal(again_src, want_src)
+    assert np.array_equal(again_phase, want_phase)
+    table_src, table_phase = _all_label_rows(2)
+    assert _all_label_rows(2)[0] is table_src
+    for table in (table_src, table_phase):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
+def test_row_tables_stay_small():
+    # every table up to MAX_QUBITS // 2 factors, with the masks they read
+    tables = [*map(_all_label_rows, range(7)), *map(_all_label_masks, range(7))]
+    assert sum(a.nbytes for pair in tables for a in pair) < 8 * 2**20
+    with pytest.raises(ValueError, match="at most 6 factors, got 7"):
+        pauli_rows(np.array([0]), 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,15 +133,17 @@ def test_apply_paulis_rejects_bad_qubits():
             apply_paulis(amps, qubits, [0])
 
 
-# Read modulo 4^length, label 4 on one qubit would act as I and -1 as Z.
-@pytest.mark.parametrize("label", [4, 5, -1, 2**40])
+# Read modulo 4^length, label 4 on one qubit would act as I and -1 as Z;
+# gathered from the row table, -1 would read its last row.
+@pytest.mark.parametrize("label", [4, 5, -1, -4, 2**40])
 def test_out_of_range_labels_are_refused(label):
     amps = haar_random_state(2, seed=0).amplitudes
-    with pytest.raises(ValueError, match=f"label {label} out of range for 1 factors"):
+    message = f"label {label} out of range for 1 factors"
+    with pytest.raises(ValueError, match=message):
         apply_paulis(amps, (1,), [0, label])
-    with pytest.raises(ValueError, match="out of range"):
-        pauli_rows(np.array([label]), 1)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=message):
+        pauli_rows(np.array([2, label, 1]), 1)
+    with pytest.raises(ValueError, match=message):
         xz_masks(np.array([label]), 1)
 
 
