@@ -3,8 +3,8 @@ coding, plus the combined maximality verdict.
 
 Teleportation verdicts are spectral: every clustered Schmidt multiplicity
 must divide by 2^k, which is exactly local-unitary equivalence to k Bell
-pairs tensor a leftover state.  The verdict is cross-checked by an explicit
-protocol simulator.  Superdense-coding verdicts count the largest family of
+pairs tensor a leftover state; a simulator that contracts the payload first
+cross-checks them.  Superdense-coding verdicts count the largest family of
 Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
 
@@ -47,7 +47,6 @@ from .statevec import (
     check_state_size,
     schmidt_decomposition,
     schmidt_spectrum,
-    tensor,
 )
 
 # Byte budget of the amplitude stack one is_tmes chunk scores at once (16
@@ -61,6 +60,8 @@ def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     if num_qubits < 1:
         raise ValueError("a state needs at least one qubit")
     check_state_size(num_qubits, "a Haar-random state")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = 2**num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -117,8 +118,9 @@ class TeleportProtocol:
     def __post_init__(self) -> None:
         if self.n_payload < 1:
             raise ValueError("payload must hold at least one qubit")
-        fam = np.asarray(self.measurement_family, dtype=complex)
-        corr = np.asarray(self.corrections, dtype=complex)
+        # One owned copy of each array, frozen in place once checked.
+        fam = np.array(self.measurement_family, dtype=complex)
+        corr = np.array(self.corrections, dtype=complex)
         labels = tuple(self.outcome_labels)
         probs = tuple(float(p) for p in self.probabilities)
         recv_dim = 2 ** len(self.cut.receiver)
@@ -131,15 +133,19 @@ class TeleportProtocol:
             raise ValueError("per-outcome fields must have equal nonzero length")
         if not (np.isfinite(fam).all() and np.isfinite(corr).all()):
             raise ValueError("protocol has a NaN or infinite entry")
-        if np.max(np.abs(fam.conj() @ fam.T - np.eye(k))) > ATOL:
+        conj = fam.conj()
+        gram = conj @ fam.T
+        gram.flat[:: k + 1] -= 1.0
+        if np.max(np.abs(gram)) > ATOL:
             raise ValueError("measurement family is not orthonormal")
         _check_unitary(corr, "correction")
         if any(p < -EXACT_ATOL for p in probs) or abs(sum(probs) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must be a distribution")
-        fam = _freeze(fam)
+        for arr in (fam, conj, corr):
+            arr.setflags(write=False)
         object.__setattr__(self, "measurement_family", fam)
-        object.__setattr__(self, "measurement_conj", _freeze(fam.conj()))
-        object.__setattr__(self, "corrections", _freeze(corr))
+        object.__setattr__(self, "measurement_conj", conj)
+        object.__setattr__(self, "corrections", corr)
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "probabilities", probs)
 
@@ -182,24 +188,26 @@ def build_teleport_protocol(
 
     # Payload Pauli q acts on the in-block index m, both on the measurement
     # rows and on the relabeled receiver basis m|j>: P_q (x) I_anc @ relabel.
+    # Both gathers land in outcome order (q, j, m, ...), phased in place.
     src, phase = pauli_rows(np.arange(npaulis), n_payload)
-    moved = phase[:, :, None, None] * relabel.reshape(block, anc_dim, recv_dim)[src]
     bases = a_vecs.T.reshape(nblocks, block, -1) * (1.0 / math.sqrt(block))
-    family = phase[:, None, :, None] * np.swapaxes(bases[:, src], 0, 1)
+    family = bases[np.arange(nblocks)[:, None], src[:, None]]
+    family *= phase[:, None, :, None]
+    moved = relabel.reshape(block, anc_dim, -1)[np.broadcast_to(src[:, None], family.shape[:3])]
+    moved *= phase[:, None, :, None, None]
     means = [float(np.mean(c)) for c in coeffs.reshape(nblocks, block)]
     block_probs = tuple(t * t / block for t in means)
-    corrections = np.repeat(moved.reshape(npaulis, recv_dim, recv_dim), nblocks, axis=0)
     labels = tuple((q, j) for q in range(npaulis) for j in range(nblocks))
     return TeleportProtocol(
-        cut, n_payload, family.reshape(len(labels), -1), corrections, labels,
-        block_probs * npaulis,
+        cut, n_payload, family.reshape(len(labels), -1),
+        moved.reshape(len(labels), recv_dim, recv_dim), labels, block_probs * npaulis,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class TeleportResult:
     """Exact probability and fidelity of every outcome of one simulated run:
-    read-only float arrays in ``protocol.outcome_labels`` order."""
+    read-only, finite float arrays in ``protocol.outcome_labels`` order."""
 
     payload: PureState
     protocol: TeleportProtocol
@@ -207,8 +215,12 @@ class TeleportResult:
     fidelities: np.ndarray
 
     def __post_init__(self) -> None:
+        k = len(self.protocol.outcome_labels)
         for name in ("probabilities", "fidelities"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), float)))
+            arr = np.asarray(getattr(self, name), float)
+            if arr.shape != (k,) or not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be {k} finite values, one per outcome; got {arr!r}")
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def total_probability(self) -> float:
@@ -252,27 +264,21 @@ def simulate_teleportation(
     Every outcome reports its exact probability and the fidelity of the
     corrected receiver state with the payload, one array entry each.
     Consecutive calls with the same ``state`` object, cut and payload size
-    share one protocol, built and validated on the first of them.
+    share one protocol, built and validated on the first of them.  No joint
+    state is formed: the payload meets the conjugated family first, then one
+    GEMM with the resource's own cut matrix projects every outcome.
     """
     p = payload if isinstance(payload, int) else payload.num_qubits
     protocol = _memo_protocol(state, cut, p)
     if isinstance(payload, int):
         payload = haar_random_state(payload, seed)
-    sender, receiver = cut.sides()
-    # Payload qubits come first in the joint state, then the resource's.
-    mat = _cut_matrix(
-        tensor(payload, state),
-        [*range(1, p + 1), *(p + q for q in sender)],
-        [p + q for q in receiver],
-    )
-    # One GEMM projects every outcome; row i is the receiver's unnormalised
-    # state after outcome i.
-    v = protocol.measurement_conj @ mat
+    # Row i of v is the receiver's unnormalised state after outcome i.
+    proj = protocol.measurement_conj.reshape(-1, 2**p, 2 ** len(cut.sender))
+    v = payload.amplitudes @ proj @ _cut_matrix(state, *cut.sides())
     prob = np.sum(v.real**2 + v.imag**2, axis=1)
     ok = prob > EXACT_ATOL
     unit = v / np.sqrt(np.where(ok, prob, 1.0))[:, None]
-    corrected = protocol.corrections @ unit[:, :, None]
-    reduced = corrected.reshape(len(prob), 2**p, -1)
+    reduced = (protocol.corrections @ unit[:, :, None]).reshape(len(prob), 2**p, -1)
     # The payload sits on the first p receiver qubits, so the fidelity of the
     # reduced state is sum_j |<payload| reduced[:, :, j]>|^2.
     overlap = payload.amplitudes.conj() @ reduced
@@ -467,8 +473,8 @@ class SdcCodebook:
         bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
         if bad.size:
             raise ValueError(f"encoded state {bad[0]} is not normalized: norm = {norms[bad[0]]}")
-        off = gram - np.diag(np.diagonal(gram))
-        if np.max(np.abs(off)) > ATOL:
+        np.fill_diagonal(gram, 0.0)
+        if np.max(np.abs(gram)) > ATOL:
             raise ValueError("encoded states are not pairwise orthogonal")
         object.__setattr__(self, "sender_set", frozenset(self.sender_set))
         object.__setattr__(self, "labels", labels)

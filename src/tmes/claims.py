@@ -102,6 +102,10 @@ class ClaimConfig:
     seed: int = 0
     claim_ids: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -575,27 +579,26 @@ def _basis_not_maximal(config: ClaimConfig):
 # protocol simulations
 
 
-def _teleport_trials(state, sender, n_payload, config):
-    """Run seeded payload trials; returns (bad, data)."""
+def _teleport_trials(state, sender, n_payload, outcomes, config):
+    """Seeded payload trials that should each have ``outcomes`` outcomes; returns (bad, data)."""
     cut = _cut(sender, state.num_qubits)
+    runs = [
+        simulate_teleportation(state, cut, haar_random_state(n_payload, config.seed + t))
+        for t in range(PAYLOAD_TRIALS)
+    ]
+    count = len(runs[-1].probabilities)
+    worst_fid = min(1.0, *(r.min_fidelity for r in runs))
+    worst_prob_dev = max(0.0, *(float(np.max(np.abs(r.probabilities - 1.0 / count))) for r in runs))
+    worst_total_dev = max(0.0, *(abs(r.total_probability - 1.0) for r in runs))
     bad = []
-    worst_fid = 1.0
-    worst_prob_dev = 0.0
-    worst_total_dev = 0.0
-    count = None
-    for t in range(PAYLOAD_TRIALS):
-        res = simulate_teleportation(state, cut, haar_random_state(n_payload, config.seed + t))
-        count = len(res.probabilities)
-        uniform = 1.0 / count
-        worst_fid = min(worst_fid, res.min_fidelity)
-        worst_prob_dev = max(worst_prob_dev, float(np.max(np.abs(res.probabilities - uniform))))
-        worst_total_dev = max(worst_total_dev, abs(res.total_probability - 1.0))
     if worst_fid < 1.0 - ATOL:
         bad.append(f"worst fidelity {worst_fid} below 1")
     if worst_prob_dev > ATOL:
         bad.append(f"outcome probabilities deviate from uniform by {worst_prob_dev:.2e}")
     if worst_total_dev > ATOL:
         bad.append(f"total probability off by {worst_total_dev:.2e}")
+    if not bad and count != outcomes:
+        bad.append(f"outcome count {count} != {outcomes}")
     data = {
         "outcomes": count,
         "trials": PAYLOAD_TRIALS,
@@ -607,25 +610,19 @@ def _teleport_trials(state, sender, n_payload, config):
 
 @_register("teleport-bell", "A Bell pair teleports arbitrary single-qubit payloads perfectly with four uniform outcomes.")
 def _teleport_bell(config: ClaimConfig):
-    bad, data = _teleport_trials(bell(), (1,), 1, config)
-    if not bad and data["outcomes"] != 4:
-        bad.append(f"outcome count {data['outcomes']} != 4")
+    bad, data = _teleport_trials(bell(), (1,), 1, 4, config)
     return _finish(bad, "unit fidelity across seeded payloads, uniform 1/4 outcomes", data)
 
 
 @_register("teleport-cluster4", "The four-qubit cluster state teleports arbitrary two-qubit payloads through the odd pair with sixteen uniform outcomes.")
 def _teleport_cluster4(config: ClaimConfig):
-    bad, data = _teleport_trials(cluster4(), (1, 3), 2, config)
-    if not bad and data["outcomes"] != 16:
-        bad.append(f"outcome count {data['outcomes']} != 16")
+    bad, data = _teleport_trials(cluster4(), (1, 3), 2, 16, config)
     return _finish(bad, "unit fidelity across seeded payloads, uniform 1/16 outcomes", data)
 
 
 @_register("teleport-cluster5", "The five-qubit cluster state teleports arbitrary two-qubit payloads through the odd triple with sixteen uniform outcomes.")
 def _teleport_cluster5(config: ClaimConfig):
-    bad, data = _teleport_trials(cluster5(), (1, 3, 5), 2, config)
-    if not bad and data["outcomes"] != 16:
-        bad.append(f"outcome count {data['outcomes']} != 16")
+    bad, data = _teleport_trials(cluster5(), (1, 3, 5), 2, 16, config)
     return _finish(bad, "unit fidelity across seeded payloads, uniform 1/16 outcomes", data)
 
 
@@ -639,11 +636,8 @@ def _teleport_below_capacity(config: ClaimConfig):
         ("ghz4_single_sender", ghz(4), (1,), 1, 4),
         ("ghz5_pair_sender", ghz(5), (1, 2), 1, 4),
     ):
-        case_bad, case_data = _teleport_trials(state, sender, n_payload, config)
-        if not case_bad and case_data["outcomes"] != count:
-            case_bad.append(f"outcome count {case_data['outcomes']} != {count}")
+        case_bad, data[label] = _teleport_trials(state, sender, n_payload, count, config)
         bad.extend(f"{label}: {b}" for b in case_bad)
-        data[label] = case_data
     return _finish(bad, "one-qubit payloads ride four resources at unit fidelity", data)
 
 

@@ -316,15 +316,15 @@ def independence_rank(stack: np.ndarray) -> int:
         rows, support = rows[nonzero], support[nonzero]
         if not len(rows):
             return 0
-    # Squared norms from the interleaved (re, im) float view, with none of
-    # the complex temporaries np.linalg.norm forms.
+    # Row norms from the interleaved (re, im) float view, with none of the
+    # complex temporaries np.linalg.norm forms; each block divides by its own.
     flat = np.ascontiguousarray(rows).view(np.float64)
-    rows = rows / np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     label, col = _support_components(support)
     roots = np.flatnonzero(label == np.arange(len(label)))
 
     def block(root: int) -> np.ndarray:
-        return rows[np.ix_(label == root, col == root)]
+        return rows[np.ix_(label == root, col == root)] / norms[label == root, None]
 
     if all(_certified_full_rank(block(root)) for root in roots):
         return len(rows)

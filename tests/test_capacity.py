@@ -145,6 +145,10 @@ class TestHaarSampling:
         with pytest.raises(ValueError, match="above the 256 MiB cap"):
             haar_random_state(40)
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            haar_random_state(2, seed=-1)
+
 
 def _figure_rows(field: str, lead) -> list:
     """(state, sender, expected ``field``) for every row of ``FIGURES``.
@@ -374,11 +378,15 @@ class TestTeleportProtocol:
             (bell_product(4), (1, 3, 5, 7), 4),
             (cluster4(), (1, 3), 1),
             (cluster4(), (1, 3), 2),
+            (cluster5(), (1, 3, 5), 2),
+            (ghz(4), (1,), 1),
+            (ghz(5), (1, 2), 1),
             (_nonuniform_state(), (1, 2), 1),
         ],
         ids=[
             "bp4-p1", "bp4-p2", "bp4-p3", "bp4-p4",
-            "cluster4-p1", "cluster4-p2", "two-block",
+            "cluster4-p1", "cluster4-p2", "cluster5-p2", "ghz4-p1", "ghz5-p1",
+            "two-block",
         ],
     )
     def test_outcomes_match_index_oracle(self, state, sender, n_payload):
@@ -415,6 +423,25 @@ class TestTeleportProtocol:
         again = dataclasses.replace(result, probabilities=probs)
         probs[0] = 0.0
         assert np.array_equal(again.probabilities, result.probabilities)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("probabilities", [[0.25] * 4]),
+            ("probabilities", [0.5, 0.5]),
+            ("fidelities", [[1.0]]),
+            ("fidelities", 1.0),
+            ("probabilities", [0.5, math.nan, 0.25, 0.25]),
+            ("fidelities", [1.0, 1.0, math.inf, 1.0]),
+        ],
+        ids=["2-d", "short", "2-d-fidelities", "scalar", "nan", "inf"],
+    )
+    def test_result_refuses_malformed_arrays(self, field, value):
+        # Bell teleportation has four outcomes; each array needs four
+        # finite entries, one per outcome.
+        result = simulate_teleportation(bell(), _cut((1,), 2), 1, seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must be 4 finite values, one per outcome"):
+            dataclasses.replace(result, **{field: value})
 
     def test_integer_payload_draws_seeded_state(self):
         cut = _cut((1, 3), 4)
@@ -459,12 +486,13 @@ class TestTeleportProtocol:
         # Default arguments build each input before the spy goes in.
         (lambda state=bell_product(3): build_sdc_codebook(state, (1, 3, 5)), 0),
         (lambda state=cluster5(): orthogonal_family(state, (1, 3, 5)), 0),
-        # the joint payload-resource state is the one PureState a run needs
+        # the payload is contracted with the measurement family first, so
+        # no joint payload-resource state is built
         (
             lambda state=bell_product(4), payload=haar_random_state(2, seed=3): (
                 simulate_teleportation(state, _cut((1, 3, 5, 7), 8), payload)
             ),
-            1,
+            0,
         ),
     ],
     ids=["sdc-codebook", "orthogonal-family", "teleport"],

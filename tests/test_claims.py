@@ -69,6 +69,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match="claim selection is empty"):
             run_claim_suite(ClaimConfig(claim_ids=()))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            ClaimConfig(seed=-3)
+
     def test_subset_selection(self):
         reports = run_claim_suite(ClaimConfig(claim_ids=("bell-catalog",)))
         assert len(reports) == 1

@@ -357,6 +357,14 @@ class TestAnalysisCommands:
         assert message in captured.err
 
 
+    def test_negative_seed_exits_one(self, state_file, capsys):
+        argv = ["teleport", "--resource", state_file("bell_product:2"), "--payload-qubits", "1"]
+        assert main(argv + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
+
 class TestVerifyCommand:
     def test_subset_run_with_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -391,6 +399,13 @@ class TestVerifyCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: the claim selection is empty\n"
+
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
 
 
 class TestUsageErrors:
