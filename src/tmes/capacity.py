@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .pauli import apply_paulis, pauli_expectations, pauli_rows
 from .statevec import (
     ATOL,
+    CLUSTER_RTOL,
     EXACT_ATOL,
     MAX_QUBITS,
     Partition,
@@ -37,6 +38,7 @@ from .statevec import (
     SchmidtSpectrum,
     _check_tol,
     _check_unitary,
+    _cut_layout,
     _cut_matrix,
     _cut_stacks,
     _freeze,
@@ -89,6 +91,26 @@ def teleport_capacity(state: PureState, cut: Partition) -> int:
 def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
     mults = [m for _, m in spectrum.clustered()]
     return min(_two_adic_valuation(math.gcd(*mults)), receivers)
+
+
+def _stack_capacities(
+    lam: np.ndarray, spectra: list[SchmidtSpectrum], receivers: int
+) -> list[int]:
+    """``_capacity`` of each spectrum, read off ``lam``, the descending
+    eigenvalue rows ``_stack_spectra`` built the spectra from.
+
+    In a row where every adjacent pair of kept values (> EXACT_ATOL) has
+    lam_k - lam_{k+1} > CLUSTER_RTOL * lam_k, which is the negation of
+    ``cluster_values``' joining test in the same float operations, each value
+    opens its own run: every multiplicity is 1 and the capacity is 0.  Only
+    the other rows are clustered.
+    """
+    head, tail = lam[:, :-1], lam[:, 1:]
+    split = (head - tail > CLUSTER_RTOL * head) | (tail <= EXACT_ATOL)
+    return [
+        0 if distinct else _capacity(spectrum, receivers)
+        for distinct, spectrum in zip(split.all(axis=1).tolist(), spectra)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,21 +576,25 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
     ``sdc_max_messages`` at ``tol``, which lies in [0, 1)).
 
-    Chunks start at one cut and double until their stack would pass
-    CHUNK_BYTES, so a scan that stops early scores few cuts beyond its last,
-    and a full scan makes few batched calls.  The clique search runs only
-    for a cut whose Z is not a group, and only when the scan reaches it.
+    Chunks are slices of the cuts ``statevec._cut_layout`` memoises per
+    qubit count.  They start at one cut and double until their stack would
+    pass CHUNK_BYTES, so a scan that stops early scores few cuts beyond its
+    last, and a full scan makes few batched calls.  Each chunk's capacities
+    come from its eigenvalue array (``_stack_capacities``).  The clique
+    search runs only for a cut whose Z is not a group, and only when the
+    scan reaches it.
     """
     n = state.num_qubits
     if n < 2:
         raise ValueError("the maximal-task test needs at least two qubits")
     check_qubits(n, "the maximal-task test")
-    senders = combinations(range(1, n + 1), (n + 1) // 2)
+    cuts = _cut_layout(n, (n + 1) // 2).cuts
     limit = max(CHUNK_BYTES // (16 * 2**n), 1)
-    width = 1
-    while chunk := [Partition.from_sender(c, n) for c in islice(senders, width)]:
+    start, width = 0, 1
+    while chunk := cuts[start : start + width]:
         ((_, stack),) = _cut_stacks(state, chunk)
-        spectra = _stack_spectra(stack)
+        lam, spectra = _stack_spectra(stack)
+        caps = _stack_capacities(lam, spectra, n // 2)
         expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
         for i, cut in enumerate(chunk):
@@ -576,8 +602,8 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
                 msgs = expect.shape[1] >> int(pivots[i]).bit_count()
             else:
                 msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            cap = _capacity(spectra[i], len(cut.receiver))
-            yield CutReport(cut, spectra[i], cap, msgs)
+            yield CutReport(cut, spectra[i], caps[i], msgs)
+        start += width
         width = min(2 * width, limit)
 
 
@@ -605,6 +631,7 @@ def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict
     dimension bounds, the fold stops at the first cut that meets both
     thresholds, since no later one can raise either figure.
     """
+    _check_tol(tol)
     reports = iter(reports)
     first = next(reports, None)
     if first is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +30,7 @@ from .statevec import (
     PureState,
     SchmidtSpectrum,
     _check_tol,
+    _cut_layout,
     _cut_stacks,
     _freeze,
     _qubit_set,
@@ -45,16 +45,17 @@ def all_bipartitions(num_qubits: int) -> tuple[Partition, ...]:
 
     Balanced splits keep the side containing qubit 1.  Ordered by sender
     size, then lexicographically.  Memoised: the tuple of frozen partitions
-    depends on ``num_qubits`` alone.
+    depends on ``num_qubits`` alone.  More than MAX_QUBITS qubits are
+    refused before anything is enumerated.
     """
     if num_qubits < 2:
         raise ValueError("bipartitions need at least two qubits")
-    parts = []
+    check_qubits(num_qubits, "bipartition enumeration")
+    parts: list[Partition] = []
     for size in range(1, num_qubits // 2 + 1):
-        for combo in combinations(range(1, num_qubits + 1), size):
-            if 2 * size == num_qubits and combo[0] != 1:
-                continue
-            parts.append(Partition.from_sender(combo, num_qubits))
+        cuts = _cut_layout(num_qubits, size).cuts
+        # In combinations order the senders holding qubit 1 are the first half.
+        parts += cuts[: len(cuts) // 2] if 2 * size == num_qubits else cuts
     return tuple(parts)
 
 

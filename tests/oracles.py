@@ -50,17 +50,22 @@ def brute_spectrum(amps, num_qubits: int, side) -> np.ndarray:
     return vals[vals > 1e-12]
 
 
-def svd_cut_spectrum(amps, num_qubits: int, sender) -> tuple[float, ...]:
-    """Squared singular values above 1e-12, descending, of the amplitudes
-    laid out as a matrix whose row index packs the ``sender`` bits (ascending)
-    and whose column index packs the rest: one ``np.linalg.svd`` per cut.
-    """
+def brute_cut_matrix(amps, num_qubits: int, sender) -> np.ndarray:
+    """The amplitudes as a matrix whose row index packs the ``sender`` bits
+    (ascending) and whose column index packs the rest: each entry placed
+    by bit arithmetic on its joint index, with no reshape or transpose."""
     sender = sorted(sender)
     rest = [q for q in range(1, num_qubits + 1) if q not in sender]
     index = np.arange(2**num_qubits)
     mat = np.zeros((2 ** len(sender), 2 ** len(rest)), dtype=complex)
     mat[sub_index(index, sender, num_qubits), sub_index(index, rest, num_qubits)] = amps
-    s = np.linalg.svd(mat, compute_uv=False)
+    return mat
+
+
+def svd_cut_spectrum(amps, num_qubits: int, sender) -> tuple[float, ...]:
+    """Squared singular values above 1e-12, descending, of
+    ``brute_cut_matrix``: one ``np.linalg.svd`` per cut."""
+    s = np.linalg.svd(brute_cut_matrix(amps, num_qubits, sender), compute_uv=False)
     lam = np.sort(s * s)[::-1]
     return tuple(float(x) for x in lam[lam > 1e-12])
 

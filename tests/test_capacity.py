@@ -60,10 +60,12 @@ from tmes.operators import pauli_string
 from tmes.pauli import pauli_digits, pauli_expectations, pauli_label
 from tmes.statevec import (
     ATOL,
+    CLUSTER_RTOL,
     MAX_QUBITS,
     LocalOperator,
     Partition,
     PureState,
+    _cut_layout,
     apply_local,
     partial_trace,
     schmidt_spectrum,
@@ -85,6 +87,10 @@ from tmes.states import (
 )
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
+
+
+# Thresholds outside [0, 1), which every counting function refuses.
+BAD_TOLS = [-1e-9, 1.0, 1.5, float("nan"), float("inf")]
 
 
 def _cut(sender, n):
@@ -678,7 +684,7 @@ class TestSdcCounts:
         adj = _orthogonality_adjacency(_expectations(cluster4(), (1, 3)), 1e-9)
         assert _max_clique(adj) == labels
 
-    @pytest.mark.parametrize("tol", [-1e-9, 1.0, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_tol_outside_unit_interval_is_refused(self, tol):
         # tol >= 1 would empty Z and send the search 4^s levels deep
         with pytest.raises(ValueError, match=f"tol must lie in \\[0, 1\\), got {tol}"):
@@ -1097,6 +1103,84 @@ VERDICT_TABLE = [
 ]
 
 
+def _dicke1(n: int, dressed: bool) -> PureState:
+    """The n-qubit Dicke state with one excitation, from its amplitudes;
+    dressed, qubit q also gets the local Clifford (I, H, S, HS)[q mod 4],
+    which keeps every figure but not the exact amplitudes."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[1 << np.arange(n)] = 1 / math.sqrt(n)
+    state = PureState(n, amps)
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    s = np.diag([1, 1j])
+    cliffords = (np.eye(2), h, s, h @ s)
+    for q in range(1, n + 1) if dressed else ():
+        state = apply_local(state, LocalOperator(1, cliffords[q % 4]), (q,))
+    return state
+
+
+def _schmidt_state(coeffs) -> PureState:
+    """4-qubit state sum_k coeffs[k] |k>|k> across (1,2)|(3,4): the cut
+    matrix is diagonal, so its SVD returns the coefficients as given."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0000, 0b0101, 0b1010, 0b1111]] = coeffs
+    return PureState(4, amps)
+
+
+def _coeffs(values) -> np.ndarray:
+    """Schmidt coefficients whose squares are ``values``, normalised."""
+    lam = np.asarray(values, dtype=float)
+    return np.sqrt(lam / lam.sum())
+
+
+RHO = CLUSTER_RTOL
+# Two pairs of Schmidt coefficients whose squares sit exactly on the
+# clustering boundary, lam_0 - lam_1 == CLUSTER_RTOL * lam_0 in float (found
+# by a search over consecutive floats); their squares sum to 1 within 6e-10.
+BOUNDARY_COEFFS = [
+    float.fromhex(x)
+    for x in ("0x1.186f18122cc9fp-1", "0x1.186f1726ee0d8p-1",
+              "0x1.c9f25c64a2ce1p-2", "0x1.c9f25ae47b7e2p-2")
+]
+
+
+class TestCapacityBoundary:
+    """``cut_reports`` reads capacities off the eigenvalue array where every
+    value stands alone, and clusters the rest; both must agree with
+    ``teleport_capacity`` on either side of CLUSTER_RTOL."""
+
+    @pytest.mark.parametrize(
+        "state,want",
+        [
+            # (2, 2): the top pair joins
+            (_schmidt_state(_coeffs([1, 1 - 0.9 * RHO, 0.6, 0.6])), 1),
+            # (1, 1, 2)
+            (_schmidt_state(_coeffs([1, 1 - 1.1 * RHO, 0.6, 0.6])), 0),
+            # every value alone: no clustering runs
+            (_schmidt_state(_coeffs([1, 1 - 1.1 * RHO, 0.6, 0.6 * (1 - 1.1 * RHO)])), 0),
+            # each step is inside the tolerance, but the third value is not
+            # within it of the run's first member: (2, 2), where comparing
+            # with the previous value would chain all four into one run
+            (_schmidt_state(_coeffs([(1 - 0.6 * RHO) ** k for k in range(4)])), 1),
+            # both pairs join, at the tolerance exactly: (2, 2)
+            (_schmidt_state(BOUNDARY_COEFFS), 1),
+        ],
+        ids=["inside", "outside", "all-distinct", "first-member", "on-the-boundary"],
+    )
+    def test_reports_equal_teleport_capacity(self, state, want):
+        reports = list(cut_reports(state))
+        assert tuple(sorted(reports[0].cut.sender)) == (1, 2)
+        assert reports[0].capacity == want
+        for report in reports:
+            assert report.capacity == teleport_capacity(state, report.cut)
+
+    def test_boundary_pairs_are_exact(self):
+        state = _schmidt_state(BOUNDARY_COEFFS)
+        lam = next(cut_reports(state)).spectrum.eigenvalues
+        assert lam[0] - lam[1] == CLUSTER_RTOL * lam[0]
+        assert lam[2] - lam[3] == CLUSTER_RTOL * lam[2]
+        assert lam[1] - lam[2] > CLUSTER_RTOL * lam[1]
+
+
 class TestMaximalityVerdicts:
     @pytest.mark.parametrize("state,maximal,cap,msgs,witness", VERDICT_TABLE)
     def test_verdict_table(self, state, maximal, cap, msgs, witness):
@@ -1174,7 +1258,12 @@ class TestMaximalityVerdicts:
         [pytest.param(make_state(parse_spec(spec)), id=spec) for spec in VERDICTS]
         + [
             pytest.param(haar_random_state(n, seed=n), id=f"haar{n}")
+            for n in range(2, 11)
+        ]
+        + [
+            pytest.param(_dicke1(n, dressed), id=f"dicke{n}" + "-dressed" * dressed)
             for n in range(2, 9)
+            for dressed in (False, True)
         ],
     )
     def test_reports_equal_one_cut_figures(self, state):
@@ -1198,6 +1287,20 @@ class TestMaximalityVerdicts:
     @pytest.mark.parametrize("state,maximal,cap,msgs,witness", VERDICT_TABLE)
     def test_fold_over_full_reports_equals_is_tmes(self, state, maximal, cap, msgs, witness):
         assert tmes_verdict(list(cut_reports(state))) == is_tmes(state)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS + [-3.0])
+    def test_fold_refuses_tol_outside_unit_interval(self, tol):
+        reports = list(cut_reports(cluster4()))
+        with pytest.raises(ValueError, match=f"tol must lie in \\[0, 1\\), got {tol}"):
+            tmes_verdict(reports, tol)
+
+    def test_scan_reuses_the_memoised_cuts(self, monkeypatch):
+        # The balanced cuts are built once per qubit count; a scan slices them.
+        n = 8
+        layout = _cut_layout(n, 4)
+        monkeypatch.setattr(Partition, "from_sender", None)
+        reports = list(cut_reports(haar_random_state(n, seed=1)))
+        assert all(r.cut is cut for r, cut in zip(reports, layout.cuts, strict=True))
 
     def test_fold_refuses_empty_and_mixed_reports(self):
         with pytest.raises(ValueError, match="at least one cut report"):

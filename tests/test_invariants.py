@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_genuine_multipartite, brute_spectrum
+from tmes import statevec
 from tmes.capacity import haar_random_state
 from tmes.claims import VERDICTS
 from tmes.invariants import (
@@ -79,6 +80,17 @@ class TestBipartitionEnumeration:
 
     def test_memoised(self):
         assert all_bipartitions(6) is all_bipartitions(6)
+
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 10**18])
+    def test_cap_is_checked_before_enumerating(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("enumerated beyond the cap")
+
+        monkeypatch.setattr(statevec, "combinations", refuse)
+        before = all_bipartitions.cache_info().currsize
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits, got {n}"):
+            all_bipartitions(n)
+        assert all_bipartitions.cache_info().currsize == before
 
 
 class TestSpectraEnumeration:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_apply,
+    brute_cut_matrix,
     brute_negativity,
     brute_reduced_density,
     brute_spectrum,
@@ -18,11 +24,12 @@ from oracles import (
     svd_cut_spectrum,
 )
 import tmes
-from tmes import statevec
+from tmes import capacity, statevec
 from tmes.capacity import haar_random_state, haar_random_unitary, sdc_max_messages
 from tmes.statevec import (
     ATOL,
     EXACT_ATOL,
+    MAX_QUBITS,
     DensityMatrix,
     LocalOperator,
     Partition,
@@ -42,6 +49,7 @@ from tmes.statevec import (
 )
 from tmes.claims import VERDICTS
 from tmes.invariants import all_bipartitions, conversion_obstruction, orthogonal_family
+from tmes.statevec import _cut_layout
 from tmes.states import (
     basis_state,
     bell,
@@ -313,6 +321,112 @@ class TestCutSpectra:
     def test_rejects_a_cut_of_another_size(self):
         with pytest.raises(ValueError, match="partition covers 3 qubits"):
             cut_spectra(bell(), [Partition.from_sender((1,), 3)])
+
+
+def _recording(monkeypatch, module, seen):
+    """Replace ``module._cut_stacks`` by a wrapper that appends (state, cuts,
+    stacks) to ``seen`` for every call."""
+    stacks = module._cut_stacks
+
+    def recording(state, cuts):
+        out = list(stacks(state, cuts))
+        seen.append((state, tuple(cuts), out))
+        return iter(out)
+
+    monkeypatch.setattr(module, "_cut_stacks", recording)
+
+
+class TestCutStacks:
+    """Every ``_cut_stacks`` matrix equals, byte for byte, the cut matrix
+    laid out entry by entry by bit arithmetic on the joint index."""
+
+    @staticmethod
+    def _assert_oracle(state, cuts, stacks):
+        seen = []
+        for where, stack in stacks:
+            assert stack.shape[0] == len(where)
+            for i, mat in zip(where, stack):
+                want = brute_cut_matrix(state.amplitudes, state.num_qubits, cuts[i].sender)
+                assert mat.dtype == want.dtype and mat.shape == want.shape
+                assert mat.tobytes() == want.tobytes()
+            seen += where
+        assert sorted(seen) == list(range(len(cuts)))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_cut(self, n):
+        state = haar_random_state(n, seed=n)
+        cuts = _every_cut(n)
+        self._assert_oracle(state, cuts, statevec._cut_stacks(state, cuts))
+
+    def test_shuffled_mixed_sizes_with_repeats(self):
+        state = haar_random_state(7, seed=4)
+        cuts = _every_cut(7)
+        rng = np.random.default_rng(1)
+        shuffled = [cuts[i] for i in rng.permutation(len(cuts))] + cuts[::9]
+        self._assert_oracle(state, shuffled, statevec._cut_stacks(state, shuffled))
+
+    def test_conversion_obstruction_cuts(self, monkeypatch):
+        seen = []
+        _recording(monkeypatch, statevec, seen)
+        source = haar_random_state(8, seed=2)
+        target = apply_local(source, _random_unitary(2, seed=3), (1, 2))
+        for subset in [(1, 2), (3,), (2, 5, 7)]:
+            conversion_obstruction(source, target, subset)
+        assert len(seen) == 6
+        for state, cuts, stacks in seen:
+            self._assert_oracle(state, cuts, stacks)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_cut_report_chunks(self, monkeypatch, n):
+        seen = []
+        _recording(monkeypatch, capacity, seen)
+        state = haar_random_state(n, seed=n)
+        reports = list(capacity.cut_reports(state))
+        assert len(seen) > 1
+        assert [r.cut for r in reports] == [cut for _, cuts, _ in seen for cut in cuts]
+        for state, cuts, stacks in seen:
+            self._assert_oracle(state, cuts, stacks)
+
+
+class TestCutLayout:
+    def test_import_builds_no_table(self):
+        probe = (
+            "import tmes\n"
+            "from tmes import invariants, statevec\n"
+            "print(statevec._cut_layout.cache_info().currsize,"
+            " invariants.all_bipartitions.cache_info().currsize)\n"
+        )
+        src = str(Path(tmes.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["0", "0"]
+
+    def test_tables_are_read_only_and_small(self):
+        # every table up to MAX_QUBITS qubits, senders of every size
+        layouts = [_cut_layout(n, size) for n in range(2, MAX_QUBITS + 1) for size in range(1, n)]
+        total = 0
+        for layout in layouts:
+            for table in (layout.rows, layout.cols):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 1
+                total += table.nbytes
+        assert total < 4 * 2**20
+        assert _cut_layout(6, 3) is _cut_layout(6, 3)
+
+    def test_layout_lists_every_cut_in_combinations_order(self):
+        layout = _cut_layout(6, 2)
+        senders = list(combinations(range(1, 7), 2))
+        assert [tuple(sorted(cut.sender)) for cut in layout.cuts] == senders
+        assert [layout.position[cut.sender] for cut in layout.cuts] == list(range(15))
+
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 10**18])
+    def test_cap_is_checked_before_building(self, n):
+        before = _cut_layout.cache_info().currsize
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits, got {n}"):
+            _cut_layout(n, 1)
+        assert _cut_layout.cache_info().currsize == before
 
 
 def _public_signatures():
