@@ -30,7 +30,6 @@ import numpy as np
 from .pauli import apply_paulis, pauli_expectations, pauli_rows
 from .statevec import (
     ATOL,
-    CLUSTER_RTOL,
     EXACT_ATOL,
     MAX_QUBITS,
     Partition,
@@ -41,6 +40,7 @@ from .statevec import (
     _cut_layout,
     _cut_matrix,
     _cut_stacks,
+    _distinct_rows,
     _freeze,
     _qubit_set,
     _stack_marginals,
@@ -91,26 +91,6 @@ def teleport_capacity(state: PureState, cut: Partition) -> int:
 def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
     mults = [m for _, m in spectrum.clustered()]
     return min(_two_adic_valuation(math.gcd(*mults)), receivers)
-
-
-def _stack_capacities(
-    lam: np.ndarray, spectra: list[SchmidtSpectrum], receivers: int
-) -> list[int]:
-    """``_capacity`` of each spectrum, read off ``lam``, the descending
-    eigenvalue rows ``_stack_spectra`` built the spectra from.
-
-    In a row where every adjacent pair of kept values (> EXACT_ATOL) has
-    lam_k - lam_{k+1} > CLUSTER_RTOL * lam_k, which is the negation of
-    ``cluster_values``' joining test in the same float operations, each value
-    opens its own run: every multiplicity is 1 and the capacity is 0.  Only
-    the other rows are clustered.
-    """
-    head, tail = lam[:, :-1], lam[:, 1:]
-    split = (head - tail > CLUSTER_RTOL * head) | (tail <= EXACT_ATOL)
-    return [
-        0 if distinct else _capacity(spectrum, receivers)
-        for distinct, spectrum in zip(split.all(axis=1).tolist(), spectra)
-    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,8 +559,9 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     Chunks are slices of the cuts ``statevec._cut_layout`` memoises per
     qubit count.  They start at one cut and double until their stack would
     pass CHUNK_BYTES, so a scan that stops early scores few cuts beyond its
-    last, and a full scan makes few batched calls.  Each chunk's capacities
-    come from its eigenvalue array (``_stack_capacities``).  The clique
+    last, and a full scan makes few batched calls.  A cut whose kept
+    eigenvalues all stand alone (``statevec._distinct_rows`` on the chunk's
+    eigenvalue array) has capacity 0 with no clustering.  The clique
     search runs only for a cut whose Z is not a group, and only when the
     scan reaches it.
     """
@@ -594,7 +575,7 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     while chunk := cuts[start : start + width]:
         ((_, stack),) = _cut_stacks(state, chunk)
         lam, spectra = _stack_spectra(stack)
-        caps = _stack_capacities(lam, spectra, n // 2)
+        distinct = _distinct_rows(lam)
         expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
         for i, cut in enumerate(chunk):
@@ -602,7 +583,8 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
                 msgs = expect.shape[1] >> int(pivots[i]).bit_count()
             else:
                 msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            yield CutReport(cut, spectra[i], caps[i], msgs)
+            cap = 0 if distinct[i] else _capacity(spectra[i], n // 2)
+            yield CutReport(cut, spectra[i], cap, msgs)
         start += width
         width = min(2 * width, limit)
 

@@ -234,6 +234,18 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
     return tuple(map(tuple, runs))
 
 
+def _distinct_rows(lam: np.ndarray) -> list[bool]:
+    """For each row of ``lam`` (descending), whether ``cluster_values`` puts
+    every value above EXACT_ATOL in a run of its own: exactly when no
+    adjacent pair of kept values passes its joining test, written here
+    elementwise in the same float operations.  (If none joins, each value
+    meets its predecessor as the first member of a one-value run; if one
+    does, its run has two members or its predecessor's already had.)"""
+    head, tail = lam[:, :-1], lam[:, 1:]
+    joins = np.abs(head - tail) <= CLUSTER_RTOL * np.maximum(np.abs(head), np.abs(tail))
+    return (~joins | (tail <= EXACT_ATOL)).all(axis=1).tolist()
+
+
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """Descending nonzero eigenvalues of a reduced density matrix."""
@@ -351,8 +363,8 @@ def _cut_matrix(state: PureState, rows: Sequence[int], cols: Sequence[int]) -> n
     """The amplitudes as a matrix, rows and columns indexed by the qubits
     ``rows`` and ``cols`` in the order given: a transposed view where numpy
     can make one.  Every one-cut function that lays a ``PureState`` out
-    across a cut reads it from here; ``_cut_stacks`` gathers the same
-    entries for many cuts at once."""
+    across a cut (``schmidt_spectrum`` among them) reads it from here;
+    ``_cut_stacks`` gathers the same entries for many cuts at once."""
     psi = state.tensor_view().transpose([q - 1 for q in (*rows, *cols)])
     return psi.reshape(2 ** len(rows), 2 ** len(cols))
 
@@ -373,18 +385,16 @@ def schmidt_decomposition(
     return s[keep], u[:, keep], vh[keep, :]
 
 
-# Amplitude indices below 2^MAX_QUBITS, stored in the smallest dtype that
-# holds them: the tables of every cut of up to MAX_QUBITS qubits stay small.
-_OFFSET_DTYPE = np.min_scalar_type(2**MAX_QUBITS - 1)
-
-
 def _side_offsets(qubits: np.ndarray, num_qubits: int) -> np.ndarray:
     """Row ``i`` holds, for every r in [0, 2^m), the amplitude index bits of
     r spread over the m qubits of ``qubits[i]``, the first of them taking
-    r's most significant bit; qubit q is bit 2^(n - q)."""
+    r's most significant bit; qubit q is bit 2^(n - q).  The dtype is the
+    smallest that holds every index below 2^max(n, MAX_QUBITS), so the
+    memoised tables of every cut of up to MAX_QUBITS qubits share one."""
     m = qubits.shape[1]
     bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return ((1 << (num_qubits - qubits)) @ bits.T).astype(_OFFSET_DTYPE)
+    dtype = np.min_scalar_type(2 ** max(num_qubits, MAX_QUBITS) - 1)
+    return ((1 << (num_qubits - qubits)) @ bits.T).astype(dtype)
 
 
 class _CutLayout(NamedTuple):
@@ -421,7 +431,9 @@ def _cut_stacks(
     """Per sender size, ascending, the positions in ``cuts`` of that size and
     the stack of their sender-by-receiver matrices, each equal to
     ``_cut_matrix`` on its sorted sides.  A stack is one gather of the
-    amplitudes at the memoised offsets of its cuts: an exact copy.  (On a
+    amplitudes at the offsets of its cuts: an exact copy.  Up to MAX_QUBITS
+    qubits the offsets are read from the memoised ``_cut_layout``; above it,
+    where no layout is kept, they are built for the given cuts alone.  (On a
     12-qubit scan, ``take`` made the same stacks with five times the page
     faults, and the batched calls that read them ran slower.)
     """
@@ -432,9 +444,15 @@ def _cut_stacks(
     n = state.num_qubits
     for size in sorted(groups):
         where = groups[size]
-        layout = _cut_layout(n, size)
-        at = [layout.position[cuts[i].sender] for i in where]
-        yield where, state.amplitudes[layout.rows[at, :, None] | layout.cols[at, None, :]]
+        if n <= MAX_QUBITS:
+            layout = _cut_layout(n, size)
+            at = [layout.position[cuts[i].sender] for i in where]
+            rows, cols = layout.rows[at], layout.cols[at]
+        else:
+            sides = [cuts[i].sides() for i in where]
+            rows = _side_offsets(np.array([r for r, _ in sides]), n)
+            cols = _side_offsets(np.array([c for _, c in sides]), n)
+        yield where, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
 
 
 def cut_spectra(
@@ -476,7 +494,8 @@ def _stack_marginals(stack: np.ndarray) -> np.ndarray:
 
 def schmidt_spectrum(state: PureState, cut: Partition) -> SchmidtSpectrum:
     """Eigenvalues of either side's reduced density matrix, zeros dropped."""
-    return cut_spectra(state, (cut,))[0]
+    _require_cut(state, cut)
+    return _stack_spectra(_cut_matrix(state, *cut.sides())[None])[1][0]
 
 
 def entropy(spectrum: SchmidtSpectrum) -> float:

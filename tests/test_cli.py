@@ -222,6 +222,17 @@ class TestAnalysisCommands:
         assert "cut: {1,2} | {3,4}" in text
         assert "teleport capacity: 1 qubit(s)" in text
 
+    @pytest.mark.parametrize(
+        "sender,cut",
+        [(None, "{1,3,5,7,9,11,13} | {2,4,6,8,10,12}"), ("1,4,9", "{1,4,9} | {2,3,5,6,7,8,10,11,12,13}")],
+    )
+    def test_capacity_above_twelve_qubits(self, state_file, capsys, sender, cut):
+        args = ["capacity", "--state", state_file("ghz:13")]
+        assert main(args + (["--sender", sender] if sender else [])) == 0
+        assert capsys.readouterr().out == (
+            f"qubits: 13\ncut: {cut}\nspectrum: 0.500000000 x2\nteleport capacity: 1 qubit(s)\n"
+        )
+
     def test_sdc_counts(self, state_file, capsys):
         assert main(["sdc", "--state", state_file("cluster4")]) == 0
         text = capsys.readouterr().out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -49,7 +50,7 @@ from tmes.statevec import (
 )
 from tmes.claims import VERDICTS
 from tmes.invariants import all_bipartitions, conversion_obstruction, orthogonal_family
-from tmes.statevec import _cut_layout
+from tmes.statevec import _cut_layout, _distinct_rows
 from tmes.states import (
     basis_state,
     bell,
@@ -271,6 +272,15 @@ def _every_cut(n: int) -> list[Partition]:
     ]
 
 
+def _no_layout(*args):
+    raise AssertionError(f"_cut_layout{args} was called")
+
+
+def _cuts_above_the_cap(n: int) -> list[Partition]:
+    senders = [(1,), (2, 5, n), tuple(range(1, n // 2 + 1)), (3, 4, 7, 8, 11), (n - 1,)]
+    return [Partition.from_sender(s, n) for s in senders]
+
+
 class TestCutSpectra:
     """``cut_spectra`` equals, to the bit, one SVD per cut laid out by bit
     arithmetic."""
@@ -317,6 +327,16 @@ class TestCutSpectra:
 
     def test_no_cuts(self):
         assert cut_spectra(bell(), []) == ()
+
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 17])
+    def test_above_the_layout_cap(self, monkeypatch, n):
+        # No layout is kept above MAX_QUBITS: the offsets are built for the
+        # given cuts, in a dtype that holds 17-qubit indices.
+        monkeypatch.setattr(statevec, "_cut_layout", _no_layout)
+        state = haar_random_state(n, seed=n)
+        cuts = _cuts_above_the_cap(n)
+        self._assert_bitwise(state, cuts)
+        assert cut_spectra(state, cuts) == tuple(schmidt_spectrum(state, c) for c in cuts)
 
     def test_rejects_a_cut_of_another_size(self):
         with pytest.raises(ValueError, match="partition covers 3 qubits"):
@@ -376,6 +396,13 @@ class TestCutStacks:
         for state, cuts, stacks in seen:
             self._assert_oracle(state, cuts, stacks)
 
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 17])
+    def test_above_the_layout_cap(self, monkeypatch, n):
+        monkeypatch.setattr(statevec, "_cut_layout", _no_layout)
+        state = haar_random_state(n, seed=n)
+        cuts = _cuts_above_the_cap(n)
+        self._assert_oracle(state, cuts, statevec._cut_stacks(state, cuts))
+
     @pytest.mark.parametrize("n", [8, 9])
     def test_cut_report_chunks(self, monkeypatch, n):
         seen = []
@@ -386,6 +413,32 @@ class TestCutStacks:
         assert [r.cut for r in reports] == [cut for _, cuts, _ in seen for cut in cuts]
         for state, cuts, stacks in seen:
             self._assert_oracle(state, cuts, stacks)
+
+
+class TestOneCutCalls:
+    """A one-cut call lays the state out with ``_cut_matrix`` alone: it
+    builds no cut layout, so it takes every state the size policy allows
+    (13 to 24 qubits too) and costs no table on a cold call."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [ghz(13), haar_random_state(13, seed=2), haar_random_state(MAX_QUBITS, seed=1)],
+        ids=["ghz13", "haar13", "haar12"],
+    )
+    def test_spectrum_and_capacity(self, monkeypatch, state):
+        monkeypatch.setattr(statevec, "_cut_layout", _no_layout)
+        n = state.num_qubits
+        for sender in [(1, 4, 9), tuple(range(1, n + 1, 2))]:
+            cut = Partition.from_sender(sender, n)
+            spec = schmidt_spectrum(state, cut)
+            assert spec.eigenvalues == svd_cut_spectrum(state.amplitudes, n, sender)
+            want = min(math.gcd(*(m for _, m in spec.clustered())).bit_length() - 1, n - len(sender))
+            assert capacity.teleport_capacity(state, cut) == want
+
+    def test_ghz13_figures(self):
+        cut = Partition.from_sender((1, 4, 9), 13)
+        assert schmidt_spectrum(ghz(13), cut).clustered() == ((pytest.approx(0.5), 2),)
+        assert capacity.teleport_capacity(ghz(13), cut) == 1
 
 
 class TestCutLayout:
@@ -461,6 +514,37 @@ class TestClusterValues:
     def test_separates_distinct_values(self):
         clusters = cluster_values((0.5, 0.3, 0.2))
         assert [m for _, m in clusters] == [1, 1, 1]
+
+    def test_distinct_rows_match_cluster_values(self):
+        # A row passes _distinct_rows exactly when cluster_values leaves
+        # every value above EXACT_ATOL in a run of its own.  Rows step down
+        # by factors on either side of 1 - CLUSTER_RTOL, a few ulps apart,
+        # with zero and sub-EXACT_ATOL tails.
+        rng = np.random.default_rng(7)
+        factors = [0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6]
+        rows = []
+        for _ in range(3000):
+            row = [rng.uniform(0.05, 1.0)]
+            for _ in range(5):
+                v = row[-1] * (1 - statevec.CLUSTER_RTOL * rng.choice(factors))
+                for _ in range(rng.integers(-3, 4)):
+                    v = np.nextafter(v, np.inf if rng.random() < 0.5 else 0.0)
+                row.append(min(float(v), row[-1]))
+            cut = rng.integers(3, 7)
+            row[cut:] = [rng.choice([0.0, EXACT_ATOL, 1e-20])] * (6 - cut)
+            rows.append(row)
+        # a pair exactly on the boundary, lam_0 - lam_1 == CLUSTER_RTOL * lam_0
+        on = [float.fromhex("0x1.333334dda4000p-2"), float.fromhex("0x1.333332da3e980p-2")]
+        assert on[0] - on[1] == statevec.CLUSTER_RTOL * on[0]
+        rows += [on + [0.1, 0.0, 0.0, 0.0], [0.5] + on + [0.0, 0.0, 0.0]]
+        lam = np.array(rows)
+        want = [
+            all(m == 1 for _, m in cluster_values(row[row > EXACT_ATOL].tolist()))
+            for row in lam
+        ]
+        assert _distinct_rows(lam) == want
+        assert 100 < sum(want) < len(want) - 100
+        assert not any(want[-2:])
 
     def test_flat_spectrum_single_cluster(self):
         spec = schmidt_spectrum(bell_product(2), Partition.from_sender((1, 3), 4))
