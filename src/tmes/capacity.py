@@ -37,10 +37,10 @@ from .statevec import (
     SchmidtSpectrum,
     _check_tol,
     _check_unitary,
+    _cluster_runs,
     _cut_layout,
     _cut_matrix,
     _cut_stacks,
-    _distinct_rows,
     _freeze,
     _qubit_set,
     _stack_marginals,
@@ -89,8 +89,14 @@ def teleport_capacity(state: PureState, cut: Partition) -> int:
 
 
 def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
-    mults = [m for _, m in spectrum.clustered()]
-    return min(_two_adic_valuation(math.gcd(*mults)), receivers)
+    """min(v2(gcd of the clustered multiplicities), receivers) as the least
+    v2 over the runs (v2(gcd m_i) = min v2(m_i)): the first odd run ends it."""
+    cap = receivers
+    for _, mult in _cluster_runs(spectrum.eigenvalues):
+        cap = min(cap, _two_adic_valuation(mult))
+        if not cap:
+            break
+    return cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,11 +565,10 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     Chunks are slices of the cuts ``statevec._cut_layout`` memoises per
     qubit count.  They start at one cut and double until their stack would
     pass CHUNK_BYTES, so a scan that stops early scores few cuts beyond its
-    last, and a full scan makes few batched calls.  A cut whose kept
-    eigenvalues all stand alone (``statevec._distinct_rows`` on the chunk's
-    eigenvalue array) has capacity 0 with no clustering.  The clique
-    search runs only for a cut whose Z is not a group, and only when the
-    scan reaches it.
+    last, and a full scan makes few batched calls.  Each capacity reads the
+    cut's clustered runs and stops at the first odd one, which in a Haar
+    cut is the first.  The clique search runs only for a cut whose Z is not a
+    group, and only when the scan reaches it.
     """
     n = state.num_qubits
     if n < 2:
@@ -574,8 +579,7 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     start, width = 0, 1
     while chunk := cuts[start : start + width]:
         ((_, stack),) = _cut_stacks(state, chunk)
-        lam, spectra = _stack_spectra(stack)
-        distinct = _distinct_rows(lam)
+        spectra = _stack_spectra(stack)
         expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
         for i, cut in enumerate(chunk):
@@ -583,8 +587,7 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
                 msgs = expect.shape[1] >> int(pivots[i]).bit_count()
             else:
                 msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            cap = 0 if distinct[i] else _capacity(spectra[i], n // 2)
-            yield CutReport(cut, spectra[i], cap, msgs)
+            yield CutReport(cut, spectra[i], _capacity(spectra[i], n // 2), msgs)
         start += width
         width = min(2 * width, limit)
 

@@ -104,8 +104,8 @@ def hs() -> PureState:
 
 def w_state(n: int = 1) -> PureState:
     """Three-qubit W-class state (|100> + sqrt(n)|010> + sqrt(n+1)|001>)/sqrt(2+2n)."""
-    if n < 1:
-        raise ValueError("w_state parameter must be a positive integer")
+    if not 1 <= n < 2**1022:  # 2 + 2n must be a finite float
+        raise ValueError("w_state parameter must be an integer in 1..2^1022 - 1")
     norm = math.sqrt(2.0 + 2.0 * n)
     amps = np.zeros(8, dtype=complex)
     amps[0b100] = 1.0 / norm

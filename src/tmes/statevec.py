@@ -113,6 +113,7 @@ class PureState:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("a state needs at least one qubit")
+        check_state_size(self.num_qubits, "a state")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**self.num_qubits:
             raise ValueError(
@@ -144,6 +145,7 @@ class LocalOperator:
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("operator arity must be at least 1")
+        check_qubits(self.arity, "operator arity")
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**self.arity
         if mat.shape != (dim, dim):
@@ -207,6 +209,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("a density matrix needs at least one qubit")
+        check_qubits(self.num_qubits, "a density matrix")
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**self.num_qubits
         if mat.shape != (dim, dim):
@@ -215,35 +218,26 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _freeze(mat))
 
 
-def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
-    """Group a descending value sequence into (representative, multiplicity) runs.
-
-    A value joins the current run when it lies within CLUSTER_RTOL (relative
-    to the larger of the two) of the run's first member.  The tolerance is a
-    constant, not a parameter: every capacity and spectrum comparison in the
-    library clusters at the same CLUSTER_RTOL.
-    """
-    runs: list[list] = []
-    first = 0.0
+def _cluster_runs(values: Iterable[float]) -> Iterator[tuple[float, int]]:
+    """Group a descending value sequence into (first member, multiplicity)
+    runs, lazily.  A value joins the current run when it lies within
+    CLUSTER_RTOL (relative to the larger of the two) of the run's first
+    member: the one joining test, at a constant, not a parameter."""
+    first, count = 0.0, 0
     for v in values:
-        if runs and abs(first - v) <= CLUSTER_RTOL * max(abs(first), abs(v)):
-            runs[-1][1] += 1
+        if count and abs(first - v) <= CLUSTER_RTOL * max(abs(first), abs(v)):
+            count += 1
         else:
-            first = v
-            runs.append([v, 1])
-    return tuple(map(tuple, runs))
+            if count:
+                yield first, count
+            first, count = v, 1
+    if count:
+        yield first, count
 
 
-def _distinct_rows(lam: np.ndarray) -> list[bool]:
-    """For each row of ``lam`` (descending), whether ``cluster_values`` puts
-    every value above EXACT_ATOL in a run of its own: exactly when no
-    adjacent pair of kept values passes its joining test, written here
-    elementwise in the same float operations.  (If none joins, each value
-    meets its predecessor as the first member of a one-value run; if one
-    does, its run has two members or its predecessor's already had.)"""
-    head, tail = lam[:, :-1], lam[:, 1:]
-    joins = np.abs(head - tail) <= CLUSTER_RTOL * np.maximum(np.abs(head), np.abs(tail))
-    return (~joins | (tail <= EXACT_ATOL)).all(axis=1).tolist()
+def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
+    """Every run of ``_cluster_runs``, as a tuple."""
+    return tuple(_cluster_runs(values))
 
 
 @dataclass(frozen=True)
@@ -352,9 +346,10 @@ def apply_local(
 
 
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits (ascending index order)."""
+    """Reduced density matrix on at most MAX_QUBITS kept qubits (ascending)."""
     n = state.num_qubits
     kept = _qubit_set(keep, n, "kept qubits")
+    check_qubits(len(kept), "a reduced density matrix")
     m = _cut_matrix(state, kept, [q for q in range(1, n + 1) if q not in kept])
     return DensityMatrix(len(kept), m @ m.conj().T)
 
@@ -469,17 +464,16 @@ def cut_spectra(
     cuts = tuple(cuts)
     spectra: dict[int, SchmidtSpectrum] = {}
     for where, stack in _cut_stacks(state, cuts):
-        spectra.update(zip(where, _stack_spectra(stack)[1]))
+        spectra.update(zip(where, _stack_spectra(stack)))
     return tuple(spectra[i] for i in range(len(cuts)))
 
 
-def _stack_spectra(stack: np.ndarray) -> tuple[np.ndarray, list[SchmidtSpectrum]]:
-    """The squared singular values of every matrix of a ``_cut_stacks``
-    stack, one descending row each, from one batched SVD, and each row's
-    Schmidt spectrum: the values above EXACT_ATOL."""
+def _stack_spectra(stack: np.ndarray) -> list[SchmidtSpectrum]:
+    """The Schmidt spectrum of every matrix of a ``_cut_stacks`` stack, from
+    one batched SVD: the squared singular values above EXACT_ATOL, which
+    LAPACK returns in descending order."""
     s = np.linalg.svd(stack, compute_uv=False)
-    lam = np.sort(s * s, axis=-1)[:, ::-1]
-    return lam, [SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist())) for row in lam]
+    return [SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist())) for row in s * s]
 
 
 def _stack_marginals(stack: np.ndarray) -> np.ndarray:
@@ -495,7 +489,7 @@ def _stack_marginals(stack: np.ndarray) -> np.ndarray:
 def schmidt_spectrum(state: PureState, cut: Partition) -> SchmidtSpectrum:
     """Eigenvalues of either side's reduced density matrix, zeros dropped."""
     _require_cut(state, cut)
-    return _stack_spectra(_cut_matrix(state, *cut.sides())[None])[1][0]
+    return _stack_spectra(_cut_matrix(state, *cut.sides())[None])[0]
 
 
 def entropy(spectrum: SchmidtSpectrum) -> float:

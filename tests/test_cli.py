@@ -77,14 +77,26 @@ class TestStateCommands:
             assert main(["state", "build", spec]) == 0, spec
             capsys.readouterr()
 
-    @pytest.mark.parametrize("spec", ["ghz:40", "basis:" + "0" * 40, "bell_product:20"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "ghz:40",
+            "basis:" + "0" * 40,
+            "bell_product:20",
+            # 10^400 does not convert to a float
+            pytest.param("w:1" + "0" * 400, id="w:huge"),
+        ],
+    )
     def test_oversized_spec_fails_cleanly(self, capsys, spec):
         assert main(["state", "build", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
-        assert "above the 256 MiB cap" in captured.err
+        if spec.startswith("w:"):
+            assert "w_state parameter must be an integer in" in captured.err
+        else:
+            assert "above the 256 MiB cap" in captured.err
 
     def test_unknown_spec_fails_cleanly(self, capsys):
         assert main(["state", "build", "septet:7"]) == 1

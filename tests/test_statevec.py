@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import math
 import os
@@ -23,6 +24,7 @@ from oracles import (
     brute_spectrum,
     shannon_bits,
     svd_cut_spectrum,
+    two_adic,
 )
 import tmes
 from tmes import capacity, statevec
@@ -50,7 +52,7 @@ from tmes.statevec import (
 )
 from tmes.claims import VERDICTS
 from tmes.invariants import all_bipartitions, conversion_obstruction, orthogonal_family
-from tmes.statevec import _cut_layout, _distinct_rows
+from tmes.statevec import _cut_layout
 from tmes.states import (
     basis_state,
     bell,
@@ -196,6 +198,34 @@ class TestPartialTrace:
     def test_trace_is_one(self):
         rho = partial_trace(haar_random_state(4, seed=2), (2, 3)).matrix
         assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    def test_refuses_more_than_max_qubits_kept(self, monkeypatch):
+        # 13 kept qubits would make a 1 GiB matrix: refused before the
+        # state is even laid out.
+        def layout(*args):
+            raise AssertionError("laid out before the size check")
+
+        monkeypatch.setattr(statevec, "_cut_matrix", layout)
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits, got 13"):
+            partial_trace(ghz(13), range(1, 14))
+
+
+# The dense constructors compare counts with the size policy before they form
+# 2^n, which at 10^18 qubits would not finish.
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda n: PureState(n, [1.0]), "a state on {n} qubits is above the 256 MiB cap"),
+        (lambda n: DensityMatrix(n, [[1.0]]), "a density matrix is capped at 12 qubits, got {n}"),
+        (lambda n: LocalOperator(n, [[1.0]]), "operator arity is capped at 12 qubits, got {n}"),
+    ],
+    ids=["PureState", "DensityMatrix", "LocalOperator"],
+)
+def test_dense_constructors_check_size_first(build, message):
+    n = 10**18
+    with pytest.raises(ValueError) as err:
+        build(n)
+    assert str(err.value) == message.format(n=n)
 
 
 # Every qubit list a caller names goes through one check: refused when empty
@@ -515,11 +545,11 @@ class TestClusterValues:
         clusters = cluster_values((0.5, 0.3, 0.2))
         assert [m for _, m in clusters] == [1, 1, 1]
 
-    def test_distinct_rows_match_cluster_values(self):
-        # A row passes _distinct_rows exactly when cluster_values leaves
-        # every value above EXACT_ATOL in a run of its own.  Rows step down
-        # by factors on either side of 1 - CLUSTER_RTOL, a few ulps apart,
-        # with zero and sub-EXACT_ATOL tails.
+    def test_capacity_is_the_least_run_valuation(self):
+        # _capacity stops at the first odd run; it must still equal
+        # min(v2(gcd of the cluster_values multiplicities), receivers).
+        # Rows step down by factors on either side of 1 - CLUSTER_RTOL, a
+        # few ulps apart, with zero and sub-EXACT_ATOL tails, scaled to sum 1.
         rng = np.random.default_rng(7)
         factors = [0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e6]
         rows = []
@@ -532,19 +562,33 @@ class TestClusterValues:
                 row.append(min(float(v), row[-1]))
             cut = rng.integers(3, 7)
             row[cut:] = [rng.choice([0.0, EXACT_ATOL, 1e-20])] * (6 - cut)
-            rows.append(row)
+            rows.append((np.array(row) / sum(row)).tolist())
         # a pair exactly on the boundary, lam_0 - lam_1 == CLUSTER_RTOL * lam_0
         on = [float.fromhex("0x1.333334dda4000p-2"), float.fromhex("0x1.333332da3e980p-2")]
         assert on[0] - on[1] == statevec.CLUSTER_RTOL * on[0]
-        rows += [on + [0.1, 0.0, 0.0, 0.0], [0.5] + on + [0.0, 0.0, 0.0]]
-        lam = np.array(rows)
-        want = [
-            all(m == 1 for _, m in cluster_values(row[row > EXACT_ATOL].tolist()))
-            for row in lam
+        rest = 1.0 - on[0] - on[1]
+        rows += [on + [rest / 2] * 2, [rest] + on, on + [rest / 2] * 2 + [0.0]]
+        # a first run of even length, then an odd one (or none)
+        rows += [
+            [0.25, 0.25, 0.2, 0.2, 0.1],
+            [0.3, 0.3, 0.2, 0.1, 0.1],
+            [0.2] * 4 + [0.1] * 2,
+            [0.25] * 2 + [0.125] * 4,
+            [0.125] * 8,
         ]
-        assert _distinct_rows(lam) == want
-        assert 100 < sum(want) < len(want) - 100
-        assert not any(want[-2:])
+        seen = []
+        for row in rows:
+            spectrum = SchmidtSpectrum(tuple(row))
+            mults = [m for _, m in cluster_values(row)]
+            v2 = two_adic(math.gcd(*mults))
+            for receivers in range(1, 7):
+                assert capacity._capacity(spectrum, receivers) == min(v2, receivers), row
+            seen.append((mults[0] % 2, v2))
+        # (parity of the first run, v2): rows with capacity, and rows whose
+        # first run is even but a later one odd
+        assert seen[-8:] == [(0, 1), (1, 0), (0, 0), (0, 0), (0, 0), (0, 1), (0, 1), (0, 3)]
+        assert sum(v2 > 0 for _, v2 in seen) > 100
+        assert seen.count((0, 0)) > 100
 
     def test_flat_spectrum_single_cluster(self):
         spec = schmidt_spectrum(bell_product(2), Partition.from_sender((1, 3), 4))
@@ -580,6 +624,23 @@ class TestClusterValues:
         assert list(inspect.signature(tmes.build_sdc_codebook).parameters) == [
             "state", "sender_set", "num_messages"
         ]
+
+    def test_one_clustering_rule(self):
+        # The joining test is written once: in src/, CLUSTER_RTOL is read
+        # only by the run generator and by the spectrum comparison.  A read
+        # outside any function is filed under its module.
+        readers = set()
+        for path in Path(tmes.__file__).parent.glob("*.py"):
+            todo = [(ast.parse(path.read_text()), path.stem)]
+            while todo:
+                node, where = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    where = f"{path.stem}.{node.name}"
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "CLUSTER_RTOL" and isinstance(node.ctx, ast.Load):
+                    readers.add(where)
+                todo += [(child, where) for child in ast.iter_child_nodes(node)]
+        assert readers == {"statevec._cluster_runs", "invariants.spectra_match"}
 
 
 class TestDiagnostics:
