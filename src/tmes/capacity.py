@@ -51,11 +51,6 @@ from .statevec import (
     schmidt_spectrum,
 )
 
-# Byte budget of the amplitude stack one is_tmes chunk scores at once (16
-# cuts at 12 qubits).  At 12 qubits budgets of 256 KiB to 4 MiB ran alike
-# and 16 MiB about a third slower.
-CHUNK_BYTES = 1 << 20
-
 
 def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
@@ -562,34 +557,28 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
     ``sdc_max_messages`` at ``tol``, which lies in [0, 1)).
 
-    Chunks are slices of the cuts ``statevec._cut_layout`` memoises per
-    qubit count.  They start at one cut and double until their stack would
-    pass CHUNK_BYTES, so a scan that stops early scores few cuts beyond its
-    last, and a full scan makes few batched calls.  Each capacity reads the
-    cut's clustered runs and stops at the first odd one, which in a Haar
-    cut is the first.  The clique search runs only for a cut whose Z is not a
-    group, and only when the scan reaches it.
+    The cuts ``statevec._cut_layout`` memoises are scored a ``_cut_stacks``
+    chunk at a time, so a scan that stops early has scored the rest of the
+    chunk that holds its last cut.  Each capacity reads the cut's clustered
+    runs and stops at the first odd one, which in a Haar cut is the first.
+    The clique search runs only for a cut whose Z is not a group, and only
+    when the scan reaches it.
     """
     n = state.num_qubits
     if n < 2:
         raise ValueError("the maximal-task test needs at least two qubits")
     check_qubits(n, "the maximal-task test")
     cuts = _cut_layout(n, (n + 1) // 2).cuts
-    limit = max(CHUNK_BYTES // (16 * 2**n), 1)
-    start, width = 0, 1
-    while chunk := cuts[start : start + width]:
-        ((_, stack),) = _cut_stacks(state, chunk)
+    for where, stack in _cut_stacks(state, cuts):
         spectra = _stack_spectra(stack)
         expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
-        for i, cut in enumerate(chunk):
+        for i, j in enumerate(where):
             if closed[i]:
                 msgs = expect.shape[1] >> int(pivots[i]).bit_count()
             else:
                 msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            yield CutReport(cut, spectra[i], _capacity(spectra[i], n // 2), msgs)
-        start += width
-        width = min(2 * width, limit)
+            yield CutReport(cuts[j], spectra[i], _capacity(spectra[i], n // 2), msgs)
 
 
 def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:

@@ -29,7 +29,7 @@ from .capacity import (
     teleport_capacity,
 )
 from .invariants import (
-    all_bipartitions,
+    all_bipartition_spectra,
     conversion_obstruction,
     genuine_multipartite,
     orthogonal_family,
@@ -307,13 +307,12 @@ def _spectra_ghz(config: ClaimConfig):
     data = {}
     total = 0
     for n in (3, 4, 5):
-        state = ghz(n)
-        for cut in all_bipartitions(n):
-            spec = schmidt_spectrum(state, cut)
+        spectra = all_bipartition_spectra(ghz(n))
+        for cut, spec in spectra.items():
             if not _spectrum_close(spec, HALF):
                 bad.append(f"ghz{n} cut {sorted(cut.sender)}: {_spec_doc(spec)}")
-        data[f"ghz{n}_cuts"] = len(all_bipartitions(n))
-        total += data[f"ghz{n}_cuts"]
+        data[f"ghz{n}_cuts"] = len(spectra)
+        total += len(spectra)
     return _finish(bad, f"all {total} bipartitions across n=3,4,5 give {{1/2, 1/2}}", data)
 
 

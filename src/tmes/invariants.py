@@ -6,8 +6,8 @@ any cut that keeps the subset entirely on one side; comparing spectra of a
 source and a target state across all such cuts therefore certifies when no
 placement of a local gate can realize the conversion.
 
-Every analysis over many cuts takes a state's spectra from one
-``statevec.cut_spectra`` call (one batched SVD per sender size);
+Every analysis over many cuts reads a state's ``statevec._cut_stacks``
+chunks: ``cut_spectra`` makes one batched SVD per chunk, and
 ``genuine_multipartite`` first screens cuts by purity so that only those
 that may be products get an SVD.
 """
@@ -136,10 +136,10 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
 
     A purity screen spares most cuts their SVD.  The purity p = ||rho_A||_F^2
     = sum lambda_i^2 of every cut comes from one batched Gram product per
-    sender size, and lambda_max <= sqrt(p).  Only cuts with sqrt(p) >=
-    1 - tol - EXACT_ATOL (the slack covers rounding in p) get an SVD; every
-    cut skipped has lambda_max < 1 - tol, so the answer is that of an SVD on
-    every cut.
+    ``_cut_stacks`` chunk, and lambda_max <= sqrt(p).  Only cuts with
+    sqrt(p) >= 1 - tol - EXACT_ATOL (the slack covers rounding in p) get an
+    SVD; every cut skipped has lambda_max < 1 - tol, so the answer is that
+    of an SVD on every cut.  It returns at the first chunk with a product.
     """
     _check_tol(tol)
     check_qubits(state.num_qubits, "the multipartite entanglement test")

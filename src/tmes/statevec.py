@@ -7,7 +7,7 @@ immutable values; returned arrays are marked read-only.
 
 Schmidt spectra come from the singular values of the amplitudes laid out as
 a sender-by-receiver matrix.  ``cut_spectra`` takes many cuts of one state
-at once: one batched SVD per sender size, bit-identical to an SVD per cut.
+at once: one batched SVD per chunk, bit-identical to an SVD per cut.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ CLUSTER_RTOL = 1e-7
 # MAX_DENSE_BYTES, the size of one MAX_QUBITS-qubit density matrix (256 MiB).
 MAX_QUBITS = 12
 MAX_DENSE_BYTES = 16 * 4**MAX_QUBITS
+
+# Most bytes of one ``_cut_stacks`` stack (16 cuts at 12 qubits).  At 12
+# qubits, 256 KiB to 4 MiB ran alike and 16 MiB about a third slower.
+CHUNK_BYTES = 1 << 20
 
 
 def check_qubits(num_qubits: int, what: str) -> None:
@@ -120,8 +124,11 @@ class PureState:
                 f"expected {2 ** self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got {amps.size}"
             )
+        # No unit vector has a larger amplitude, and a huge one overflows the norm.
+        peak = float(np.max(np.abs(amps)))
+        if not peak <= 1.0 + ATOL:
+            raise ValueError(f"state is not normalized: max |amplitude| = {peak!r}")
         norm = float(np.linalg.norm(amps))
-        # Written so that a NaN or inf amplitude (hence norm) fails too.
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: norm = {norm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
@@ -423,31 +430,33 @@ def _cut_layout(num_qubits: int, size: int) -> _CutLayout:
 def _cut_stacks(
     state: PureState, cuts: Sequence[Partition]
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per sender size, ascending, the positions in ``cuts`` of that size and
-    the stack of their sender-by-receiver matrices, each equal to
-    ``_cut_matrix`` on its sorted sides.  A stack is one gather of the
-    amplitudes at the offsets of its cuts: an exact copy.  Up to MAX_QUBITS
-    qubits the offsets are read from the memoised ``_cut_layout``; above it,
-    where no layout is kept, they are built for the given cuts alone.  (On a
-    12-qubit scan, ``take`` made the same stacks with five times the page
-    faults, and the batched calls that read them ran slower.)
+    """Per sender size, ascending, runs of at most max(CHUNK_BYTES // (16 *
+    2^n), 1) consecutive positions in ``cuts`` of that size, each with the
+    stack of their sender-by-receiver matrices, equal to ``_cut_matrix`` on
+    their sorted sides: the one rule that splits a scan over many cuts.  A
+    stack is one gather of the amplitudes at the offsets of its cuts: an
+    exact copy.  Up to MAX_QUBITS qubits the offsets are read from the
+    memoised ``_cut_layout``; above it they are built for the chunk alone.
+    (On a 12-qubit scan, ``take`` made the same stacks with five times the
+    page faults, and the batched calls that read them ran slower.)
     """
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
         _require_cut(state, cut)
         groups.setdefault(len(cut.sender), []).append(i)
     n = state.num_qubits
-    for size in sorted(groups):
-        where = groups[size]
-        if n <= MAX_QUBITS:
-            layout = _cut_layout(n, size)
-            at = [layout.position[cuts[i].sender] for i in where]
-            rows, cols = layout.rows[at], layout.cols[at]
-        else:
-            sides = [cuts[i].sides() for i in where]
-            rows = _side_offsets(np.array([r for r, _ in sides]), n)
-            cols = _side_offsets(np.array([c for _, c in sides]), n)
-        yield where, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
+    limit = max(CHUNK_BYTES // (16 * 2**n), 1)
+    for size, group in sorted(groups.items()):
+        for where in (group[k : k + limit] for k in range(0, len(group), limit)):
+            if n <= MAX_QUBITS:
+                layout = _cut_layout(n, size)
+                at = [layout.position[cuts[i].sender] for i in where]
+                rows, cols = layout.rows[at], layout.cols[at]
+            else:
+                sides = [cuts[i].sides() for i in where]
+                rows = _side_offsets(np.array([r for r, _ in sides]), n)
+                cols = _side_offsets(np.array([c for _, c in sides]), n)
+            yield where, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
 
 
 def cut_spectra(
@@ -455,11 +464,10 @@ def cut_spectra(
 ) -> tuple[SchmidtSpectrum, ...]:
     """``schmidt_spectrum`` of every cut, in input order.
 
-    Cuts with equal sender size share one stack of sender-by-receiver
-    matrices, gathered in one indexing step, and one batched SVD of it.  The
-    gather copies the amplitudes exactly, and numpy runs the same LAPACK
-    routine on each matrix of a stack as on the matrix alone, so every
-    spectrum is identical to the bit to a one-cut SVD.
+    Each ``_cut_stacks`` chunk is gathered in one indexing step and gets one
+    batched SVD.  The gather copies the amplitudes exactly, and numpy runs
+    the same LAPACK routine on each matrix of a stack as on the matrix
+    alone, so every spectrum is identical to the bit to a one-cut SVD.
     """
     cuts = tuple(cuts)
     spectra: dict[int, SchmidtSpectrum] = {}

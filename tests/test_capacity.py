@@ -1195,44 +1195,48 @@ class TestMaximalityVerdicts:
             assert verdict.witnessing_partition.sender == set(witness)
 
     def test_scan_stops_at_first_joint_witness(self, monkeypatch):
-        # Cuts are scored in chunks of 1, 2, 4, ... senders, so the scan
-        # stops at the end of the chunk that holds the first joint witness.
+        # Cuts are scored one _cut_stacks chunk at a time (64 balanced cuts
+        # at 10 qubits), so the scan stops at the end of the chunk that holds
+        # the first joint witness.
         scored = []
         stacks = capacity._cut_stacks
 
-        def counting(state, cuts):
-            scored.extend(tuple(sorted(cut.sender)) for cut in cuts)
-            return stacks(state, cuts)
+        def recording(state, cuts):
+            for where, stack in stacks(state, cuts):
+                scored.append([tuple(sorted(cuts[i].sender)) for i in where])
+                yield where, stack
 
-        monkeypatch.setattr(capacity, "_cut_stacks", counting)
+        monkeypatch.setattr(capacity, "_cut_stacks", recording)
         verdict = is_tmes(cluster4())
         assert verdict.witnessing_partition.sender == {1, 3}
-        assert scored == [(1, 2), (1, 3), (1, 4)]  # chunks of one and two
+        assert scored == [list(combinations(range(1, 5), 2))]  # one chunk
         scored.clear()
-        verdict = is_tmes(bell_product(4))
-        senders = list(combinations(range(1, 9), 4))
-        assert senders.index((1, 3, 5, 7)) == 20
-        assert verdict.witnessing_partition.sender == {1, 3, 5, 7}
-        assert scored == senders[: len(scored)]
-        assert 21 <= len(scored) < 43
+        verdict = is_tmes(bell_product(5))
+        senders = list(combinations(range(1, 11), 5))
+        assert senders.index((1, 3, 5, 7, 9)) == 76
+        assert verdict.witnessing_partition.sender == {1, 3, 5, 7, 9}
+        assert scored == [senders[:64], senders[64:128]]
 
     @pytest.mark.parametrize(
         "state",
         [haar_random_state(7, seed=7), haar_random_state(8, seed=8),
-         haar_random_state(10, seed=10), ghz(8)],
-        ids=["haar7", "haar8", "haar10", "ghz8"],
+         haar_random_state(10, seed=10), haar_random_state(11, seed=11), ghz(8)],
+        ids=["haar7", "haar8", "haar10", "haar11", "ghz8"],
     )
     def test_chunks_match_one_cut_calls(self, monkeypatch, state):
-        # Each chunk is one _cut_stacks call and one pauli_expectations call
-        # on its stack of marginals; cut_reports scores every balanced cut.
+        # Each chunk is one _cut_stacks stack and one pauli_expectations call
+        # on its stack of marginals; cut_reports scores every balanced cut,
+        # in chunks of CHUNK_BYTES // (16 * 2^n) cuts: one chunk up to 9
+        # qubits, 4 at 10 and 15 at 11.
         chunks = []
         expects = []
         stacks = capacity._cut_stacks
         transform = capacity.pauli_expectations
 
         def recording_stacks(state, cuts):
-            chunks.append(cuts)
-            return stacks(state, cuts)
+            for where, stack in stacks(state, cuts):
+                chunks.append([cuts[i] for i in where])
+                yield where, stack
 
         def recording_transform(rho):
             expects.append(transform(rho))
@@ -1242,7 +1246,7 @@ class TestMaximalityVerdicts:
         monkeypatch.setattr(capacity, "pauli_expectations", recording_transform)
         reports = list(capacity.cut_reports(state))
         n = state.num_qubits
-        assert len(chunks) == len(expects) > 1
+        assert len(chunks) == len(expects) == {7: 1, 8: 1, 10: 4, 11: 15}[n]
         assert len(reports) == math.comb(n, (n + 1) // 2)
         assert [r.cut for r in reports] == [cut for cuts in chunks for cut in cuts]
         for report in reports:

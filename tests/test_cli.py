@@ -137,6 +137,24 @@ class TestStateCommands:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command", [["state", "show"], ["tmes", "--state"], ["capacity", "--state"]]
+    )
+    def test_amplitude_too_large_to_square_fails_cleanly(self, tmp_path, capsys, command):
+        # Squaring 1e308 overflows; the state refuses it first, so no numpy
+        # warning (an error under this suite) comes before the error line.
+        path = tmp_path / "huge.json"
+        doc = {
+            "format_version": 1, "kind": "state", "convention": "q1-msb",
+            "num_qubits": 3, "amplitudes": [[1e308, 1e308]] + [[0, 0]] * 7,
+        }
+        path.write_text(json.dumps(doc))
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state is not normalized:")
+        assert captured.err.count("\n") == 1
+
     def test_show_missing_file(self, capsys):
         assert main(["state", "show", "/nonexistent/state.json"]) == 1
         assert "error:" in capsys.readouterr().err

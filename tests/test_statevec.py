@@ -27,7 +27,7 @@ from oracles import (
     two_adic,
 )
 import tmes
-from tmes import capacity, statevec
+from tmes import capacity, invariants, statevec
 from tmes.capacity import haar_random_state, haar_random_unitary, sdc_max_messages
 from tmes.statevec import (
     ATOL,
@@ -95,6 +95,14 @@ class TestPureState:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="not normalized"):
             PureState(1, np.array([bad, 0.0]))
+
+    def test_rejects_an_amplitude_too_large_to_square(self):
+        # Refused before the norm is formed, which would overflow (and, with
+        # warnings as errors, raise a RuntimeWarning instead).
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1e308 + 1e308j
+        with pytest.raises(ValueError, match=r"not normalized: max \|amplitude\| = 1\.41"):
+            PureState(3, amps)
 
 
 class TestDensityMatrix:
@@ -373,15 +381,18 @@ class TestCutSpectra:
             cut_spectra(bell(), [Partition.from_sender((1,), 3)])
 
 
-def _recording(monkeypatch, module, seen):
+def _recording(monkeypatch, module, seen, keep=lambda stack: stack):
     """Replace ``module._cut_stacks`` by a wrapper that appends (state, cuts,
-    stacks) to ``seen`` for every call."""
+    chunks) to ``seen`` for every call, ``chunks`` growing by (where,
+    keep(stack)) as each chunk is yielded: the scan stays lazy."""
     stacks = module._cut_stacks
 
     def recording(state, cuts):
-        out = list(stacks(state, cuts))
-        seen.append((state, tuple(cuts), out))
-        return iter(out)
+        chunks = []
+        seen.append((state, tuple(cuts), chunks))
+        for where, stack in stacks(state, cuts):
+            chunks.append((where, keep(stack)))
+            yield where, stack
 
     monkeypatch.setattr(module, "_cut_stacks", recording)
 
@@ -433,16 +444,90 @@ class TestCutStacks:
         cuts = _cuts_above_the_cap(n)
         self._assert_oracle(state, cuts, statevec._cut_stacks(state, cuts))
 
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
     def test_cut_report_chunks(self, monkeypatch, n):
+        # One call over every balanced cut, yielding one chunk up to 9
+        # qubits, 4 at 10 and 15 at 11.
         seen = []
         _recording(monkeypatch, capacity, seen)
         state = haar_random_state(n, seed=n)
         reports = list(capacity.cut_reports(state))
-        assert len(seen) > 1
-        assert [r.cut for r in reports] == [cut for _, cuts, _ in seen for cut in cuts]
-        for state, cuts, stacks in seen:
-            self._assert_oracle(state, cuts, stacks)
+        ((_, cuts, chunks),) = seen
+        assert len(chunks) == {8: 1, 9: 1, 10: 4, 11: 15}[n]
+        assert [r.cut for r in reports] == [cuts[i] for where, _ in chunks for i in where]
+        self._assert_oracle(state, cuts, chunks)
+
+
+def _haar_pair(n: int) -> tuple[PureState, PureState]:
+    """A Haar state and its image under a random unitary on qubits 1, 2."""
+    source = haar_random_state(n, seed=n)
+    return source, apply_local(source, _random_unitary(2, seed=n), (1, 2))
+
+
+class TestChunkBound:
+    """Every scan over many cuts reads its matrices from ``_cut_stacks``:
+    per call, each stack holds at most CHUNK_BYTES (1 MiB) unless one cut
+    is larger, and the chunks cover the input cuts per sender size, in
+    input order, each full but the last of its size."""
+
+    @staticmethod
+    def _assert_bounded(seen):
+        assert statevec.CHUNK_BYTES == 1 << 20
+        assert seen
+        for state, cuts, chunks in seen:
+            n = state.num_qubits
+            per = max(statevec.CHUNK_BYTES // (16 * 2**n), 1)
+            want = []
+            for size in sorted({len(cut.sender) for cut in cuts}):
+                at = [i for i, cut in enumerate(cuts) if len(cut.sender) == size]
+                want += [at[k : k + per] for k in range(0, len(at), per)]
+            assert [where for where, _ in chunks] == want
+            for where, (shape, nbytes) in chunks:
+                size = len(cuts[where[0]].sender)
+                assert shape == (len(where), 2**size, 2 ** (n - size))
+                assert nbytes <= max(statevec.CHUNK_BYTES, 16 * 2**n)
+
+    @staticmethod
+    def _spy(monkeypatch, seen):
+        for module in (statevec, capacity, invariants):
+            _recording(monkeypatch, module, seen, lambda stack: (stack.shape, stack.nbytes))
+
+    @pytest.mark.parametrize("n", [11, MAX_QUBITS])
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda source, target: list(capacity.cut_reports(source)),
+            lambda source, target: cut_spectra(source, all_bipartitions(source.num_qubits)[::-1]),
+            lambda source, target: invariants.all_bipartition_spectra(source),
+            lambda source, target: invariants.genuine_multipartite(source),
+            lambda source, target: conversion_obstruction(source, target, (1, 2)),
+        ],
+        ids=["cut_reports", "cut_spectra", "all_bipartition_spectra",
+             "genuine_multipartite", "conversion_obstruction"],
+    )
+    def test_entry_points(self, monkeypatch, n, scan):
+        seen = []
+        self._spy(monkeypatch, seen)
+        scan(*_haar_pair(n))
+        self._assert_bounded(seen)
+
+    def test_one_cut_per_stack_at_16_qubits(self, monkeypatch):
+        # A 16-qubit cut matrix is 1 MiB, exactly CHUNK_BYTES: each of 40
+        # cuts of mixed sizes is a stack of its own.
+        seen = []
+        self._spy(monkeypatch, seen)
+        rng = np.random.default_rng(16)
+        cuts = [
+            Partition.from_sender(rng.choice(16, size, replace=False) + 1, 16)
+            for size in rng.integers(1, 9, 40)
+        ]
+        state = haar_random_state(16, seed=16)
+        got = cut_spectra(state, cuts)
+        self._assert_bounded(seen)
+        ((_, _, chunks),) = seen
+        assert len(chunks) == 40
+        assert all(nbytes == statevec.CHUNK_BYTES for _, (_, nbytes) in chunks)
+        assert got == tuple(schmidt_spectrum(state, cut) for cut in cuts)
 
 
 class TestOneCutCalls:
@@ -641,6 +726,26 @@ class TestClusterValues:
                     readers.add(where)
                 todo += [(child, where) for child in ast.iter_child_nodes(node)]
         assert readers == {"statevec._cluster_runs", "invariants.spectra_match"}
+
+    def test_one_chunk_rule(self):
+        # Only _cut_stacks splits a scan over many cuts into chunks: in src/,
+        # it alone reads CHUNK_BYTES, and only statevec binds the name (by
+        # assignment or import), so capacity neither defines nor imports it.
+        readers, binders = set(), set()
+        for path in Path(tmes.__file__).parent.glob("*.py"):
+            todo = [(ast.parse(path.read_text()), path.stem)]
+            while todo:
+                node, where = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    where = f"{path.stem}.{node.name}"
+                if isinstance(node, ast.alias) and node.name == "CHUNK_BYTES":
+                    binders.add(path.stem)
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "CHUNK_BYTES":
+                    (readers if isinstance(node.ctx, ast.Load) else binders).add(where)
+                todo += [(child, where) for child in ast.iter_child_nodes(node)]
+        assert readers == {"statevec._cut_stacks"}
+        assert binders == {"statevec"}
 
 
 class TestDiagnostics:
