@@ -94,117 +94,112 @@ def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
     return cap
 
 
+def _payload_qubits(n_payload) -> int:
+    """A payload size: an int (a numpy integer, not a bool) of at least 1."""
+    if isinstance(n_payload, bool) or not isinstance(n_payload, (int, np.integer)) or n_payload < 1:
+        raise ValueError(f"a payload size must be an int of at least 1 qubit, got {n_payload!r}")
+    return int(n_payload)
+
+
 @dataclass(frozen=True, eq=False)
 class TeleportProtocol:
-    """Measurement family and corrections for perfect teleportation.
+    """Perfect teleportation of a p-qubit payload across ``cut``, held and
+    checked as its generators: ``bases`` (nblocks x 2^p x 2^s), the q = 0
+    measurement rows, block j's sender Schmidt vectors over sqrt(2^p);
+    ``relabel``, receiver Schmidt vector (m, j) to basis state m|j; and
+    ``block_probabilities``, the weight of each outcome of a block.
 
-    Row i of ``measurement_family`` (read-only, k x 2^(p+s)) is a measurement
-    state on payload+sender qubits, payload first, and ``corrections[i]``
-    (read-only, k x 2^r x 2^r) its receiver unitary.  Outcome i is labeled
-    (pauli label, Schmidt block); its correction relabels the receiver's
-    Schmidt basis to the computational basis and undoes the Pauli, parking
-    the payload on the first n_payload receiver qubits.  With a single block
-    (rank exactly 2^n_payload) the family has 4^n_payload members and outcome
-    probabilities are uniform 4^{-n_payload}.  ``measurement_conj`` is the
-    read-only complex conjugate of ``measurement_family``, formed once here
-    for every simulation that projects onto the family.
-    """
+    Outcome i = (q, j) of ``outcome_labels``, at index q * nblocks + j,
+    measures ``measurement_family[i]``, P_q on the payload index of
+    ``bases[j]`` (payload first), and applies ``corrections[i]`` = (P_q (x)
+    I) @ ``relabel``, which parks the payload on the first p receiver qubits.
+    ``measurement_conj`` is the family's conjugate; every array is read-only.
+    A family Gram entry sums 2^p entries of B̄ Bᵀ (B the stacked rows) times
+    unit phases, and each correction has the U^H U of ``relabel``."""
 
     cut: Partition
     n_payload: int
-    measurement_family: np.ndarray
-    corrections: np.ndarray
-    outcome_labels: tuple[tuple[int, int], ...]
-    probabilities: tuple[float, ...]
+    bases: np.ndarray
+    relabel: np.ndarray
+    block_probabilities: tuple[float, ...]
+    measurement_family: np.ndarray = field(init=False, repr=False)
     measurement_conj: np.ndarray = field(init=False, repr=False)
+    corrections: np.ndarray = field(init=False, repr=False)
+    outcome_labels: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    probabilities: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_payload < 1:
-            raise ValueError("payload must hold at least one qubit")
-        # One owned copy of each array, frozen in place once checked.
-        fam = np.array(self.measurement_family, dtype=complex)
-        corr = np.array(self.corrections, dtype=complex)
-        labels = tuple(self.outcome_labels)
-        probs = tuple(float(p) for p in self.probabilities)
-        recv_dim = 2 ** len(self.cut.receiver)
-        if fam.ndim != 2 or fam.shape[1] != 2 ** (self.n_payload + len(self.cut.sender)):
-            raise ValueError("measurement states must cover payload plus sender")
-        if corr.shape[1:] != (recv_dim, recv_dim):
-            raise ValueError("corrections must act on the receiver side")
-        k = len(labels)
-        if not k or not len(fam) == len(corr) == k == len(probs):
-            raise ValueError("per-outcome fields must have equal nonzero length")
-        if not (np.isfinite(fam).all() and np.isfinite(corr).all()):
+        p = _payload_qubits(self.n_payload)
+        if p > len(self.cut.receiver):
+            raise ValueError(f"a {p}-qubit payload does not fit a {len(self.cut.receiver)}-qubit receiver")
+        bases = np.array(self.bases, dtype=complex)
+        relabel = np.array(self.relabel, dtype=complex)
+        block_probs = tuple(float(x) for x in self.block_probabilities)
+        block, recv_dim, nblocks = 2**p, 2 ** len(self.cut.receiver), len(bases)
+        if bases.ndim != 3 or bases.shape[1:] != (block, 2 ** len(self.cut.sender)):
+            raise ValueError("measurement rows must cover payload plus sender")
+        if relabel.shape != (recv_dim, recv_dim):
+            raise ValueError("relabeling must act on the receiver side")
+        if not nblocks or len(block_probs) != nblocks:
+            raise ValueError("per-block fields must have equal nonzero length")
+        if not all(np.isfinite(x).all() for x in (bases, relabel, block_probs)):
             raise ValueError("protocol has a NaN or infinite entry")
-        conj = fam.conj()
-        gram = conj @ fam.T
-        gram.flat[:: k + 1] -= 1.0
-        if np.max(np.abs(gram)) > ATOL:
-            raise ValueError("measurement family is not orthonormal")
-        _check_unitary(corr, "correction")
-        if any(p < -EXACT_ATOL for p in probs) or abs(sum(probs) - 1.0) > ATOL:
+        rows = bases.reshape(nblocks * block, -1)
+        if np.max(np.abs(block * (rows.conj() @ rows.T) - np.eye(len(rows)))) > ATOL:
+            raise ValueError("measurement rows are not orthonormal")
+        _check_unitary(relabel[None], "receiver relabeling")
+        npaulis = 4**p
+        probs = block_probs * npaulis
+        if any(x < -EXACT_ATOL for x in probs) or abs(sum(probs) - 1.0) > ATOL:
             raise ValueError("outcome probabilities must be a distribution")
-        for arr in (fam, conj, corr):
+
+        # Payload Pauli q acts on the in-block index m, both on the measurement
+        # rows and on the relabeled receiver basis m|j>: P_q (x) I_anc @ relabel.
+        # Both gathers land in outcome order (q, j, m, ...), phased in place.
+        src, phase = pauli_rows(np.arange(npaulis), p)
+        family = bases[np.arange(nblocks)[:, None], src[:, None]]
+        family *= phase[:, None, :, None]
+        moved = relabel.reshape(block, recv_dim // block, -1)[np.broadcast_to(src[:, None], family.shape[:3])]
+        moved *= phase[:, None, :, None, None]
+        family = family.reshape(npaulis * nblocks, -1)
+        conj = family.conj()
+        for arr in (bases, relabel, family, conj, moved):
             arr.setflags(write=False)
-        object.__setattr__(self, "measurement_family", fam)
-        object.__setattr__(self, "measurement_conj", conj)
-        object.__setattr__(self, "corrections", corr)
-        object.__setattr__(self, "outcome_labels", labels)
-        object.__setattr__(self, "probabilities", probs)
+        labels = tuple((q, j) for q in range(npaulis) for j in range(nblocks))
+        for name, value in dict(
+            n_payload=p, bases=bases, relabel=relabel, block_probabilities=block_probs,
+            measurement_family=family, measurement_conj=conj, outcome_labels=labels,
+            corrections=moved.reshape(len(labels), recv_dim, recv_dim), probabilities=probs,
+        ).items():
+            object.__setattr__(self, name, value)
 
 
 def build_teleport_protocol(
     state: PureState, cut: Partition, n_payload: int
 ) -> TeleportProtocol:
-    """Measurement family and corrections for an n_payload-qubit payload.
-
-    Requires teleport_capacity(state, cut) >= n_payload.  The Schmidt rank
-    splits into blocks of 2^n_payload equal coefficients; each block
-    contributes one measurement state per payload Pauli string.  Outcome
-    (q, j) sits at index q * nblocks + j.
-    """
-    if n_payload < 1:
-        raise ValueError("payload must hold at least one qubit")
+    """The generators of the n_payload-qubit protocol across ``cut``, which
+    must teleport that many qubits: its Schmidt rank splits into blocks of
+    2^n_payload equal coefficients."""
+    n_payload = _payload_qubits(n_payload)
     coeffs, a_vecs, b_vecs = schmidt_decomposition(state, cut)
     cap = _capacity(SchmidtSpectrum(coeffs * coeffs), len(cut.receiver))
     if n_payload > cap:
-        raise ValueError(
-            f"cut supports teleporting {cap} qubits, requested {n_payload}"
-        )
-    rank = coeffs.size
-    block = 2**n_payload
-    nblocks = rank // block
-    npaulis = 4**n_payload
-    recv_dim = b_vecs.shape[1]
-    anc_dim = recv_dim // block
+        raise ValueError(f"cut supports teleporting {cap} qubits, requested {n_payload}")
+    rank, block, recv_dim = coeffs.size, 2**n_payload, b_vecs.shape[1]
 
     # Receiver relabeling: Schmidt vector (m, j) goes to basis state m|j.
     relabel = np.zeros((recv_dim, recv_dim), dtype=complex)
     conj_rows = np.conjugate(b_vecs)
     k = np.arange(rank)
-    used = (k % block) * anc_dim + k // block
+    used = (k % block) * (recv_dim // block) + k // block
     relabel[used] = conj_rows
     if rank < recv_dim:
         # The complement of the Schmidt vectors fills the free rows in order.
         _, _, vh = np.linalg.svd(conj_rows, full_matrices=True)
         relabel[np.setdiff1d(np.arange(recv_dim), used)] = vh[rank:, :]
-
-    # Payload Pauli q acts on the in-block index m, both on the measurement
-    # rows and on the relabeled receiver basis m|j>: P_q (x) I_anc @ relabel.
-    # Both gathers land in outcome order (q, j, m, ...), phased in place.
-    src, phase = pauli_rows(np.arange(npaulis), n_payload)
-    bases = a_vecs.T.reshape(nblocks, block, -1) * (1.0 / math.sqrt(block))
-    family = bases[np.arange(nblocks)[:, None], src[:, None]]
-    family *= phase[:, None, :, None]
-    moved = relabel.reshape(block, anc_dim, -1)[np.broadcast_to(src[:, None], family.shape[:3])]
-    moved *= phase[:, None, :, None, None]
-    means = [float(np.mean(c)) for c in coeffs.reshape(nblocks, block)]
-    block_probs = tuple(t * t / block for t in means)
-    labels = tuple((q, j) for q in range(npaulis) for j in range(nblocks))
-    return TeleportProtocol(
-        cut, n_payload, family.reshape(len(labels), -1),
-        moved.reshape(len(labels), recv_dim, recv_dim), labels, block_probs * npaulis,
-    )
+    bases = a_vecs.T.reshape(rank // block, block, -1) * (1.0 / math.sqrt(block))
+    means = [float(np.mean(c)) for c in coeffs.reshape(rank // block, block)]
+    return TeleportProtocol(cut, n_payload, bases, relabel, tuple(t * t / block for t in means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +266,10 @@ def simulate_teleportation(
     state is formed: the payload meets the conjugated family first, then one
     GEMM with the resource's own cut matrix projects every outcome.
     """
-    p = payload if isinstance(payload, int) else payload.num_qubits
+    p = payload.num_qubits if isinstance(payload, PureState) else _payload_qubits(payload)
     protocol = _memo_protocol(state, cut, p)
-    if isinstance(payload, int):
-        payload = haar_random_state(payload, seed)
+    if not isinstance(payload, PureState):
+        payload = haar_random_state(p, seed)
     # Row i of v is the receiver's unnormalised state after outcome i.
     proj = protocol.measurement_conj.reshape(-1, 2**p, 2 ** len(cut.sender))
     v = payload.amplitudes @ proj @ _cut_matrix(state, *cut.sides())

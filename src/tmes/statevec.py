@@ -186,8 +186,7 @@ def _check_density(mat: np.ndarray) -> None:
 # chunks of 64 members (1 MiB) took about 0.6 times as long as the whole
 # stack at once, three 8-16 MiB temporaries (17-19 ms against 28-30 ms).
 # Stacks of 16 x 16 members ran 5% slower in chunks of 64 than whole, so the
-# budget is in bytes: a stack of up to 1 MiB, such as every teleport
-# correction stack, is checked whole.
+# budget is in bytes: a stack of up to 1 MiB is checked whole.
 UNITARY_CHUNK_BYTES = 1 << 20
 
 

@@ -162,6 +162,18 @@ def brute_teleport_outcome(
     return prob, float(np.sum(np.abs(slices) ** 2))
 
 
+def dense_protocol_deviation(family, corrections) -> tuple[float, float]:
+    """How far a teleport protocol's multiplied-out arrays are from valid:
+    the largest entry of |F̄ Fᵀ - I| over the (k, d) measurement family F,
+    and the largest entry of |U^H U - I| over each of the k corrections U."""
+    family = np.asarray(family, dtype=complex)
+    gram = family.conj() @ family.T - np.eye(len(family))
+    worst = 0.0
+    for u in np.asarray(corrections, dtype=complex):
+        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(len(u))))))
+    return float(np.max(np.abs(gram))), worst
+
+
 def vdot_decode(encoded, sent) -> int:
     """Index of the encoded state ``sent`` projects onto most strongly, one
     ``np.vdot`` per codebook entry."""

@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import json
 import math
+import re
 import sys
 import weakref
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from oracles import (
     brute_pauli_expectations,
     brute_spectrum,
     brute_teleport_outcome,
+    dense_protocol_deviation,
     gf2_leading_bits,
     vdot_decode,
     gf2_rank,
@@ -213,6 +218,61 @@ def _nonuniform_state() -> PureState:
     return PureState(4, amps)
 
 
+# (resource, sender, payload qubits) of the protocols that are checked
+# against the oracles and pinned in teleport_pins.json.
+PROTOCOL_CASES = [
+    pytest.param(bell_product(4), (1, 3, 5, 7), 1, id="bp4-p1"),
+    pytest.param(bell_product(4), (1, 3, 5, 7), 2, id="bp4-p2"),
+    pytest.param(bell_product(4), (1, 3, 5, 7), 3, id="bp4-p3"),
+    pytest.param(bell_product(4), (1, 3, 5, 7), 4, id="bp4-p4"),
+    pytest.param(cluster4(), (1, 3), 1, id="cluster4-p1"),
+    pytest.param(cluster4(), (1, 3), 2, id="cluster4-p2"),
+    pytest.param(cluster5(), (1, 3, 5), 2, id="cluster5-p2"),
+    pytest.param(ghz(4), (1,), 1, id="ghz4-p1"),
+    pytest.param(ghz(5), (1, 2), 1, id="ghz5-p1"),
+    pytest.param(_nonuniform_state(), (1, 2), 1, id="two-block"),
+]
+
+PINS = Path(__file__).with_name("teleport_pins.json")
+
+
+def _hex(values) -> str:
+    return " ".join(float.hex(x) for x in values)
+
+
+def _teleport_pins() -> dict:
+    """For each of ``PROTOCOL_CASES``: the sha256 of the protocol's three
+    arrays, and the ``float.hex`` of its outcome weights and of the outcome
+    probabilities and fidelities of seeded runs 0-2, space-separated.
+    teleport_pins.json was written from it by
+
+        PYTHONPATH=src:tests python -c "import json, test_capacity as t; \
+            print(json.dumps(t._teleport_pins(), indent=1))" > tests/teleport_pins.json
+    """
+    pins = {}
+    for case in PROTOCOL_CASES:
+        state, sender, n_payload = case.values
+        cut = _cut(sender, state.num_qubits)
+        proto = build_teleport_protocol(state, cut, n_payload)
+        pin = {
+            name: hashlib.sha256(getattr(proto, name).tobytes()).hexdigest()
+            for name in ("measurement_family", "measurement_conj", "corrections")
+        }
+        pin["probabilities"] = _hex(proto.probabilities)
+        pin["runs"] = [
+            {name: _hex(getattr(run, name).tolist()) for name in ("probabilities", "fidelities")}
+            for run in (simulate_teleportation(state, cut, n_payload, seed) for seed in range(3))
+        ]
+        pins[case.id] = pin
+    return pins
+
+
+def test_protocols_match_pins():
+    # The arrays, weights and seeded runs of every pinned protocol are
+    # bit-identical to the ones the fixture was written from.
+    assert _teleport_pins() == json.loads(PINS.read_text())
+
+
 class TestTeleportProtocol:
     def test_bell_protocol_structure(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
@@ -252,77 +312,143 @@ class TestTeleportProtocol:
         assert drawn == []
 
     def test_validation_catches_corrupted_fields(self):
+        # Each generator is checked: the weights, the measurement rows and
+        # the receiver relabeling.  Every correction is (P_q x I) @ relabel,
+        # so no single correction can be broken on its own.
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        fam, corr = proto.measurement_family, proto.corrections
         with pytest.raises(ValueError, match="distribution"):
-            dataclasses.replace(proto, probabilities=(0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(ValueError, match="not orthonormal"):
-            dataclasses.replace(proto, measurement_family=np.stack([fam[0]] * 4))
-        broken = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(ValueError, match="correction 0 is not unitary"):
-            dataclasses.replace(proto, corrections=np.stack([broken] * 4))
-        # the first bad index is named
-        later = corr.copy()
-        later[2] = broken
-        later[3] = broken
-        with pytest.raises(ValueError, match="correction 2 is not unitary"):
-            dataclasses.replace(proto, corrections=later)
+            dataclasses.replace(proto, block_probabilities=(0.5,))
+        with pytest.raises(ValueError, match="distribution"):
+            dataclasses.replace(proto, block_probabilities=(-0.25,))
+        with pytest.raises(ValueError, match="measurement rows are not orthonormal"):
+            dataclasses.replace(proto, bases=np.repeat(proto.bases[:, :1], 2, axis=1))
+        # rows of norm 1 rather than 1 / sqrt(2): the family would have norm sqrt(2)
+        with pytest.raises(ValueError, match="measurement rows are not orthonormal"):
+            dataclasses.replace(proto, bases=proto.bases * math.sqrt(2))
+        with pytest.raises(ValueError, match="relabeling 0 is not unitary"):
+            dataclasses.replace(proto, relabel=np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["measurement_family", "measurement_conj", "corrections", "outcome_labels", "probabilities"],
+    )
+    def test_derived_fields_cannot_be_given(self, field):
+        proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(proto, **{field: getattr(proto, field)})
 
     @pytest.mark.parametrize("field", ["measurement_family", "corrections"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_validation_refuses_non_finite_entries(self, field, bad):
+        # The entry goes into the generator the derived array is built from:
+        # the measurement rows for the family, the relabeling for the
+        # corrections.
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        arr = getattr(proto, field).copy()
+        source = {"measurement_family": "bases", "corrections": "relabel"}[field]
+        arr = getattr(proto, source).copy()
         arr.reshape(-1)[1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            dataclasses.replace(proto, **{field: arr})
+            dataclasses.replace(proto, **{source: arr})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validation_refuses_non_finite_weights(self, bad):
+        # A NaN weight would pass the distribution test, whose comparisons
+        # are all false for it.
+        proto = build_teleport_protocol(_nonuniform_state(), _cut((1, 2), 4), 1)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dataclasses.replace(proto, block_probabilities=(0.25, bad))
 
     @pytest.mark.parametrize(
         "patch,message",
         [
-            (lambda f, c: {"measurement_family": f[:, :2]}, "payload plus sender"),
-            (lambda f, c: {"measurement_family": f[0]}, "payload plus sender"),
-            (lambda f, c: {"corrections": np.zeros((4, 4, 4))}, "receiver side"),
-            (lambda f, c: {"corrections": c[0]}, "receiver side"),
-            (lambda f, c: {"corrections": c[:3]}, "equal nonzero length"),
-            (lambda f, c: {"measurement_family": f[:3]}, "equal nonzero length"),
+            # measurement rows narrower than payload plus sender
+            (lambda pr: {"bases": pr.bases[:, :, :1]}, "payload plus sender"),
+            # one row, not blocks of rows
+            (lambda pr: {"bases": pr.bases[0, 0]}, "payload plus sender"),
+            # a relabeling wider than the receiver, as every correction would be
+            (lambda pr: {"relabel": np.eye(4)}, "receiver side"),
+            # a stack of one relabeling, not one matrix
+            (lambda pr: {"relabel": pr.relabel[None]}, "receiver side"),
+            # a relabeling short of rows, as every correction would be
+            (lambda pr: {"relabel": pr.relabel[:1]}, "receiver side"),
+            # a block short of payload rows: a short family
+            (lambda pr: {"bases": pr.bases[:, :1]}, "payload plus sender"),
+            # two blocks of rows and the weight of one
+            (lambda pr: {"bases": np.concatenate([pr.bases] * 2)}, "equal nonzero length"),
+            (lambda pr: {"n_payload": 2}, "2-qubit payload does not fit a 1-qubit receiver"),
         ],
         ids=["narrow-rows", "one-row", "wide-corrections", "one-correction",
-             "short-corrections", "short-family"],
+             "short-corrections", "short-family", "extra-block", "wide-payload"],
     )
     def test_validation_refuses_wrong_shapes(self, patch, message):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        fields = patch(proto.measurement_family, proto.corrections)
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(proto, **fields)
+            dataclasses.replace(proto, **patch(proto))
 
     def test_validation_refuses_empty_protocol(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
         with pytest.raises(ValueError, match="equal nonzero length"):
-            dataclasses.replace(
-                proto,
-                measurement_family=np.zeros((0, 4)),
-                corrections=np.zeros((0, 2, 2)),
-                outcome_labels=(),
-                probabilities=(),
-            )
+            dataclasses.replace(proto, bases=np.zeros((0, 2, 2)), block_probabilities=())
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, 1.0, True, False, "1", None])
+    def test_payload_size_must_be_int(self, size):
+        # A float once reached an IndexError or AttributeError, and True
+        # passed as one qubit.
+        state, cut = cluster4(), _cut((1, 3), 4)
+        proto = build_teleport_protocol(state, cut, 1)
+        message = re.escape(f"a payload size must be an int of at least 1 qubit, got {size!r}")
+        with pytest.raises(ValueError, match=message):
+            build_teleport_protocol(state, cut, size)
+        with pytest.raises(ValueError, match=message):
+            simulate_teleportation(state, cut, size)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(proto, n_payload=size)
+
+    def test_numpy_integer_payload_size(self):
+        state, cut = cluster4(), _cut((1, 3), 4)
+        by_int = simulate_teleportation(state, cut, 2, seed=4)
+        by_numpy = simulate_teleportation(state, cut, np.int64(2), seed=4)
+        assert type(by_numpy.protocol.n_payload) is int
+        assert _same_run(by_int, by_numpy)
 
     def test_conjugate_family_is_kept_read_only(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
         fam = proto.measurement_family
         assert proto.measurement_conj.tobytes() == fam.conj().tobytes()
-        with pytest.raises(ValueError):
-            proto.measurement_conj[0, 0] = 0.0
-        # a replaced family brings its own conjugate
-        swapped = dataclasses.replace(proto, measurement_family=fam[::-1])
-        assert np.array_equal(swapped.measurement_conj, fam[::-1].conj())
+        for arr in (proto.measurement_conj, proto.bases, proto.relabel):
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 0.0
+        # new measurement rows bring their own family and conjugate
+        flipped = dataclasses.replace(proto, bases=-proto.bases)
+        assert np.array_equal(flipped.measurement_family, -fam)
+        assert np.array_equal(flipped.measurement_conj, (-fam).conj())
 
     def test_fields_are_copied_on_construction(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
-        fam = proto.measurement_family.copy()
-        again = dataclasses.replace(proto, measurement_family=fam)
-        fam[0] = 0.0
-        assert np.array_equal(again.measurement_family, proto.measurement_family)
+        bases, relabel = proto.bases.copy(), proto.relabel.copy()
+        again = dataclasses.replace(proto, bases=bases, relabel=relabel)
+        bases[0] = 0.0
+        relabel[0] = 0.0
+        # the caller's arrays stay writable, and the protocol holds its own
+        assert bases.flags.writeable and relabel.flags.writeable
+        for name in ("bases", "relabel", "measurement_family", "measurement_conj", "corrections"):
+            assert np.array_equal(getattr(again, name), getattr(proto, name))
+
+    @pytest.mark.parametrize("state,sender,n_payload", PROTOCOL_CASES)
+    def test_dense_arrays_pass_the_dense_checks(self, state, sender, n_payload):
+        # The generator checks bound the dense ones: the family's Gram
+        # departs from I by at most as much as 2^p B̄ Bᵀ does, up to the
+        # rounding of the two products, and every correction is a signed
+        # row permutation of the relabeling.
+        proto = build_teleport_protocol(state, _cut(sender, state.num_qubits), n_payload)
+        gram_dev, unitary_dev = dense_protocol_deviation(proto.measurement_family, proto.corrections)
+        rows = proto.bases.reshape(-1, proto.bases.shape[2])
+        rows_dev = np.max(np.abs(2**n_payload * (rows.conj() @ rows.T) - np.eye(len(rows))))
+        relabel = proto.relabel
+        relabel_dev = np.max(np.abs(relabel.conj().T @ relabel - np.eye(len(relabel))))
+        assert gram_dev <= ATOL and unitary_dev <= ATOL
+        assert gram_dev <= rows_dev + 1e-14
+        assert unitary_dev <= relabel_dev + 1e-14
 
     def test_perfect_on_maximally_entangled_cut(self):
         result = simulate_teleportation(cluster4(), _cut((1, 3), 4), 2, seed=1)
@@ -366,6 +492,9 @@ class TestTeleportProtocol:
         outcome = {lab: i for i, lab in enumerate(proto.outcome_labels)}
         anc = np.eye(2 ** (len(cut.receiver) - n_payload))
         meas_qubits = n_payload + len(cut.sender)
+        for j in range(len(proto.bases)):
+            assert np.array_equal(proto.measurement_family[outcome[(0, j)]], proto.bases[j].reshape(-1))
+            assert np.array_equal(proto.corrections[outcome[(0, j)]], proto.relabel)
         for (q, j), i in outcome.items():
             p_q = pauli_string(pauli_digits(q, n_payload))
             base = PureState(meas_qubits, proto.measurement_family[outcome[(0, j)]])
@@ -375,26 +504,7 @@ class TestTeleportProtocol:
             dense = np.kron(p_q.matrix, anc) @ relabel
             assert np.array_equal(proto.corrections[i], dense)
 
-    @pytest.mark.parametrize(
-        "state,sender,n_payload",
-        [
-            (bell_product(4), (1, 3, 5, 7), 1),
-            (bell_product(4), (1, 3, 5, 7), 2),
-            (bell_product(4), (1, 3, 5, 7), 3),
-            (bell_product(4), (1, 3, 5, 7), 4),
-            (cluster4(), (1, 3), 1),
-            (cluster4(), (1, 3), 2),
-            (cluster5(), (1, 3, 5), 2),
-            (ghz(4), (1,), 1),
-            (ghz(5), (1, 2), 1),
-            (_nonuniform_state(), (1, 2), 1),
-        ],
-        ids=[
-            "bp4-p1", "bp4-p2", "bp4-p3", "bp4-p4",
-            "cluster4-p1", "cluster4-p2", "cluster5-p2", "ghz4-p1", "ghz5-p1",
-            "two-block",
-        ],
-    )
+    @pytest.mark.parametrize("state,sender,n_payload", PROTOCOL_CASES)
     def test_outcomes_match_index_oracle(self, state, sender, n_payload):
         cut = _cut(sender, state.num_qubits)
         result = simulate_teleportation(state, cut, n_payload, seed=11)
