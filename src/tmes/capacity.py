@@ -31,6 +31,7 @@ from .pauli import apply_paulis, pauli_expectations, pauli_rows
 from .statevec import (
     ATOL,
     EXACT_ATOL,
+    MAX_DENSE_BYTES,
     MAX_QUBITS,
     Partition,
     PureState,
@@ -405,6 +406,13 @@ def _coset_pivots(expect: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return pivots, sizes == 1 << rank
 
 
+def _sender_expectations(state: PureState, qubits: tuple[int, ...]) -> np.ndarray:
+    """|Tr(rho_A P_d)| of every label d on the sorted sender ``qubits``: the
+    one row that the message count and ``SdcCodebook`` decide on."""
+    sides = Partition.from_sender(qubits, state.num_qubits).sides()
+    return pauli_expectations(_stack_marginals(_cut_matrix(state, *sides)[None]))[0]
+
+
 def sdc_orthogonal_labels(
     state: PureState, sender_set: Iterable[int], tol: float = ATOL
 ) -> tuple[int, ...]:
@@ -424,14 +432,12 @@ def sdc_orthogonal_labels(
     This is the one-cut case of the ``is_tmes`` scan: the marginal comes
     from a one-matrix cut stack.
     """
-    qubits = _sender_qubits(state, sender_set)
-    sides = Partition.from_sender(qubits, state.num_qubits).sides()
-    expect = pauli_expectations(_stack_marginals(_cut_matrix(state, *sides)[None]))
-    pivots, closed = _coset_pivots(expect, tol)
+    expect = _sender_expectations(state, _sender_qubits(state, sender_set))
+    pivots, closed = _coset_pivots(expect[None], tol)
     if closed[0]:
-        labels = np.arange(expect.shape[1])
+        labels = np.arange(expect.size)
         return tuple(np.flatnonzero(labels & pivots[0] == pivots[0]).tolist())
-    return _max_clique(_orthogonality_adjacency(expect[0], tol))
+    return _max_clique(_orthogonality_adjacency(expect, tol))
 
 
 def sdc_max_messages(
@@ -443,40 +449,40 @@ def sdc_max_messages(
 
 @dataclass(frozen=True, eq=False)
 class SdcCodebook:
-    """Pauli-string encodings with pairwise orthogonal encoded states.
+    """Pauli-string encodings of ``state`` on ``sender_set`` with pairwise
+    orthogonal encoded states, held as their generators.  Row i of the
+    derived, read-only ``stack`` is P_{labels[i]}|psi>, formed only after
+    its 16 m 2^n bytes fit MAX_DENSE_BYTES.  As |<P_a psi|P_b psi>| =
+    |Tr(rho_A P_{a xor b})|, no off-diagonal expect[a xor b] of the row that
+    ``sdc_orthogonal_labels`` counts on may pass ATOL."""
 
-    Row i of ``stack`` (read-only) is the unit vector of 2^n >= 2 amplitudes
-    that encodes message i, Pauli string ``labels[i]`` on the sender.
-    """
-
+    state: PureState
     sender_set: frozenset[int]
     labels: tuple[int, ...]
-    stack: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.state, PureState):
+            raise ValueError(f"a codebook encodes a PureState, got {type(self.state).__name__}")
+        qubits = _sender_qubits(self.state, self.sender_set)
         labels = tuple(int(x) for x in self.labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("codebook labels must be distinct and non-empty")
-        nlabels = 4 ** len(self.sender_set)
+        nlabels = 4 ** len(qubits)
         if not all(0 <= x < nlabels for x in labels):
             raise ValueError(f"codebook labels must lie in 0..{nlabels - 1}: {labels}")
-        stack = np.asarray(self.stack, dtype=complex)
-        dim = stack.shape[-1] if stack.ndim == 2 else 0
-        if dim < 2 or dim & (dim - 1) or len(stack) != len(labels):
-            raise ValueError(f"need {len(labels)} rows of 2^n >= 2 amplitudes, got {stack.shape}")
-        if not np.isfinite(stack).all():
-            raise ValueError("encoded states have a NaN or infinite amplitude")
-        gram = stack.conj() @ stack.T
-        norms = np.sqrt(np.real(np.diagonal(gram)))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
-        if bad.size:
-            raise ValueError(f"encoded state {bad[0]} is not normalized: norm = {norms[bad[0]]}")
-        np.fill_diagonal(gram, 0.0)
-        if np.max(np.abs(gram)) > ATOL:
+        n, cap = self.state.num_qubits, MAX_DENSE_BYTES // 2**20
+        if 16 * len(labels) * 2**n > MAX_DENSE_BYTES:
+            raise ValueError(f"a codebook of {len(labels)} {n}-qubit states is above the {cap} MiB cap")
+        index = np.array(labels, dtype=np.min_scalar_type(nlabels - 1))
+        hit = (_sender_expectations(self.state, qubits) > ATOL)[index ^ index[:, None]]
+        np.fill_diagonal(hit, False)
+        if hit.any():
             raise ValueError("encoded states are not pairwise orthogonal")
-        object.__setattr__(self, "sender_set", frozenset(self.sender_set))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "stack", _freeze(stack))
+        stack = apply_paulis(self.state.amplitudes, qubits, labels)
+        stack.setflags(write=False)
+        for name, value in dict(sender_set=frozenset(qubits), labels=labels, stack=stack).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -487,8 +493,9 @@ def build_sdc_codebook(
 ) -> SdcCodebook:
     """Codebook of ``num_messages`` orthogonal encodings (default: maximum).
 
-    Labels are picked at the ``ATOL`` that ``SdcCodebook`` checks.  Raises
-    when the requested size exceeds the attainable maximum.
+    Labels are picked at the ``ATOL`` that ``SdcCodebook`` checks, on the
+    same expectation row.  Raises when the requested size exceeds the
+    attainable maximum.
     """
     qubits = _sender_qubits(state, sender_set)
     labels = sdc_orthogonal_labels(state, qubits)
@@ -501,9 +508,7 @@ def build_sdc_codebook(
             f"requested {num_messages} messages but only {len(labels)} "
             f"pairwise-orthogonal encodings exist on sender {qubits}"
         )
-    chosen = labels[:num_messages]
-    stack = apply_paulis(state.amplitudes, qubits, chosen)
-    return SdcCodebook(frozenset(qubits), chosen, stack)
+    return SdcCodebook(state, qubits, labels[:num_messages])
 
 
 def simulate_sdc(

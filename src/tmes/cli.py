@@ -136,8 +136,6 @@ def _cmd_teleport(args) -> int:
     state = load_state(args.resource)
     sender = _sender_or_default(args, state)
     cut = Partition.from_sender(sender, state.num_qubits)
-    if args.payload_qubits < 1:
-        raise ValueError("--payload-qubits must be at least 1")
     result = simulate_teleportation(state, cut, args.payload_qubits, args.seed)
     print(f"resource: {state.num_qubits} qubits, cut {_fmt_cut(cut)}")
     print(f"payload: {args.payload_qubits} Haar-random qubit(s), seed {args.seed}")

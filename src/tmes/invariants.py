@@ -63,7 +63,6 @@ def all_bipartition_spectra(
     state: PureState,
 ) -> dict[Partition, SchmidtSpectrum]:
     """Schmidt spectrum of every bipartition, keyed by canonical partition."""
-    check_qubits(state.num_qubits, "spectra enumeration")
     cuts = all_bipartitions(state.num_qubits)
     return dict(zip(cuts, cut_spectra(state, cuts)))
 
@@ -115,7 +114,6 @@ def conversion_obstruction(
     if source.num_qubits != target.num_qubits:
         raise ValueError("source and target must have the same qubit count")
     n = source.num_qubits
-    check_qubits(n, "the conversion obstruction")
     subset = frozenset(_qubit_set(acting_subset, n, "acting subset"))
     cuts = [
         cut
@@ -142,7 +140,6 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
     of an SVD on every cut.  It returns at the first chunk with a product.
     """
     _check_tol(tol)
-    check_qubits(state.num_qubits, "the multipartite entanglement test")
     for _, stack in _cut_stacks(state, all_bipartitions(state.num_qubits)):
         gram = stack @ stack.conj().transpose(0, 2, 1)
         purity = np.sum(np.abs(gram) ** 2, axis=(1, 2))

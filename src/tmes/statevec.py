@@ -107,8 +107,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class PureState:
     """Normalized pure state of ``num_qubits`` qubits.
 
-    ``amplitudes`` holds 2^n complex entries in index order; the norm must be
-    1 within ATOL or construction fails.
+    ``amplitudes`` holds 2^n complex entries in index order; their total
+    probability must be 1 within ATOL or construction fails.
     """
 
     num_qubits: int
@@ -128,9 +128,10 @@ class PureState:
         peak = float(np.max(np.abs(amps)))
         if not peak <= 1.0 + ATOL:
             raise ValueError(f"state is not normalized: max |amplitude| = {peak!r}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= ATOL:
-            raise ValueError(f"state is not normalized: norm = {norm!r}")
+        # Every marginal trace and spectrum sum is this total, checked at ATOL.
+        total = float(np.vdot(amps, amps).real)
+        if not abs(total - 1.0) <= ATOL:
+            raise ValueError(f"state is not normalized: total probability = {total!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def tensor_view(self) -> np.ndarray:
@@ -485,12 +486,10 @@ def _stack_spectra(stack: np.ndarray) -> list[SchmidtSpectrum]:
 
 def _stack_marginals(stack: np.ndarray) -> np.ndarray:
     """Sender (row-side) reduced density matrix of every matrix of a
-    ``_cut_stacks`` stack, from one batched Gram product, with the checks of
-    ``DensityMatrix``.  Each equals ``partial_trace`` on its sender to the
-    bit: numpy makes the same BLAS call per matrix of the stack."""
-    rho = stack @ stack.conj().transpose(0, 2, 1)
-    _check_density(rho)
-    return rho
+    ``_cut_stacks`` stack, from one batched Gram product.  Each equals
+    ``partial_trace`` on its sender to the bit: numpy makes the same BLAS
+    call per matrix of the stack."""
+    return stack @ stack.conj().transpose(0, 2, 1)
 
 
 def schmidt_spectrum(state: PureState, cut: Partition) -> SchmidtSpectrum:

@@ -174,6 +174,18 @@ def dense_protocol_deviation(family, corrections) -> tuple[float, float]:
     return float(np.max(np.abs(gram))), worst
 
 
+def dense_codebook_deviation(stack) -> tuple[float, float]:
+    """How far a superdense-coding codebook's encoded states are from an
+    orthonormal set, from their dense Gram matrix G = S̄ Sᵀ over the rows S:
+    the largest off-diagonal |G_ab| (0 for one row), and the largest
+    |sqrt(G_aa) - 1|, the departure of a row norm from 1."""
+    stack = np.asarray(stack, dtype=complex)
+    gram = stack.conj() @ stack.T
+    norms = np.sqrt(np.real(np.diagonal(gram)))
+    off = np.abs(gram - np.diag(np.diagonal(gram)))
+    return float(np.max(off)), float(np.max(np.abs(norms - 1.0)))
+
+
 def vdot_decode(encoded, sent) -> int:
     """Index of the encoded state ``sent`` projects onto most strongly, one
     ``np.vdot`` per codebook entry."""

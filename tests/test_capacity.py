@@ -28,6 +28,7 @@ from oracles import (
     brute_pauli_expectations,
     brute_spectrum,
     brute_teleport_outcome,
+    dense_codebook_deviation,
     dense_protocol_deviation,
     gf2_leading_bits,
     vdot_decode,
@@ -1066,6 +1067,13 @@ class TestGraphVerdicts:
         assert graph_verdict(star) == (False, 1, 8, None)
 
 
+# Every catalog codebook, and the full codebooks of bell_product:3-5 on the
+# odd qubits (64, 256 and 1024 messages).
+DENSE_CODEBOOK_CASES = list(FIGURES) + [
+    (f"bell_product:{k}", tuple(range(1, 2 * k, 2))) for k in (3, 4, 5)
+]
+
+
 class TestSdcCodebook:
     def test_round_trip_decodes_every_message(self):
         book = build_sdc_codebook(cluster4(), (1, 3))
@@ -1098,50 +1106,89 @@ class TestSdcCodebook:
             simulate_sdc(cluster4(), (1, 3), 16, book)
 
     def test_direct_construction_validates(self):
-        stack = np.stack([bell().amplitudes, bell().amplitudes])
-        with pytest.raises(ValueError, match="orthogonal"):
-            SdcCodebook(frozenset({1}), (0, 1), stack)
+        # basis:00 has <Z> = 1 on qubit 1: I and Z encode the same state
+        with pytest.raises(ValueError, match="not pairwise orthogonal"):
+            SdcCodebook(basis_state("00"), frozenset({1}), (0, 3))
         with pytest.raises(ValueError, match="distinct"):
-            SdcCodebook(frozenset({1}), (0, 0), stack)
-        with pytest.raises(ValueError, match=r"need 1 rows of 2\^n >= 2 amplitudes, got \(2, 4\)"):
-            SdcCodebook(frozenset({1}), (0,), stack)
+            SdcCodebook(bell(), frozenset({1}), (0, 0))
+        with pytest.raises(ValueError, match="non-empty"):
+            SdcCodebook(bell(), frozenset({1}), ())
+        with pytest.raises(ValueError, match="proper subset"):
+            SdcCodebook(bell(), frozenset({1, 2}), (0,))
+        with pytest.raises(ValueError, match="a codebook encodes a PureState, got tuple"):
+            SdcCodebook((1, 0, 0, 1), frozenset({1}), (0,))
+        book = SdcCodebook(basis_state("00"), [1], (0, 1))
+        assert book.sender_set == frozenset({1}) and book.labels == (0, 1)
 
     @pytest.mark.parametrize("labels", [(0, 5), (0, 4), (-1, 0)])
     def test_construction_refuses_labels_beyond_the_sender(self, labels):
         # One sender qubit has the labels 0..3 (I, X, Y, Z) only
-        stack = np.array([bell().amplitudes, np.array([1, 0, 0, -1]) / math.sqrt(2)])
         with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
-            SdcCodebook(frozenset({1}), labels, stack)
+            SdcCodebook(bell(), frozenset({1}), labels)
 
     @pytest.mark.parametrize(
         "row,match",
         [
-            ([np.nan, 0, 0, 1], "NaN or infinite amplitude"),
-            ([1, 0, 0, np.inf], "NaN or infinite amplitude"),
-            ([1, 0, 0, 1], r"encoded state 1 is not normalized: norm = 1\.41421"),
-            ([1e-3, 0, 0, 0], r"encoded state 1 is not normalized: norm = 0\.001"),
+            ([np.nan, 0, 0, 1], r"not normalized: max \|amplitude\| = nan"),
+            ([1, 0, 0, np.inf], r"not normalized: max \|amplitude\| = inf"),
+            ([1, 0, 0, 1], r"not normalized: total probability = 2\.0"),
+            ([1e-3, 0, 0, 0], r"not normalized: total probability = 1e-06"),
         ],
         ids=["nan", "inf", "long", "short"],
     )
     def test_construction_refuses_bad_rows(self, row, match):
-        # Each row must be what a PureState would accept: finite, unit norm
-        stack = np.array([[0, 1, 0, 0], row], dtype=complex)
+        # Rows are Pauli images of a checked PureState, which refuses a row
+        # that is not finite and of unit norm; raw amplitudes are no state.
         with pytest.raises(ValueError, match=match):
-            SdcCodebook(frozenset({1}), (0, 1), stack)
+            PureState(2, row)
+        with pytest.raises(ValueError, match="a codebook encodes a PureState, got ndarray"):
+            SdcCodebook(np.array([[0, 1, 0, 0], row], dtype=complex), frozenset({1}), (0, 1))
 
     @pytest.mark.parametrize(
-        "stack,match",
-        [
-            (np.eye(3)[:2], r"need 2 rows of 2\^n >= 2 amplitudes, got \(2, 3\)"),
-            (np.ones((2, 1)), r"need 2 rows of 2\^n >= 2 amplitudes, got \(2, 1\)"),
-            (np.array([1.0, 0.0]), r"need 2 rows of 2\^n >= 2 amplitudes, got \(2,\)"),
-            (np.eye(4)[:3], r"need 2 rows of 2\^n >= 2 amplitudes, got \(3, 4\)"),
-        ],
+        "stack",
+        [np.eye(3)[:2], np.ones((2, 1)), np.array([1.0, 0.0]), np.eye(4)[:3]],
         ids=["length-3", "length-1", "flat", "three-rows"],
     )
-    def test_construction_refuses_bad_shapes(self, stack, match):
+    def test_construction_refuses_bad_shapes(self, stack):
+        # The stack is derived, never given, so no shape can be wrong.
+        with pytest.raises(TypeError, match="takes 4 positional arguments but 5 were given"):
+            SdcCodebook(bell(), frozenset({1}), (0, 1), stack)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'stack'"):
+            SdcCodebook(bell(), frozenset({1}), (0, 1), stack=stack)
+        with pytest.raises(ValueError, match="a codebook encodes a PureState, got ndarray"):
+            SdcCodebook(stack, frozenset({1}), (0, 1))
+
+    def test_size_rule_refuses_before_allocating(self, monkeypatch):
+        # 4096 rows of 2^14 amplitudes would take 1 GiB.
+        def spy(*args):
+            raise AssertionError("apply_paulis called")
+
+        monkeypatch.setattr(capacity, "apply_paulis", spy)
+        state, sender = bell_product(7), (1, 3, 5, 7, 9, 11)
+        match = "a codebook of 4096 14-qubit states is above the 256 MiB cap"
         with pytest.raises(ValueError, match=match):
-            SdcCodebook(frozenset({1}), (0, 1), stack)
+            build_sdc_codebook(state, sender)
+        with pytest.raises(ValueError, match=match):
+            SdcCodebook(state, frozenset(sender), range(4096))
+
+    def test_size_rule_boundary(self, monkeypatch):
+        # Four rows of four amplitudes are 256 bytes.
+        monkeypatch.setattr(capacity, "MAX_DENSE_BYTES", 256)
+        assert len(SdcCodebook(bell(), frozenset({1}), range(4))) == 4
+        monkeypatch.setattr(capacity, "MAX_DENSE_BYTES", 255)
+        with pytest.raises(ValueError, match="a codebook of 4 2-qubit states is above the 0 MiB cap"):
+            SdcCodebook(bell(), frozenset({1}), range(4))
+
+    @pytest.mark.parametrize("spec,sender", DENSE_CODEBOOK_CASES, ids=[f"{s}|{q}" for s, q in DENSE_CODEBOOK_CASES])
+    def test_dense_gram_matches_closed_form(self, spec, sender):
+        state = make_state(parse_spec(spec))
+        book = build_sdc_codebook(state, sender)
+        gram_dev, norm_dev = dense_codebook_deviation(book.stack)
+        assert gram_dev <= ATOL and norm_dev <= ATOL
+        index = np.array(book.labels)
+        overlap = capacity._sender_expectations(state, sender)[index ^ index[:, None]]
+        np.fill_diagonal(overlap, 0.0)
+        assert abs(gram_dev - np.max(overlap)) <= 1e-12
 
     @pytest.mark.parametrize(
         "spec,sender", list(FIGURES), ids=[f"{s}|{q}" for s, q in FIGURES]
@@ -1157,11 +1204,12 @@ class TestSdcCodebook:
 
     def test_stack_is_kept_read_only(self):
         book = build_sdc_codebook(cluster4(), (1, 3))
-        stack = book.stack.copy()
-        again = dataclasses.replace(book, stack=stack)
-        assert stack.flags.writeable and not np.shares_memory(stack, again.stack)
-        stack[0] = 0.0
-        assert np.array_equal(again.stack, book.stack)
+        assert [f.name for f in dataclasses.fields(book) if f.init] == ["state", "sender_set", "labels"]
+        assert not np.shares_memory(book.stack, book.state.amplitudes)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(book, stack=book.stack.copy())
+        again = dataclasses.replace(book, labels=book.labels[:3])
+        assert np.array_equal(again.stack, book.stack[:3])
         with pytest.raises(ValueError):
             book.stack[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1441,6 +1489,27 @@ class TestMaximalityVerdicts:
     def test_verdict_dataclass_shape(self):
         verdict = TmesVerdict(False, 0, 1, None)
         assert not verdict.is_tmes
+
+
+MAXIMAL_WITNESSES = [(spec, want.witness) for spec, want in VERDICTS.items() if want.maximal]
+
+
+@pytest.mark.parametrize(
+    "spec,witness", MAXIMAL_WITNESSES, ids=[spec for spec, _ in MAXIMAL_WITNESSES]
+)
+def test_both_tasks_run_at_the_witness(spec, witness):
+    # A maximal verdict is operational: across its witness cut, floor(n/2)
+    # Haar qubits teleport perfectly and all 2^n Pauli messages decode.
+    state = make_state(parse_spec(spec))
+    n = state.num_qubits
+    cut = Partition.from_sender(witness, n)
+    for seed in range(3):
+        run = simulate_teleportation(state, cut, n // 2, seed)
+        assert run.min_fidelity >= 1.0 - ATOL
+        assert abs(run.total_probability - 1.0) <= ATOL
+    book = build_sdc_codebook(state, witness)
+    assert len(book) == 2**n
+    assert [simulate_sdc(state, witness, m, book) for m in range(2**n)] == list(range(2**n))
 
 
 class TestDefaultPartition:

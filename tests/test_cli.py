@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tmes import cli
+from tmes.capacity import haar_random_state
 from tmes.cli import main
 from tmes.claims import VERDICTS
 from tmes.operators import operator_family
@@ -153,6 +154,24 @@ class TestStateCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: state is not normalized:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["state", "show"], ["tmes", "--state"]])
+    def test_total_probability_off_by_more_than_atol_fails_cleanly(self, tmp_path, capsys, command):
+        # The norm, 1 + 0.9e-9, is within ATOL of 1; the total probability
+        # is not, and the file is refused on load, before any analysis.
+        path = tmp_path / "long.json"
+        doc = {
+            "format_version": 1, "kind": "state", "convention": "q1-msb", "num_qubits": 4,
+            "amplitudes": [[z.real, z.imag] for z in haar_random_state(4, 0).amplitudes * (1 + 0.9e-9)],
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="not normalized: total probability = 1.0000000018"):
+            load_state(path)
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state is not normalized: total probability = ")
         assert captured.err.count("\n") == 1
 
     def test_show_missing_file(self, capsys):
@@ -356,7 +375,7 @@ class TestAnalysisCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the conversion obstruction is capped at 12 qubits, got 13\n"
+            "error: bipartition enumeration is capped at 12 qubits, got 13\n"
         )
 
     def test_bad_sender_list(self, state_file, capsys):
@@ -397,6 +416,16 @@ class TestAnalysisCommands:
         assert "Traceback" not in captured.err
         assert message in captured.err
 
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_bad_payload_size_exits_one(self, state_file, capsys, size):
+        argv = ["teleport", "--resource", state_file("bell_product:2"), "--payload-qubits", size]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a payload size must be an int of at least 1 qubit, got {size}\n"
+        )
 
     def test_negative_seed_exits_one(self, state_file, capsys):
         argv = ["teleport", "--resource", state_file("bell_product:2"), "--payload-qubits", "1"]

@@ -28,7 +28,7 @@ from oracles import (
 )
 import tmes
 from tmes import capacity, invariants, statevec
-from tmes.capacity import haar_random_state, haar_random_unitary, sdc_max_messages
+from tmes.capacity import haar_random_state, haar_random_unitary, is_tmes, sdc_max_messages
 from tmes.statevec import (
     ATOL,
     EXACT_ATOL,
@@ -95,6 +95,31 @@ class TestPureState:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="not normalized"):
             PureState(1, np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("scale", [1 + 0.9e-9, 1 - 0.9e-9])
+    def test_rejects_a_total_probability_off_by_more_than_atol(self, scale):
+        # The norm is within ATOL of 1, its square is not.
+        amps = haar_random_state(4, 0).amplitudes * scale
+        assert abs(np.linalg.norm(amps) - 1.0) <= ATOL
+        with pytest.raises(ValueError, match="not normalized: total probability = "):
+            PureState(4, amps)
+
+    @pytest.mark.parametrize("scale", [1 + 0.45e-9, 1 - 0.45e-9])
+    def test_a_state_at_the_edge_runs_every_analysis(self, scale):
+        # Every marginal trace and spectrum sum is the total probability,
+        # which the state holds to ATOL, so no later check refuses it.
+        haar = haar_random_state(4, 0)
+        state = PureState(4, haar.amplitudes * scale)
+        cut = Partition.from_sender((1, 3), 4)
+        assert is_tmes(state) == is_tmes(haar)
+        assert schmidt_spectrum(state, cut).rank == 4
+        assert partial_trace(state, (1, 3)).matrix.shape == (4, 4)
+        assert len(invariants.all_bipartition_spectra(state)) == 7
+        assert len(capacity.build_sdc_codebook(state, (1, 3))) == 1
+        resource = PureState(4, bell_product(2).amplitudes * scale)
+        run = capacity.simulate_teleportation(resource, cut, 2)
+        assert run.min_fidelity >= 1.0 - ATOL
+        assert abs(run.total_probability - 1.0) <= ATOL
 
     def test_rejects_an_amplitude_too_large_to_square(self):
         # Refused before the norm is formed, which would overflow (and, with
