@@ -58,9 +58,7 @@ def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     if num_qubits < 1:
         raise ValueError("a state needs at least one qubit")
     check_state_size(num_qubits, "a Haar-random state")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     dim = 2**num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(num_qubits, vec / np.linalg.norm(vec))
@@ -95,11 +93,20 @@ def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
     return cap
 
 
+def _integer(value, low: int, high: float, refusal: str) -> int:
+    """The one rule for counts, indices and seeds: ``value`` as an int if it is an
+    int or numpy integer, not a bool, in [low, high], else ValueError(refusal)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        raise ValueError(refusal)
+    return int(value)
+
+
 def _payload_qubits(n_payload) -> int:
-    """A payload size: an int (a numpy integer, not a bool) of at least 1."""
-    if isinstance(n_payload, bool) or not isinstance(n_payload, (int, np.integer)) or n_payload < 1:
-        raise ValueError(f"a payload size must be an int of at least 1 qubit, got {n_payload!r}")
-    return int(n_payload)
+    return _integer(n_payload, 1, math.inf, f"a payload size must be an int of at least 1 qubit, got {n_payload!r}")
+
+
+def _seed(seed) -> int:
+    return _integer(seed, 0, math.inf, f"seed must be a non-negative int, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +274,7 @@ def simulate_teleportation(
     state is formed: the payload meets the conjugated family first, then one
     GEMM with the resource's own cut matrix projects every outcome.
     """
+    seed = _seed(seed)
     p = payload.num_qubits if isinstance(payload, PureState) else _payload_qubits(payload)
     protocol = _memo_protocol(state, cut, p)
     if not isinstance(payload, PureState):
@@ -501,8 +509,7 @@ def build_sdc_codebook(
     labels = sdc_orthogonal_labels(state, qubits)
     if num_messages is None:
         num_messages = len(labels)
-    if num_messages < 1:
-        raise ValueError("a codebook needs at least one message")
+    num_messages = _integer(num_messages, 1, math.inf, f"a codebook needs an int of at least 1 message, got {num_messages!r}")
     if num_messages > len(labels):
         raise ValueError(
             f"requested {num_messages} messages but only {len(labels)} "
@@ -517,15 +524,15 @@ def simulate_sdc(
     message_index: int,
     codebook: SdcCodebook,
 ) -> int:
-    """Encode one message and decode by projection onto the codebook."""
+    """Send the codebook's own row of one message and decode it by projection
+    onto the codebook, which must hold ``state`` itself, byte for byte."""
     qubits = _sender_qubits(state, sender_set)
     if frozenset(qubits) != codebook.sender_set:
         raise ValueError("codebook was built for a different sender set")
-    if not 0 <= message_index < len(codebook):
-        raise ValueError(
-            f"message index {message_index} out of range 0..{len(codebook) - 1}"
-        )
-    sent = apply_paulis(state.amplitudes, qubits, [codebook.labels[message_index]])[0]
+    if state.amplitudes.tobytes() != codebook.state.amplitudes.tobytes():
+        raise ValueError("codebook was built for a different state")
+    index = len(codebook) - 1
+    sent = codebook.stack[_integer(message_index, 0, index, f"message index must be an int in 0..{index}, got {message_index!r}")]
     # |conj z| = |z|, so projecting the conjugated message onto the stack
     # ranks the overlaps as projecting the message onto the conjugated stack.
     return int(np.argmax(np.abs(codebook.stack @ sent.conj()) ** 2))
@@ -562,7 +569,8 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     chunk that holds its last cut.  Each capacity reads the cut's clustered
     runs and stops at the first odd one, which in a Haar cut is the first.
     The clique search runs only for a cut whose Z is not a group, and only
-    when the scan reaches it.
+    when the scan reaches it.  On a qubit-symmetric state one matrix stands
+    for every cut, so one set of figures is scored and shared.
     """
     n = state.num_qubits
     if n < 2:
@@ -574,11 +582,13 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
         expect = pauli_expectations(_stack_marginals(stack))
         pivots, closed = _coset_pivots(expect, tol)
         for i, j in enumerate(where):
-            if closed[i]:
-                msgs = expect.shape[1] >> int(pivots[i]).bit_count()
-            else:
-                msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
-            yield CutReport(cuts[j], spectra[i], _capacity(spectra[i], n // 2), msgs)
+            if i < len(stack):  # past the end, a shared matrix's figures stand
+                if closed[i]:
+                    msgs = expect.shape[1] >> int(pivots[i]).bit_count()
+                else:
+                    msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
+                figures = spectra[i], _capacity(spectra[i], n // 2), msgs
+            yield CutReport(cuts[j], *figures)
 
 
 def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:

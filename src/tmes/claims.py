@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .capacity import (
+    _seed,
     build_sdc_codebook,
     build_teleport_protocol,
     haar_random_state,
@@ -103,8 +104,7 @@ class ClaimConfig:
     claim_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)

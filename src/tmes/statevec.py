@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, cycle
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -427,6 +427,17 @@ def _cut_layout(num_qubits: int, size: int) -> _CutLayout:
     return _CutLayout(cuts, {cut.sender: i for i, cut in enumerate(cuts)}, rows, cols)
 
 
+def _qubit_symmetric(state: PureState) -> bool:
+    """Whether every qubit permutation fixes ``state`` bit for bit, that is,
+    each adjacent transposition does.  The last one swaps amplitudes 1 and
+    2, a scalar test that rejects most states; bit patterns tell -0.0 from 0.0."""
+    amps = state.amplitudes
+    if amps[1] != amps[2]:
+        return False
+    pairs = (amps.view(np.uint64).reshape(2**q, 2, 2, -1) for q in range(state.num_qubits - 1))
+    return all(np.array_equal(p[:, 0, 1], p[:, 1, 0]) for p in pairs)
+
+
 def _cut_stacks(
     state: PureState, cuts: Sequence[Partition]
 ) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -439,21 +450,27 @@ def _cut_stacks(
     memoised ``_cut_layout``; above it they are built for the chunk alone.
     (On a 12-qubit scan, ``take`` made the same stacks with five times the
     page faults, and the batched calls that read them ran slower.)
+
+    When some size has two cuts and ``_qubit_symmetric`` holds, each size is
+    one run of all its positions whose stack is one matrix, bit-identical to
+    every cut's: position ``where[i]`` reads matrix ``i % len(stack)``.
     """
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
         _require_cut(state, cut)
         groups.setdefault(len(cut.sender), []).append(i)
     n = state.num_qubits
-    limit = max(CHUNK_BYTES // (16 * 2**n), 1)
+    shared = len(groups) < len(cuts) and _qubit_symmetric(state)
+    limit = len(cuts) if shared else max(CHUNK_BYTES // (16 * 2**n), 1)
     for size, group in sorted(groups.items()):
         for where in (group[k : k + limit] for k in range(0, len(group), limit)):
+            take = where[:1] if shared else where
             if n <= MAX_QUBITS:
                 layout = _cut_layout(n, size)
-                at = [layout.position[cuts[i].sender] for i in where]
+                at = [layout.position[cuts[i].sender] for i in take]
                 rows, cols = layout.rows[at], layout.cols[at]
             else:
-                sides = [cuts[i].sides() for i in where]
+                sides = [cuts[i].sides() for i in take]
                 rows = _side_offsets(np.array([r for r, _ in sides]), n)
                 cols = _side_offsets(np.array([c for _, c in sides]), n)
             yield where, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
@@ -467,12 +484,13 @@ def cut_spectra(
     Each ``_cut_stacks`` chunk is gathered in one indexing step and gets one
     batched SVD.  The gather copies the amplitudes exactly, and numpy runs
     the same LAPACK routine on each matrix of a stack as on the matrix
-    alone, so every spectrum is identical to the bit to a one-cut SVD.
+    alone, so every spectrum is identical to the bit to a one-cut SVD (on a
+    qubit-symmetric state, one SVD and one spectrum per sender size).
     """
     cuts = tuple(cuts)
     spectra: dict[int, SchmidtSpectrum] = {}
     for where, stack in _cut_stacks(state, cuts):
-        spectra.update(zip(where, _stack_spectra(stack)))
+        spectra.update(zip(where, cycle(_stack_spectra(stack))))
     return tuple(spectra[i] for i in range(len(cuts)))
 
 

@@ -14,12 +14,12 @@ import math
 import re
 import sys
 import weakref
-from itertools import combinations
+from itertools import combinations, cycle
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -158,8 +158,20 @@ class TestHaarSampling:
             haar_random_state(40)
 
     def test_negative_seed_is_refused_by_name(self):
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative int, got -1"):
             haar_random_state(2, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
+    def test_seed_is_an_int(self, seed):
+        # a float once reached numpy's TypeError, and True ran as seed 1
+        message = re.escape(f"seed must be a non-negative int, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            haar_random_state(2, seed=seed)
+        state, cut = cluster4(), _cut((1, 3), 4)
+        for payload in (1, haar_random_state(1)):
+            with pytest.raises(ValueError, match=message):
+                simulate_teleportation(state, cut, payload, seed=seed)
+        assert haar_random_state(2, np.int64(3)).amplitudes.tobytes() == haar_random_state(2, 3).amplitudes.tobytes()
 
 
 def _figure_rows(field: str, lead) -> list:
@@ -1027,9 +1039,9 @@ class TestGraphStates:
 
 
 @st.composite
-def _graph_verdict_cases(draw):
-    """A graph on 2-9 qubits and per qubit one of I, H, S, H S."""
-    n = draw(st.integers(2, 9), label="n")
+def _graph_verdict_cases(draw, max_qubits: int = 9):
+    """A graph on 2 to ``max_qubits`` qubits and per qubit one of I, H, S, H S."""
+    n = draw(st.integers(2, max_qubits), label="n")
     pairs = n * (n - 1) // 2
     edges = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs), label="edges")
     adj = np.zeros((n, n), dtype=int)
@@ -1054,6 +1066,14 @@ class TestGraphVerdicts:
             assert verdict.witnessing_partition is None
         else:
             assert verdict.witnessing_partition.sender == set(witness)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_graph_verdict_cases(max_qubits=8))
+    def test_both_tasks_run_at_the_oracle_witness(self, case):
+        adj, gates = case
+        maximal, _, _, witness = graph_verdict(adj)
+        assume(maximal)
+        _run_both_tasks(_graph_state(adj, gates), witness)
 
     def test_oracle_pins_known_verdicts(self):
         # the path P4 is cluster4 up to local Cliffords: witness (1, 3)
@@ -1104,6 +1124,36 @@ class TestSdcCodebook:
             simulate_sdc(cluster4(), (1, 2), 0, book)
         with pytest.raises(ValueError):
             simulate_sdc(cluster4(), (1, 3), 16, book)
+
+    def test_simulate_decodes_only_the_codebook_state(self):
+        # ghz:4 once decoded messages 0-3 of the cluster4 codebook as 0
+        book = build_sdc_codebook(cluster4(), (1, 3))
+        signed = cluster4().amplitudes.copy()
+        signed[signed == 0] = -0.0
+        others = [ghz(4), cluster5(), PureState(4, signed)]
+        for other in others:
+            with pytest.raises(ValueError, match="codebook was built for a different state"):
+                simulate_sdc(other, (1, 3), 0, book)
+        # an equal state built anew is the codebook's state
+        assert [simulate_sdc(cluster4(), (1, 3), m, book) for m in range(4)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("index", [-1, 16, 1.0, True, "1", None, np.int64(16)])
+    def test_message_index_is_an_int_in_range(self, index):
+        book = build_sdc_codebook(cluster4(), (1, 3))
+        message = re.escape(f"message index must be an int in 0..15, got {index!r}")
+        with pytest.raises(ValueError, match=message):
+            simulate_sdc(cluster4(), (1, 3), index, book)
+
+    @pytest.mark.parametrize("count", [0, -2, 2.5, 1.0, True, False, "4"])
+    def test_message_count_is_an_int(self, count):
+        message = re.escape(f"a codebook needs an int of at least 1 message, got {count!r}")
+        with pytest.raises(ValueError, match=message):
+            build_sdc_codebook(ghz(3), (1, 2), count)
+
+    def test_numpy_integers_count_as_ints(self):
+        book = build_sdc_codebook(ghz(3), (1, 2), np.int32(5))
+        assert book.labels == build_sdc_codebook(ghz(3), (1, 2), 5).labels
+        assert simulate_sdc(ghz(3), (1, 2), np.uint8(3), book) == 3
 
     def test_direct_construction_validates(self):
         # basis:00 has <Z> = 1 on qubit 1: I and Z encode the same state
@@ -1352,67 +1402,58 @@ class TestMaximalityVerdicts:
             assert verdict.witnessing_partition is not None
             assert verdict.witnessing_partition.sender == set(witness)
 
-    def test_scan_stops_at_first_joint_witness(self, monkeypatch):
+    def test_scan_stops_at_first_joint_witness(self, cut_stack_spy):
         # Cuts are scored one _cut_stacks chunk at a time (64 balanced cuts
         # at 10 qubits), so the scan stops at the end of the chunk that holds
         # the first joint witness.
-        scored = []
-        stacks = capacity._cut_stacks
+        def scored():
+            (call,) = cut_stack_spy
+            cut_stack_spy.clear()
+            return [[tuple(sorted(call.cuts[i].sender)) for i in c.where] for c in call.chunks]
 
-        def recording(state, cuts):
-            for where, stack in stacks(state, cuts):
-                scored.append([tuple(sorted(cuts[i].sender)) for i in where])
-                yield where, stack
-
-        monkeypatch.setattr(capacity, "_cut_stacks", recording)
         verdict = is_tmes(cluster4())
         assert verdict.witnessing_partition.sender == {1, 3}
-        assert scored == [list(combinations(range(1, 5), 2))]  # one chunk
-        scored.clear()
+        assert scored() == [list(combinations(range(1, 5), 2))]  # one chunk
         verdict = is_tmes(bell_product(5))
         senders = list(combinations(range(1, 11), 5))
         assert senders.index((1, 3, 5, 7, 9)) == 76
         assert verdict.witnessing_partition.sender == {1, 3, 5, 7, 9}
-        assert scored == [senders[:64], senders[64:128]]
+        assert scored() == [senders[:64], senders[64:128]]
 
     @pytest.mark.parametrize(
-        "state",
-        [haar_random_state(7, seed=7), haar_random_state(8, seed=8),
-         haar_random_state(10, seed=10), haar_random_state(11, seed=11), ghz(8)],
+        "state,shared",
+        [(haar_random_state(7, seed=7), False), (haar_random_state(8, seed=8), False),
+         (haar_random_state(10, seed=10), False), (haar_random_state(11, seed=11), False),
+         (ghz(8), True)],
         ids=["haar7", "haar8", "haar10", "haar11", "ghz8"],
     )
-    def test_chunks_match_one_cut_calls(self, monkeypatch, state):
+    def test_chunks_match_one_cut_calls(self, monkeypatch, cut_stack_spy, state, shared):
         # Each chunk is one _cut_stacks stack and one pauli_expectations call
         # on its stack of marginals; cut_reports scores every balanced cut,
         # in chunks of CHUNK_BYTES // (16 * 2^n) cuts: one chunk up to 9
-        # qubits, 4 at 10 and 15 at 11.
-        chunks = []
+        # qubits, 4 at 10 and 15 at 11.  ghz:8 is qubit-symmetric: its one
+        # chunk holds all 70 cuts and a stack of one matrix for all of them.
         expects = []
-        stacks = capacity._cut_stacks
         transform = capacity.pauli_expectations
-
-        def recording_stacks(state, cuts):
-            for where, stack in stacks(state, cuts):
-                chunks.append([cuts[i] for i in where])
-                yield where, stack
 
         def recording_transform(rho):
             expects.append(transform(rho))
             return expects[-1]
 
-        monkeypatch.setattr(capacity, "_cut_stacks", recording_stacks)
         monkeypatch.setattr(capacity, "pauli_expectations", recording_transform)
         reports = list(capacity.cut_reports(state))
+        ((_, cuts, chunks),) = cut_stack_spy
         n = state.num_qubits
         assert len(chunks) == len(expects) == {7: 1, 8: 1, 10: 4, 11: 15}[n]
         assert len(reports) == math.comb(n, (n + 1) // 2)
-        assert [r.cut for r in reports] == [cut for cuts in chunks for cut in cuts]
+        assert [r.cut for r in reports] == [cuts[i] for chunk in chunks for i in chunk.where]
         for report in reports:
             assert report.spectrum == schmidt_spectrum(state, report.cut)
-        for cuts, expect in zip(chunks, expects):
-            assert expect.shape == (len(cuts), 4 ** len(cuts[0].sender))
-            for cut, row in zip(cuts, expect):
-                rho = partial_trace(state, cut.sender).matrix
+        for chunk, expect in zip(chunks, expects):
+            rows = 1 if shared else len(chunk.where)
+            assert expect.shape == (rows, 4 ** len(cuts[chunk.where[0]].sender))
+            for i, row in zip(chunk.where, cycle(expect)):
+                rho = partial_trace(state, cuts[i].sender).matrix
                 assert np.array_equal(row, pauli_expectations(rho))
 
     @pytest.mark.parametrize(
@@ -1498,9 +1539,12 @@ MAXIMAL_WITNESSES = [(spec, want.witness) for spec, want in VERDICTS.items() if 
     "spec,witness", MAXIMAL_WITNESSES, ids=[spec for spec, _ in MAXIMAL_WITNESSES]
 )
 def test_both_tasks_run_at_the_witness(spec, witness):
-    # A maximal verdict is operational: across its witness cut, floor(n/2)
-    # Haar qubits teleport perfectly and all 2^n Pauli messages decode.
-    state = make_state(parse_spec(spec))
+    _run_both_tasks(make_state(parse_spec(spec)), witness)
+
+
+def _run_both_tasks(state: PureState, witness: tuple[int, ...]) -> None:
+    """A maximal verdict is operational: across its witness cut, floor(n/2)
+    Haar qubits teleport perfectly and all 2^n Pauli messages decode."""
     n = state.num_qubits
     cut = Partition.from_sender(witness, n)
     for seed in range(3):

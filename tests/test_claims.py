@@ -70,7 +70,7 @@ class TestRegistry:
             run_claim_suite(ClaimConfig(claim_ids=()))
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        with pytest.raises(ValueError, match="seed must be a non-negative int, got -3"):
             ClaimConfig(seed=-3)
 
     def test_subset_selection(self):

@@ -432,7 +432,7 @@ class TestAnalysisCommands:
         assert main(argv + ["--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.err == "error: seed must be a non-negative int, got -1\n"
 
 
 class TestVerifyCommand:
@@ -475,7 +475,7 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.err == "error: seed must be a non-negative int, got -1\n"
 
 
 class TestUsageErrors:

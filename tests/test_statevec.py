@@ -406,22 +406,6 @@ class TestCutSpectra:
             cut_spectra(bell(), [Partition.from_sender((1,), 3)])
 
 
-def _recording(monkeypatch, module, seen, keep=lambda stack: stack):
-    """Replace ``module._cut_stacks`` by a wrapper that appends (state, cuts,
-    chunks) to ``seen`` for every call, ``chunks`` growing by (where,
-    keep(stack)) as each chunk is yielded: the scan stays lazy."""
-    stacks = module._cut_stacks
-
-    def recording(state, cuts):
-        chunks = []
-        seen.append((state, tuple(cuts), chunks))
-        for where, stack in stacks(state, cuts):
-            chunks.append((where, keep(stack)))
-            yield where, stack
-
-    monkeypatch.setattr(module, "_cut_stacks", recording)
-
-
 class TestCutStacks:
     """Every ``_cut_stacks`` matrix equals, byte for byte, the cut matrix
     laid out entry by entry by bit arithmetic on the joint index."""
@@ -451,16 +435,14 @@ class TestCutStacks:
         shuffled = [cuts[i] for i in rng.permutation(len(cuts))] + cuts[::9]
         self._assert_oracle(state, shuffled, statevec._cut_stacks(state, shuffled))
 
-    def test_conversion_obstruction_cuts(self, monkeypatch):
-        seen = []
-        _recording(monkeypatch, statevec, seen)
+    def test_conversion_obstruction_cuts(self, cut_stack_spy):
         source = haar_random_state(8, seed=2)
         target = apply_local(source, _random_unitary(2, seed=3), (1, 2))
         for subset in [(1, 2), (3,), (2, 5, 7)]:
             conversion_obstruction(source, target, subset)
-        assert len(seen) == 6
-        for state, cuts, stacks in seen:
-            self._assert_oracle(state, cuts, stacks)
+        assert len(cut_stack_spy) == 6
+        for state, cuts, chunks in cut_stack_spy:
+            self._assert_oracle(state, cuts, [(c.where, c.stack) for c in chunks])
 
     @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 17])
     def test_above_the_layout_cap(self, monkeypatch, n):
@@ -470,17 +452,15 @@ class TestCutStacks:
         self._assert_oracle(state, cuts, statevec._cut_stacks(state, cuts))
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
-    def test_cut_report_chunks(self, monkeypatch, n):
+    def test_cut_report_chunks(self, cut_stack_spy, n):
         # One call over every balanced cut, yielding one chunk up to 9
         # qubits, 4 at 10 and 15 at 11.
-        seen = []
-        _recording(monkeypatch, capacity, seen)
         state = haar_random_state(n, seed=n)
         reports = list(capacity.cut_reports(state))
-        ((_, cuts, chunks),) = seen
+        ((_, cuts, chunks),) = cut_stack_spy
         assert len(chunks) == {8: 1, 9: 1, 10: 4, 11: 15}[n]
-        assert [r.cut for r in reports] == [cuts[i] for where, _ in chunks for i in where]
-        self._assert_oracle(state, cuts, chunks)
+        assert [r.cut for r in reports] == [cuts[i] for chunk in chunks for i in chunk.where]
+        self._assert_oracle(state, cuts, [(c.where, c.stack) for c in chunks])
 
 
 def _haar_pair(n: int) -> tuple[PureState, PureState]:
@@ -506,16 +486,11 @@ class TestChunkBound:
             for size in sorted({len(cut.sender) for cut in cuts}):
                 at = [i for i, cut in enumerate(cuts) if len(cut.sender) == size]
                 want += [at[k : k + per] for k in range(0, len(at), per)]
-            assert [where for where, _ in chunks] == want
-            for where, (shape, nbytes) in chunks:
+            assert [chunk.where for chunk in chunks] == want
+            for where, shape, nbytes, _ in chunks:
                 size = len(cuts[where[0]].sender)
                 assert shape == (len(where), 2**size, 2 ** (n - size))
                 assert nbytes <= max(statevec.CHUNK_BYTES, 16 * 2**n)
-
-    @staticmethod
-    def _spy(monkeypatch, seen):
-        for module in (statevec, capacity, invariants):
-            _recording(monkeypatch, module, seen, lambda stack: (stack.shape, stack.nbytes))
 
     @pytest.mark.parametrize("n", [11, MAX_QUBITS])
     @pytest.mark.parametrize(
@@ -530,17 +505,15 @@ class TestChunkBound:
         ids=["cut_reports", "cut_spectra", "all_bipartition_spectra",
              "genuine_multipartite", "conversion_obstruction"],
     )
-    def test_entry_points(self, monkeypatch, n, scan):
-        seen = []
-        self._spy(monkeypatch, seen)
+    def test_entry_points(self, cut_stack_spy, n, scan):
+        cut_stack_spy.keep_stacks = False
         scan(*_haar_pair(n))
-        self._assert_bounded(seen)
+        self._assert_bounded(cut_stack_spy)
 
-    def test_one_cut_per_stack_at_16_qubits(self, monkeypatch):
+    def test_one_cut_per_stack_at_16_qubits(self, cut_stack_spy):
         # A 16-qubit cut matrix is 1 MiB, exactly CHUNK_BYTES: each of 40
         # cuts of mixed sizes is a stack of its own.
-        seen = []
-        self._spy(monkeypatch, seen)
+        cut_stack_spy.keep_stacks = False
         rng = np.random.default_rng(16)
         cuts = [
             Partition.from_sender(rng.choice(16, size, replace=False) + 1, 16)
@@ -548,10 +521,10 @@ class TestChunkBound:
         ]
         state = haar_random_state(16, seed=16)
         got = cut_spectra(state, cuts)
-        self._assert_bounded(seen)
-        ((_, _, chunks),) = seen
+        self._assert_bounded(cut_stack_spy)
+        ((_, _, chunks),) = cut_stack_spy
         assert len(chunks) == 40
-        assert all(nbytes == statevec.CHUNK_BYTES for _, (_, nbytes) in chunks)
+        assert all(chunk.nbytes == statevec.CHUNK_BYTES for chunk in chunks)
         assert got == tuple(schmidt_spectrum(state, cut) for cut in cuts)
 
 

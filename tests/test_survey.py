@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmes import capacity
 from tmes.claims import FIGURES, VERDICTS
 from tmes.states import make_state, parse_spec
 
@@ -51,20 +50,23 @@ def test_survey_refuses_tol(monkeypatch, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_survey_scores_each_cut_once(tmp_path, monkeypatch):
+def test_survey_scores_each_cut_once(tmp_path, monkeypatch, cut_stack_spy):
     # The verdict folds over the rows already reported, so no balanced cut
     # of any state is scored twice.
-    scored = []
-    stacks = capacity._cut_stacks
-
-    def counting(state, cuts):
-        scored.extend((state.num_qubits, tuple(sorted(cut.sender))) for cut in cuts)
-        return stacks(state, cuts)
-
-    monkeypatch.setattr(capacity, "_cut_stacks", counting)
+    cut_stack_spy.keep_stacks = False
     run_survey(tmp_path / "survey.json", monkeypatch)
     qubits = [make_state(parse_spec(spec)).num_qubits for spec in VERDICTS]
-    assert len(scored) == sum(math.comb(n, (n + 1) // 2) for n in qubits)
+    assert [call.state.num_qubits for call in cut_stack_spy] == qubits
+    assert sum(len(call.cuts) for call in cut_stack_spy) == sum(math.comb(n, (n + 1) // 2) for n in qubits)
+    for call in cut_stack_spy:
+        assert sorted(i for chunk in call.chunks for i in chunk.where) == list(range(len(call.cuts)))
+    # bell, the GHZ states and the uniform basis states are fixed by every
+    # qubit permutation: one matrix stands for all their cuts
+    symmetric = {"bell", "ghz:3", "ghz:4", "ghz:5", "ghz:6", "basis:0000", "basis:00"}
+    rows = [sum(chunk.shape[0] for chunk in call.chunks) for call in cut_stack_spy]
+    assert rows == [
+        1 if spec in symmetric else math.comb(n, (n + 1) // 2) for spec, n in zip(VERDICTS, qubits)
+    ]
 
 
 def test_survey_json_matches_baseline(survey_json):
