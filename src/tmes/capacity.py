@@ -43,6 +43,7 @@ from .statevec import (
     _cut_matrix,
     _cut_stacks,
     _freeze,
+    _integer,
     _qubit_set,
     _stack_marginals,
     _stack_spectra,
@@ -55,8 +56,7 @@ from .statevec import (
 
 def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussians."""
-    if num_qubits < 1:
-        raise ValueError("a state needs at least one qubit")
+    num_qubits = _integer(num_qubits, 1, math.inf, "a state needs an int of at least 1 qubit")
     check_state_size(num_qubits, "a Haar-random state")
     rng = np.random.default_rng(_seed(seed))
     dim = 2**num_qubits
@@ -93,20 +93,12 @@ def _capacity(spectrum: SchmidtSpectrum, receivers: int) -> int:
     return cap
 
 
-def _integer(value, low: int, high: float, refusal: str) -> int:
-    """The one rule for counts, indices and seeds: ``value`` as an int if it is an
-    int or numpy integer, not a bool, in [low, high], else ValueError(refusal)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
-        raise ValueError(refusal)
-    return int(value)
-
-
 def _payload_qubits(n_payload) -> int:
-    return _integer(n_payload, 1, math.inf, f"a payload size must be an int of at least 1 qubit, got {n_payload!r}")
+    return _integer(n_payload, 1, math.inf, "a payload size must be an int of at least 1 qubit")
 
 
 def _seed(seed) -> int:
-    return _integer(seed, 0, math.inf, f"seed must be a non-negative int, got {seed!r}")
+    return _integer(seed, 0, math.inf, "seed must be a non-negative int")
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,12 +465,11 @@ class SdcCodebook:
         if not isinstance(self.state, PureState):
             raise ValueError(f"a codebook encodes a PureState, got {type(self.state).__name__}")
         qubits = _sender_qubits(self.state, self.sender_set)
-        labels = tuple(int(x) for x in self.labels)
+        nlabels = 4 ** len(qubits)
+        refusal = f"codebook labels must lie in 0..{nlabels - 1}"
+        labels = tuple(_integer(x, 0, nlabels - 1, refusal) for x in self.labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("codebook labels must be distinct and non-empty")
-        nlabels = 4 ** len(qubits)
-        if not all(0 <= x < nlabels for x in labels):
-            raise ValueError(f"codebook labels must lie in 0..{nlabels - 1}: {labels}")
         n, cap = self.state.num_qubits, MAX_DENSE_BYTES // 2**20
         if 16 * len(labels) * 2**n > MAX_DENSE_BYTES:
             raise ValueError(f"a codebook of {len(labels)} {n}-qubit states is above the {cap} MiB cap")
@@ -487,7 +478,7 @@ class SdcCodebook:
         np.fill_diagonal(hit, False)
         if hit.any():
             raise ValueError("encoded states are not pairwise orthogonal")
-        stack = apply_paulis(self.state.amplitudes, qubits, labels)
+        stack = apply_paulis(self.state.amplitudes, qubits, index)
         stack.setflags(write=False)
         for name, value in dict(sender_set=frozenset(qubits), labels=labels, stack=stack).items():
             object.__setattr__(self, name, value)
@@ -509,7 +500,7 @@ def build_sdc_codebook(
     labels = sdc_orthogonal_labels(state, qubits)
     if num_messages is None:
         num_messages = len(labels)
-    num_messages = _integer(num_messages, 1, math.inf, f"a codebook needs an int of at least 1 message, got {num_messages!r}")
+    num_messages = _integer(num_messages, 1, math.inf, "a codebook needs an int of at least 1 message")
     if num_messages > len(labels):
         raise ValueError(
             f"requested {num_messages} messages but only {len(labels)} "
@@ -532,7 +523,7 @@ def simulate_sdc(
     if state.amplitudes.tobytes() != codebook.state.amplitudes.tobytes():
         raise ValueError("codebook was built for a different state")
     index = len(codebook) - 1
-    sent = codebook.stack[_integer(message_index, 0, index, f"message index must be an int in 0..{index}, got {message_index!r}")]
+    sent = codebook.stack[_integer(message_index, 0, index, f"message index must be an int in 0..{index}")]
     # |conj z| = |z|, so projecting the conjugated message onto the stack
     # ranks the overlaps as projecting the message onto the conjugated stack.
     return int(np.argmax(np.abs(codebook.stack @ sent.conj()) ** 2))
@@ -648,6 +639,5 @@ def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict
 
 def default_partition(num_qubits: int) -> Partition:
     """Odd-indexed qubits send, even-indexed receive."""
-    if num_qubits < 2:
-        raise ValueError("a partition needs at least two qubits")
+    num_qubits = _integer(num_qubits, 2, math.inf, "a partition needs an int of at least 2 qubits")
     return Partition.from_sender(range(1, num_qubits + 1, 2), num_qubits)

@@ -105,6 +105,12 @@ class ClaimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _seed(self.seed))
+        if self.claim_ids is not None:
+            ids = tuple(self.claim_ids)
+            # A bare string would be read as a sequence of one-letter ids.
+            if isinstance(self.claim_ids, str) or not all(isinstance(cid, str) for cid in ids):
+                raise ValueError(f"claim_ids must be a tuple of claim id strings, got {self.claim_ids!r}")
+            object.__setattr__(self, "claim_ids", ids)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .statevec import (
     _cut_stacks,
     _freeze,
     _qubit_set,
+    _stack_marginals,
     check_qubits,
     cut_spectra,
 )
@@ -141,8 +142,7 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
     """
     _check_tol(tol)
     for _, stack in _cut_stacks(state, all_bipartitions(state.num_qubits)):
-        gram = stack @ stack.conj().transpose(0, 2, 1)
-        purity = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+        purity = np.sum(np.abs(_stack_marginals(stack)) ** 2, axis=(1, 2))
         near = stack[np.sqrt(purity) >= 1.0 - tol - EXACT_ATOL]
         if near.size:
             s = np.linalg.svd(near, compute_uv=False)
@@ -185,5 +185,5 @@ def orthogonal_family(state: PureState, subset: Iterable[int]) -> OrthogonalFami
             f"a family of 4^{len(qubits)} {n}-qubit states and its Gram matrix "
             f"is above the {MAX_DENSE_BYTES // 2**20} MiB cap"
         )
-    stack = apply_paulis(state.amplitudes, qubits, range(4 ** len(qubits)))
+    stack = apply_paulis(state.amplitudes, qubits, np.arange(4 ** len(qubits)))
     return OrthogonalFamily(frozenset(qubits), stack)

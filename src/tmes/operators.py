@@ -23,6 +23,7 @@ from .statevec import (
     PureState,
     _check_unitary,
     _freeze,
+    _integer,
     apply_local,
     overlap,
 )
@@ -37,9 +38,7 @@ _ZERO2 = np.zeros((2, 2), dtype=complex)
 
 def sigma(index: int) -> LocalOperator:
     """Pauli matrix sigma_index for index in 0..3 (0 is the identity)."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {index}")
-    return LocalOperator(1, _SIGMA[index])
+    return LocalOperator(1, _SIGMA[_integer(index, 0, 3, "Pauli index must be an int in 0..3")])
 
 
 def cnot() -> LocalOperator:
@@ -111,8 +110,7 @@ def _gamma_matrix(anti: bool, a: int, b: int, sign: float) -> np.ndarray:
 
 def gamma(index: int) -> LocalOperator:
     """Member ``index`` (1..16) of the two-qubit gamma table."""
-    if not 1 <= index <= 16:
-        raise ValueError(f"gamma index must be 1..16, got {index}")
+    index = _integer(index, 1, 16, "gamma index must be an int in 1..16")
     return LocalOperator(2, _gamma_matrix(*_GAMMA_LAYOUT[index - 1]))
 
 
@@ -231,8 +229,7 @@ def operator_family(level: int) -> OperatorSet:
 
     Refused before allocating when the family would exceed MAX_DENSE_BYTES.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
+    level = _integer(level, 1, math.inf, "level must be an int of at least 1")
     check_family_size(level)
     # Intermediate levels stay bare stacks; only the requested level is
     # validated.
@@ -334,11 +331,9 @@ def independence_rank(stack: np.ndarray) -> int:
 
 def pauli_string(indices: Sequence[int]) -> LocalOperator:
     """Tensor product sigma_{i1} x ... x sigma_{ik}, first index most significant."""
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_integer(i, 0, 3, "Pauli indices must be ints in 0..3") for i in indices)
     if not idx:
         raise ValueError("a Pauli string needs at least one factor")
-    if any(i not in (0, 1, 2, 3) for i in idx):
-        raise ValueError(f"Pauli indices must be 0..3, got {idx}")
     mat = _SIGMA[idx[0]]
     for i in idx[1:]:
         mat = np.kron(mat, _SIGMA[i])

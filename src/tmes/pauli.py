@@ -14,20 +14,19 @@ largest, holds 6 MiB.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .statevec import MAX_QUBITS
+from .statevec import MAX_QUBITS, _integer, _qubit_list
 
 
 def pauli_digits(label: int, length: int) -> tuple[int, ...]:
     """Base-4 digits of a Pauli-string label, most significant digit first."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if not 0 <= label < 4**length:
-        raise ValueError(f"label {label} out of range for {length} factors")
+    length = _integer(length, 1, math.inf, "length must be an int of at least 1")
+    label = _integer(label, 0, 4**length - 1, f"label out of range for {length} factors")
     digits = []
     for _ in range(length):
         digits.append(label % 4)
@@ -39,15 +38,17 @@ def pauli_label(digits: Sequence[int]) -> int:
     """Inverse of pauli_digits."""
     label = 0
     for d in digits:
-        if d not in (0, 1, 2, 3):
-            raise ValueError(f"Pauli digits must be 0..3, got {tuple(digits)}")
-        label = label * 4 + d
+        label = label * 4 + _integer(d, 0, 3, "Pauli digits must be ints in 0..3")
     return label
 
 
-def _checked_labels(labels: np.ndarray, length: int) -> np.ndarray:
-    """``labels`` as int64, refusing any outside [0, 4^length) rather than
-    reading it modulo 4^length."""
+def _checked_labels(labels: Sequence[int] | np.ndarray, length: int) -> np.ndarray:
+    """``labels`` as int64: an integer array as it is, any other sequence
+    entry by entry under ``_integer``.  A label outside [0, 4^length) is
+    refused rather than read modulo 4^length."""
+    length = _integer(length, 0, math.inf, "a Pauli string length must be a non-negative int")
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+        labels = [_integer(x, -math.inf, math.inf, "Pauli labels must be ints") for x in labels]
     labels = np.asarray(labels, dtype=np.int64)
     bad = labels[(labels < 0) | (labels >= 4**length)]
     if bad.size:
@@ -100,10 +101,7 @@ def _all_label_rows(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``pauli_rows`` of every label 0..4^length - 1, memoised like
     ``_all_label_masks``.  Capped at MAX_QUBITS // 2 factors, the largest
     sender or payload the library forms."""
-    if not 0 <= length <= MAX_QUBITS // 2:
-        raise ValueError(
-            f"Pauli row tables hold at most {MAX_QUBITS // 2} factors, got {length}"
-        )
+    _integer(length, 0, MAX_QUBITS // 2, f"Pauli row tables hold at most {MAX_QUBITS // 2} factors")
     x, z = _all_label_masks(length)
     src = x[:, None] ^ np.arange(2**length)
     y_count = np.zeros_like(x)
@@ -127,13 +125,11 @@ def apply_paulis(
     """
     amps = np.asarray(amplitudes)
     n = amps.size.bit_length() - 1
-    axes = [int(q) - 1 for q in qubits]
-    if len(set(axes)) != len(axes) or not all(0 <= a < n for a in axes):
-        raise ValueError(f"qubits must be distinct and in 1..{n}, got {tuple(qubits)}")
+    axes = [q - 1 for q in _qubit_list(qubits, n, "qubits")]
     s = len(axes)
     order = axes + [a for a in range(n) if a not in axes]
     front = amps.reshape((2,) * n).transpose(order).reshape(2**s, -1)
-    src, phase = pauli_rows(np.asarray(labels), s)
+    src, phase = pauli_rows(labels, s)
     out = (phase[:, :, None] * front[src]).reshape((len(src),) + (2,) * n)
     restore = [0, *(np.argsort(order) + 1)]
     return out.transpose(restore).reshape(len(src), amps.size)

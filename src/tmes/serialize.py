@@ -9,6 +9,7 @@ Loading checks each size against the ``statevec`` policy before forming any
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any
@@ -21,6 +22,7 @@ from .statevec import (
     MAX_QUBITS,
     LocalOperator,
     PureState,
+    _integer,
     check_qubits,
     check_state_size,
 )
@@ -77,10 +79,7 @@ def _field(data: dict, key: str) -> Any:
 
 
 def _positive_int(data: dict, key: str) -> int:
-    value = _field(data, key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
-    return value
+    return _integer(_field(data, key), 1, math.inf, f"{key} must be an integer of at least 1")
 
 
 def _check_header(data: dict, kind: str) -> None:

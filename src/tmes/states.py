@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevec import PureState, check_state_size, tensor
+from .statevec import PureState, _integer, check_state_size, tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -51,8 +51,7 @@ def bell(kind: str = "phi+") -> PureState:
 
 def ghz(num_qubits: int = 3) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on ``num_qubits`` qubits."""
-    if num_qubits < 1:
-        raise ValueError("ghz needs at least one qubit")
+    num_qubits = _integer(num_qubits, 1, math.inf, "ghz needs an int of at least 1 qubit")
     check_state_size(num_qubits, "ghz")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = amps[-1] = _INV_SQRT2
@@ -104,8 +103,7 @@ def hs() -> PureState:
 
 def w_state(n: int = 1) -> PureState:
     """Three-qubit W-class state (|100> + sqrt(n)|010> + sqrt(n+1)|001>)/sqrt(2+2n)."""
-    if not 1 <= n < 2**1022:  # 2 + 2n must be a finite float
-        raise ValueError("w_state parameter must be an integer in 1..2^1022 - 1")
+    n = _integer(n, 1, 2**1022 - 1, "w_state parameter must be an integer in 1..2^1022 - 1")  # 2 + 2n is finite
     norm = math.sqrt(2.0 + 2.0 * n)
     amps = np.zeros(8, dtype=complex)
     amps[0b100] = 1.0 / norm
@@ -116,14 +114,14 @@ def w_state(n: int = 1) -> PureState:
 
 def bell_product(num_pairs: int) -> PureState:
     """``num_pairs`` phi+ pairs; pair k occupies qubits (2k-1, 2k)."""
-    if num_pairs < 1:
-        raise ValueError("need at least one Bell pair")
+    num_pairs = _integer(num_pairs, 1, math.inf, "need an int of at least 1 Bell pair")
     check_state_size(2 * num_pairs, "bell_product")
     return reduce(tensor, [bell("phi+")] * num_pairs)
 
 
 def odd_resource(num_pairs: int) -> PureState:
     """bell_product(num_pairs) with one extra |0> qubit appended (odd total)."""
+    num_pairs = _integer(num_pairs, 1, math.inf, "need an int of at least 1 Bell pair")
     check_state_size(2 * num_pairs + 1, "odd_resource")
     return tensor(bell_product(num_pairs), basis_state("0"))
 
@@ -218,8 +216,6 @@ def make_state(spec: StateSpec) -> PureState:
     if param is None:
         return build()
     if param == "number":
-        if spec.number is None:
-            raise ValueError(f"state kind {kind!r} needs its integer parameter")
         return build(spec.number)
     if spec.label is None:
         if kind == "bell":

@@ -80,14 +80,35 @@ def check_state_size(num_qubits: int, what: str) -> None:
         raise ValueError(f"{what} on {num_qubits} qubits is above the {cap} MiB cap")
 
 
+def _integer(value, low: float, high: float, what: str) -> int:
+    """The one integer rule for every count, index, label, qubit and seed a
+    caller hands the library: ``value`` as an int when it is an int (a bool's
+    type is not) or a numpy integer, in [low, high]; else ValueError(f"{what},
+    got {value!r}").  Nothing else coerces such a value with ``int``."""
+    if not (type(value) is int or isinstance(value, np.integer)) or not low <= value <= high:
+        # str() refuses an int of more than 4300 digits: name such a one by its size.
+        shown = f"an int of {value.bit_length()} bits" if isinstance(value, int) and value.bit_length() > 14000 else repr(value)
+        raise ValueError(f"{what}, got {shown}")
+    return int(value)
+
+
+def _qubit_list(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, ...]:
+    """``qubits`` in the order given, each an int in 1..num_qubits under
+    ``_integer``, none repeated.  ``what`` names them in the message."""
+    refusal = f"{what} out of range 1..{num_qubits}"
+    qlist = tuple(_integer(q, 1, num_qubits, refusal) for q in qubits)
+    if len(set(qlist)) != len(qlist):
+        raise ValueError(f"repeated {what} in {qlist}")
+    return qlist
+
+
 def _qubit_set(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, ...]:
-    """The distinct qubits of ``qubits``, ascending; refused when empty or
-    outside 1..num_qubits.  ``what`` names them in the message."""
-    qset = tuple(sorted({int(q) for q in qubits}))
+    """The distinct qubits of ``qubits``, ascending, each checked as in
+    ``_qubit_list``, a repeat dropped; refused when empty."""
+    refusal = f"{what} out of range 1..{num_qubits}"
+    qset = tuple(sorted({_integer(q, 1, num_qubits, refusal) for q in qubits}))
     if not qset:
         raise ValueError(f"no {what} given")
-    if qset[0] < 1 or qset[-1] > num_qubits:
-        raise ValueError(f"{what} out of range 1..{num_qubits}: {qset}")
     return qset
 
 
@@ -115,15 +136,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError("a state needs at least one qubit")
-        check_state_size(self.num_qubits, "a state")
+        n = _integer(self.num_qubits, 1, math.inf, "a state needs an int of at least 1 qubit")
+        check_state_size(n, "a state")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2 ** self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got {amps.size}"
-            )
+        if amps.size != 2**n:
+            raise ValueError(f"expected {2 ** n} amplitudes for {n} qubits, got {amps.size}")
         # No unit vector has a larger amplitude, and a huge one overflows the norm.
         peak = float(np.max(np.abs(amps)))
         if not peak <= 1.0 + ATOL:
@@ -132,6 +149,7 @@ class PureState:
         total = float(np.vdot(amps, amps).real)
         if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: total probability = {total!r}")
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def tensor_view(self) -> np.ndarray:
@@ -151,15 +169,15 @@ class LocalOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("operator arity must be at least 1")
-        check_qubits(self.arity, "operator arity")
+        arity = _integer(self.arity, 1, math.inf, "operator arity must be an int of at least 1")
+        check_qubits(arity, "operator arity")
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.arity
+        dim = 2**arity
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("operator has a NaN or infinite entry")
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "matrix", _freeze(mat))
 
     def is_unitary(self) -> bool:
@@ -214,14 +232,14 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError("a density matrix needs at least one qubit")
-        check_qubits(self.num_qubits, "a density matrix")
+        n = _integer(self.num_qubits, 1, math.inf, "a density matrix needs an int of at least 1 qubit")
+        check_qubits(n, "a density matrix")
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.num_qubits
+        dim = 2**n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         _check_density(mat)
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "matrix", _freeze(mat))
 
 
@@ -287,14 +305,15 @@ class Partition:
     receiver: frozenset[int]
 
     def __post_init__(self) -> None:
-        sender = frozenset(int(q) for q in self.sender)
-        receiver = frozenset(int(q) for q in self.receiver)
+        refusal = "partition qubits must be ints of at least 1"
+        sender = frozenset(_integer(q, 1, math.inf, refusal) for q in self.sender)
+        receiver = frozenset(_integer(q, 1, math.inf, refusal) for q in self.receiver)
         if not sender or not receiver:
             raise ValueError("both sides of a partition must be non-empty")
         if sender & receiver:
             raise ValueError("partition sides must be disjoint")
         union = sender | receiver
-        if min(union) < 1 or len(union) != max(union):
+        if len(union) != max(union):
             raise ValueError("partition must cover qubits 1..n without gaps")
         object.__setattr__(self, "sender", sender)
         object.__setattr__(self, "receiver", receiver)
@@ -302,6 +321,7 @@ class Partition:
     @classmethod
     def from_sender(cls, sender: Iterable[int], num_qubits: int) -> "Partition":
         """Partition with the given sender set; the rest of 1..n receives."""
+        num_qubits = _integer(num_qubits, 2, math.inf, "a partition needs an int of at least 2 qubits")
         s = frozenset(_qubit_set(sender, num_qubits, "sender qubits"))
         return cls(s, frozenset(range(1, num_qubits + 1)) - s)
 
@@ -337,13 +357,9 @@ def apply_local(
     anything else fails the output norm check.
     """
     n, k = state.num_qubits, op.arity
-    targets = tuple(int(t) for t in targets)
+    targets = _qubit_list(targets, n, "target qubits")
     if len(targets) != k:
         raise ValueError(f"operator arity {k} does not match {len(targets)} targets")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubit in {targets}")
-    if any(t < 1 or t > n for t in targets):
-        raise ValueError(f"target out of range 1..{n}: {targets}")
     axes = [t - 1 for t in targets]
     psi = state.tensor_view()
     u = op.matrix.reshape((2,) * (2 * k))

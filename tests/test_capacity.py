@@ -417,13 +417,6 @@ class TestTeleportProtocol:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(proto, n_payload=size)
 
-    def test_numpy_integer_payload_size(self):
-        state, cut = cluster4(), _cut((1, 3), 4)
-        by_int = simulate_teleportation(state, cut, 2, seed=4)
-        by_numpy = simulate_teleportation(state, cut, np.int64(2), seed=4)
-        assert type(by_numpy.protocol.n_payload) is int
-        assert _same_run(by_int, by_numpy)
-
     def test_conjugate_family_is_kept_read_only(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
         fam = proto.measurement_family
@@ -1149,11 +1142,6 @@ class TestSdcCodebook:
         message = re.escape(f"a codebook needs an int of at least 1 message, got {count!r}")
         with pytest.raises(ValueError, match=message):
             build_sdc_codebook(ghz(3), (1, 2), count)
-
-    def test_numpy_integers_count_as_ints(self):
-        book = build_sdc_codebook(ghz(3), (1, 2), np.int32(5))
-        assert book.labels == build_sdc_codebook(ghz(3), (1, 2), 5).labels
-        assert simulate_sdc(ghz(3), (1, 2), np.uint8(3), book) == 3
 
     def test_direct_construction_validates(self):
         # basis:00 has <Z> = 1 on qubit 1: I and Z encode the same state

@@ -67,6 +67,20 @@ from tmes.states import (
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
 
+def _src_nodes():
+    """Every AST node of the ``tmes`` sources with its module and where it
+    sits: ``module.function`` for the innermost enclosing function, else the
+    module's name."""
+    for path in Path(tmes.__file__).parent.glob("*.py"):
+        todo = [(ast.parse(path.read_text()), path.stem)]
+        while todo:
+            node, where = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.stem}.{node.name}"
+            yield node, path.stem, where
+            todo += [(child, where) for child in ast.iter_child_nodes(node)]
+
+
 def _random_unitary(arity: int, seed: int) -> LocalOperator:
     rng = np.random.default_rng(seed)
     return LocalOperator(arity, haar_random_unitary(2**arity, rng))
@@ -713,16 +727,10 @@ class TestClusterValues:
         # only by the run generator and by the spectrum comparison.  A read
         # outside any function is filed under its module.
         readers = set()
-        for path in Path(tmes.__file__).parent.glob("*.py"):
-            todo = [(ast.parse(path.read_text()), path.stem)]
-            while todo:
-                node, where = todo.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    where = f"{path.stem}.{node.name}"
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name == "CLUSTER_RTOL" and isinstance(node.ctx, ast.Load):
-                    readers.add(where)
-                todo += [(child, where) for child in ast.iter_child_nodes(node)]
+        for node, _, where in _src_nodes():
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "CLUSTER_RTOL" and isinstance(node.ctx, ast.Load):
+                readers.add(where)
         assert readers == {"statevec._cluster_runs", "invariants.spectra_match"}
 
     def test_one_chunk_rule(self):
@@ -730,20 +738,40 @@ class TestClusterValues:
         # it alone reads CHUNK_BYTES, and only statevec binds the name (by
         # assignment or import), so capacity neither defines nor imports it.
         readers, binders = set(), set()
-        for path in Path(tmes.__file__).parent.glob("*.py"):
-            todo = [(ast.parse(path.read_text()), path.stem)]
-            while todo:
-                node, where = todo.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    where = f"{path.stem}.{node.name}"
-                if isinstance(node, ast.alias) and node.name == "CHUNK_BYTES":
-                    binders.add(path.stem)
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name == "CHUNK_BYTES":
-                    (readers if isinstance(node.ctx, ast.Load) else binders).add(where)
-                todo += [(child, where) for child in ast.iter_child_nodes(node)]
+        for node, module, where in _src_nodes():
+            if isinstance(node, ast.alias) and node.name == "CHUNK_BYTES":
+                binders.add(module)
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "CHUNK_BYTES":
+                (readers if isinstance(node.ctx, ast.Load) else binders).add(where)
         assert readers == {"statevec._cut_stacks"}
         assert binders == {"statevec"}
+
+    def test_one_integer_rule(self):
+        # Every integer a caller hands the library passes statevec._integer,
+        # the one function of that name.  int() is called only by it, by the
+        # text parsers, and on numpy scalars the library computes itself: a
+        # silent int() on a caller's count, index, label or qubit fails here.
+        defined, callers = set(), set()
+        for node, _, where in _src_nodes():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_integer":
+                defined.add(where)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
+                callers.add(where)
+        assert defined == {"statevec._integer"}
+        assert callers == {
+            "statevec._integer",
+            # text parsers
+            "cli._parse_qubits",
+            "states.parse_spec",
+            "states.basis_state",
+            "operators.named_operator",
+            # numpy scalars the library computed
+            "capacity._coset_pivots",
+            "capacity.cut_reports",
+            "capacity.simulate_sdc",
+            "operators.independence_rank",
+        }
 
 
 class TestDiagnostics:
