@@ -36,7 +36,6 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
-    _check_tol,
     _check_unitary,
     _cluster_runs,
     _cut_layout,
@@ -65,7 +64,12 @@ def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Ginibre matrix with phases fixed."""
+    """Haar-distributed unitary: QR of a Ginibre matrix with phases fixed.
+    A ``dim`` whose 16 dim^2 bytes exceed MAX_DENSE_BYTES is refused before
+    anything is drawn."""
+    dim = _integer(dim, 1, math.inf, "a unitary needs an int dimension of at least 1")
+    if 16 * dim * dim > MAX_DENSE_BYTES:
+        raise ValueError(f"a {dim} x {dim} unitary is above the {MAX_DENSE_BYTES // 2**20} MiB cap")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -295,15 +299,15 @@ def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ..
     return qubits
 
 
-def _orthogonality_adjacency(expect: np.ndarray, tol: float) -> list[int]:
+def _orthogonality_adjacency(expect: np.ndarray) -> list[int]:
     """Bitmask adjacency of the graph joining labels with orthogonal encodings.
 
     ``expect[d]`` is |<psi|P_d|psi>|.  Labels p, q are adjacent iff
-    expect[p xor q] <= tol; the encoded overlap equals that difference
+    expect[p xor q] <= ATOL; the encoded overlap equals that difference
     expectation up to phase.
     """
     labels = np.arange(expect.size)
-    rows = (expect <= tol)[labels ^ labels[:, None]]
+    rows = (expect <= ATOL)[labels ^ labels[:, None]]
     rows[labels, labels] = False
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -358,33 +362,18 @@ def _max_clique(adj: list[int]) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def _dimension_bounds_hold(tol: float, num_senders: int) -> bool:
-    """Whether ``tol`` is fine enough that orthogonality at ``tol`` obeys the
-    dimension bounds on message counts.
-
-    A set of m unit vectors with pairwise overlaps at most tol has a
-    positive-definite Gram matrix when (m - 1) tol < 1, so m is at most the
-    dimension they span.  The m <= 4^s encodings span at most 2^s r
-    dimensions, r the rank of the sender marginal; dropping its eigenvalues
-    below EXACT_ATOL moves each Gram entry by at most 2^s EXACT_ATOL.
-    """
-    verts = 4**num_senders
-    return verts * (tol + 2**num_senders * EXACT_ATOL) < 1.0
-
-
-def _coset_pivots(expect: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _coset_pivots(expect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of ``expect`` (the |Tr(rho_A P_d)| of one sender), the
-    pivot mask of a GF(2) basis of Z = {d : expect[d] > tol}, and whether Z
+    pivot mask of a GF(2) basis of Z = {d : expect[d] > ATOL}, and whether Z
     is closed under xor, that is |Z| = 2^rank.  The mask is the set of
     leading bits of a row reduction from the top bit down; it is meaningful
-    only where Z is closed.  ``tol`` lies in [0, 1), so label 0 is in Z.
+    only where Z is closed.  Label 0 has expectation 1, so it is in Z.
 
     Only rows whose |Z| is a power of two below 4^s are reduced, all rows of
     one |Z| at once on their member labels; a full Z (the generic case) is
     the group of every label.
     """
-    _check_tol(tol)
-    inside = expect > tol
+    inside = expect > ATOL
     sizes = inside.sum(axis=1)
     nlabels = expect.shape[1]
     pivots = np.full(len(expect), nlabels - 1)
@@ -413,14 +402,12 @@ def _sender_expectations(state: PureState, qubits: tuple[int, ...]) -> np.ndarra
     return pauli_expectations(_stack_marginals(_cut_matrix(state, *sides)[None]))[0]
 
 
-def sdc_orthogonal_labels(
-    state: PureState, sender_set: Iterable[int], tol: float = ATOL
-) -> tuple[int, ...]:
+def sdc_orthogonal_labels(state: PureState, sender_set: Iterable[int]) -> tuple[int, ...]:
     """A maximum set of Pauli-string labels with pairwise orthogonal encodings,
-    in ascending order.  ``tol`` lies in [0, 1).
+    in ascending order.
 
     Labels p, q are orthogonal iff p xor q is outside Z, the labels d with
-    |Tr(rho_A P_d)| > tol.  When Z is a group (stabilizer marginals, Haar
+    |Tr(rho_A P_d)| > ATOL.  When Z is a group (stabilizer marginals, Haar
     states) the graph is complete multipartite over its cosets, and the
     answer is the highest label of each coset: every pivot bit of a GF(2)
     basis of Z set.  Otherwise the exact clique search runs.  Both give the
@@ -433,18 +420,21 @@ def sdc_orthogonal_labels(
     from a one-matrix cut stack.
     """
     expect = _sender_expectations(state, _sender_qubits(state, sender_set))
-    pivots, closed = _coset_pivots(expect[None], tol)
+    pivots, closed = _coset_pivots(expect[None])
     if closed[0]:
         labels = np.arange(expect.size)
         return tuple(np.flatnonzero(labels & pivots[0] == pivots[0]).tolist())
-    return _max_clique(_orthogonality_adjacency(expect, tol))
+    return _max_clique(_orthogonality_adjacency(expect))
 
 
-def sdc_max_messages(
-    state: PureState, sender_set: Iterable[int], tol: float = ATOL
-) -> int:
-    """Largest number of messages Pauli encodings on the sender can carry."""
-    return len(sdc_orthogonal_labels(state, sender_set, tol))
+def sdc_max_messages(state: PureState, sender_set: Iterable[int], tol: float = ATOL) -> int:
+    """Largest number of messages Pauli encodings on the sender can carry,
+    decided at ``ATOL``.  ``tol`` only names that threshold to a caller
+    that binds it (``perfbench/spans.py`` reads it to split flat sender
+    marginals); any other value is refused."""
+    if tol != ATOL:
+        raise ValueError(f"message counts are decided at ATOL = {ATOL}, got tol {tol}")
+    return len(sdc_orthogonal_labels(state, sender_set))
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,11 +539,11 @@ class CutReport(NamedTuple):
     messages: int
 
 
-def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
+def cut_reports(state: PureState) -> Iterator[CutReport]:
     """A ``CutReport`` for every cut with a ceil(n/2)-qubit sender, in
     ``combinations`` order: the cuts ``is_tmes`` decides over.  Each figure
     equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
-    ``sdc_max_messages`` at ``tol``, which lies in [0, 1)).
+    ``sdc_max_messages``).
 
     The cuts ``statevec._cut_layout`` memoises are scored a ``_cut_stacks``
     chunk at a time, so a scan that stops early has scored the rest of the
@@ -571,18 +561,18 @@ def cut_reports(state: PureState, tol: float = ATOL) -> Iterator[CutReport]:
     for where, stack in _cut_stacks(state, cuts):
         spectra = _stack_spectra(stack)
         expect = pauli_expectations(_stack_marginals(stack))
-        pivots, closed = _coset_pivots(expect, tol)
+        pivots, closed = _coset_pivots(expect)
         for i, j in enumerate(where):
             if i < len(stack):  # past the end, a shared matrix's figures stand
                 if closed[i]:
                     msgs = expect.shape[1] >> int(pivots[i]).bit_count()
                 else:
-                    msgs = len(_max_clique(_orthogonality_adjacency(expect[i], tol)))
+                    msgs = len(_max_clique(_orthogonality_adjacency(expect[i])))
                 figures = spectra[i], _capacity(spectra[i], n // 2), msgs
             yield CutReport(cuts[j], *figures)
 
 
-def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:
+def is_tmes(state: PureState) -> TmesVerdict:
     """Existential maximality test over balanced partitions.
 
     An n-qubit state passes iff some partition with a ceil(n/2)-qubit sender
@@ -594,19 +584,16 @@ def is_tmes(state: PureState, tol: float = ATOL) -> TmesVerdict:
     holds the witness, and the figures are those of a scan that scored one
     cut at a time.
     """
-    return tmes_verdict(cut_reports(state, tol), tol)
+    return tmes_verdict(cut_reports(state))
 
 
-def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict:
+def tmes_verdict(reports: Iterable[CutReport]) -> TmesVerdict:
     """The maximality verdict folded over the ``CutReport`` of every
-    balanced cut of one n-qubit state, in ``cut_reports`` order, with the
-    message counts taken at ``tol``.
+    balanced cut of one n-qubit state, in ``cut_reports`` order.
 
-    n is read from the reports' cuts.  When ``tol`` is fine enough for the
-    dimension bounds, the fold stops at the first cut that meets both
-    thresholds, since no later one can raise either figure.
+    n is read from the reports' cuts.  The fold stops at the first cut that
+    meets both thresholds, since no later one can raise either figure.
     """
-    _check_tol(tol)
     reports = iter(reports)
     first = next(reports, None)
     if first is None:
@@ -616,7 +603,6 @@ def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict
     message_threshold = 2**n
     best_cap = 0
     best_msgs = 0
-    joint: Partition | None = None
     teleport_witness: Partition | None = None
     for report in chain([first], reports):
         part, cap, msgs = report.cut, report.capacity, report.messages
@@ -626,15 +612,15 @@ def tmes_verdict(reports: Iterable[CutReport], tol: float = ATOL) -> TmesVerdict
         best_msgs = max(best_msgs, msgs)
         if cap >= payload_threshold and teleport_witness is None:
             teleport_witness = part
-        if cap >= payload_threshold and msgs >= message_threshold and joint is None:
-            joint = part
-            # cap <= |receiver| = floor(n/2) and, under the dimension
-            # bounds, msgs <= 2^n: no later cut can change a figure.
-            if _dimension_bounds_hold(tol, len(part.sender)):
-                break
+        if cap >= payload_threshold and msgs >= message_threshold:
+            # cap <= |receiver| = floor(n/2).  m encodings pairwise within
+            # ATOL of orthogonal have a positive-definite Gram matrix, as
+            # (m - 1) ATOL < 4^s ATOL < 1, so msgs <= min(4^s, 2^s r) <= 2^n,
+            # r the rank of the sender marginal: no later cut can change a
+            # figure.
+            return TmesVerdict(True, best_cap, best_msgs, part)
     verdict = best_cap >= payload_threshold and best_msgs >= message_threshold
-    witness = joint if joint is not None else (teleport_witness if verdict else None)
-    return TmesVerdict(verdict, best_cap, best_msgs, witness)
+    return TmesVerdict(verdict, best_cap, best_msgs, teleport_witness if verdict else None)
 
 
 def default_partition(num_qubits: int) -> Partition:

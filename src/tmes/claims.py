@@ -98,7 +98,7 @@ INVARIANCE_TRIALS = 50
 class ClaimConfig:
     """Seed and claim selection of a suite run; defaults reproduce the
     reference run.  Claims assert at ``ATOL`` (``EXACT_ATOL`` for identities
-    exact to the digit) and call the library at its default thresholds."""
+    exact to the digit) and call the library's counts, decided at ``ATOL``."""
 
     seed: int = 0
     claim_ids: tuple[str, ...] | None = None

@@ -14,6 +14,7 @@ that may be products get an SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -29,10 +30,10 @@ from .statevec import (
     Partition,
     PureState,
     SchmidtSpectrum,
-    _check_tol,
     _cut_layout,
     _cut_stacks,
     _freeze,
+    _integer,
     _qubit_set,
     _stack_marginals,
     check_qubits,
@@ -40,18 +41,21 @@ from .statevec import (
 )
 
 
-@lru_cache(maxsize=None)
 def all_bipartitions(num_qubits: int) -> tuple[Partition, ...]:
     """Every unordered bipartition once, smaller side as sender.
 
     Balanced splits keep the side containing qubit 1.  Ordered by sender
     size, then lexicographically.  Memoised: the tuple of frozen partitions
-    depends on ``num_qubits`` alone.  More than MAX_QUBITS qubits are
-    refused before anything is enumerated.
+    depends on ``num_qubits`` alone.  A count other than an int of at least
+    2, or above MAX_QUBITS, is refused before the memo is consulted.
     """
-    if num_qubits < 2:
-        raise ValueError("bipartitions need at least two qubits")
+    num_qubits = _integer(num_qubits, 2, math.inf, "bipartitions need an int of at least 2 qubits")
     check_qubits(num_qubits, "bipartition enumeration")
+    return _bipartitions(num_qubits)
+
+
+@lru_cache(maxsize=None)
+def _bipartitions(num_qubits: int) -> tuple[Partition, ...]:
     parts: list[Partition] = []
     for size in range(1, num_qubits // 2 + 1):
         cuts = _cut_layout(num_qubits, size).cuts
@@ -140,7 +144,8 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
     SVD; every cut skipped has lambda_max < 1 - tol, so the answer is that
     of an SVD on every cut.  It returns at the first chunk with a product.
     """
-    _check_tol(tol)
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
     for _, stack in _cut_stacks(state, all_bipartitions(state.num_qubits)):
         purity = np.sum(np.abs(_stack_marginals(stack)) ** 2, axis=(1, 2))
         near = stack[np.sqrt(purity) >= 1.0 - tol - EXACT_ATOL]

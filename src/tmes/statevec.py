@@ -112,12 +112,6 @@ def _qubit_set(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, 
     return qset
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse an expectation threshold outside [0, 1), NaN included."""
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must lie in [0, 1), got {tol}")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)

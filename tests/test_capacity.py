@@ -42,7 +42,6 @@ from tmes.capacity import (
     SdcCodebook,
     TmesVerdict,
     _coset_pivots,
-    _dimension_bounds_hold,
     _max_clique,
     _orthogonality_adjacency,
     _two_adic_valuation,
@@ -93,10 +92,6 @@ from tmes.states import (
 )
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
-
-
-# Thresholds outside [0, 1), which every counting function refuses.
-BAD_TOLS = [-1e-9, 1.0, 1.5, float("nan"), float("inf")]
 
 
 def _cut(sender, n):
@@ -151,6 +146,29 @@ class TestHaarSampling:
         rng = np.random.default_rng(3)
         u = haar_random_unitary(8, rng)
         assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [0, -1, 4097, 10**18])
+    def test_unitary_size_is_refused_before_sampling(self, dim):
+        # 16 dim^2 bytes are compared with the cap as ints: 10**18 allocates
+        # nothing, and a refused call draws nothing from the stream
+        rng = np.random.default_rng(3)
+        want = "at least 1" if dim < 1 else "above the 256 MiB cap"
+        with pytest.raises(ValueError, match=want):
+            haar_random_unitary(dim, rng)
+        assert np.array_equal(haar_random_unitary(8, rng), haar_random_unitary(8, np.random.default_rng(3)))
+
+    def test_unitary_at_the_cap_is_drawn(self):
+        # 4096 x 4096 is exactly 256 MiB: the size check passes it on to the
+        # draw, which this stand-in stops before anything is allocated
+        class Drawn(Exception):
+            pass
+
+        class Stream:
+            def standard_normal(self, shape):
+                raise Drawn(shape)
+
+        with pytest.raises(Drawn, match=r"\(4096, 4096\)"):
+            haar_random_unitary(4096, Stream())
 
     def test_oversized_state_is_refused_before_sampling(self):
         # 2^40 amplitudes would be 16 TiB; the count is compared first
@@ -797,24 +815,31 @@ class TestSdcCounts:
         # gives all labels; the branch-and-bound search must agree
         labels = sdc_orthogonal_labels(cluster4(), (1, 3))
         assert labels == tuple(range(16))
-        adj = _orthogonality_adjacency(_expectations(cluster4(), (1, 3)), 1e-9)
+        adj = _orthogonality_adjacency(_expectations(cluster4(), (1, 3)))
         assert _max_clique(adj) == labels
 
-    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("tol", [-1e-9, 1.0, 1.5, float("nan"), float("inf")])
     def test_tol_outside_unit_interval_is_refused(self, tol):
-        # tol >= 1 would empty Z and send the search 4^s levels deep
-        with pytest.raises(ValueError, match=f"tol must lie in \\[0, 1\\), got {tol}"):
-            sdc_orthogonal_labels(haar_random_state(10, 0), (1, 2, 3, 4, 5), tol)
+        with pytest.raises(ValueError, match=re.escape(f"decided at ATOL = {ATOL}, got tol {tol}")):
+            sdc_max_messages(haar_random_state(10, 0), (1, 2, 3, 4, 5), tol)
+
+    def test_count_is_decided_at_atol_only(self):
+        # The parameter only names the threshold: a finer or coarser one
+        # inside [0, 1) is refused as well.
+        state = basis_state("00")
+        assert sdc_max_messages(state, (1,), ATOL) == sdc_max_messages(state, (1,)) == 2
+        for tol in (0.0, 0.6):
+            with pytest.raises(ValueError, match="message counts are decided at ATOL"):
+                sdc_max_messages(state, (1,), tol)
 
     def test_coarse_tol_keeps_one_label_per_coset(self):
-        # At tol 0.6 the encodings I|00> and Z|00> coincide, as do X|00> and
-        # Y|00> up to phase, although the marginal is within 0.6 of flat:
-        # Z = {I, Z} has two cosets.
+        # The encodings I|00> and Z|00> coincide, as do X|00> and Y|00> up
+        # to phase: Z = {I, Z} has two cosets, one label kept from each.
         state = basis_state("00")
-        assert sdc_orthogonal_labels(state, (1,), tol=0.6) == (2, 3)
-        assert brute_max_orthogonal(_encoded_vectors(state, (1,)), tol=0.6) == 2
+        assert sdc_orthogonal_labels(state, (1,)) == (2, 3)
+        assert brute_max_orthogonal(_encoded_vectors(state, (1,))) == 2
         # Z is the 8 Z-type strings, leaving 64 / 8 cosets.
-        assert sdc_max_messages(basis_state("000000"), (1, 2, 3), tol=0.9) == 8
+        assert sdc_max_messages(basis_state("000000"), (1, 2, 3)) == 8
 
     def test_cluster5_saturates_dimension_bound(self):
         # 64 encodings in a 32-dimensional space: 32 is the ceiling
@@ -878,7 +903,7 @@ class TestOrthogonalityGraph:
         expect = np.full((len(sets), nlabels), ATOL / 2)
         for row, members in zip(expect, sets):
             row[sorted(members)] = 0.5
-        pivots, closed = _coset_pivots(expect, ATOL)
+        pivots, closed = _coset_pivots(expect)
         for members, pivot, is_group in zip(sets, pivots, closed):
             assert is_group == (len(members) == 2 ** gf2_rank(members))
             if is_group:
@@ -887,7 +912,7 @@ class TestOrthogonalityGraph:
     @pytest.mark.parametrize("state,sender", GRAPH_CASES)
     def test_adjacency_matches_dense_loop(self, state, sender):
         expect = brute_pauli_expectations(state.amplitudes, state.num_qubits, sender)
-        got = _orthogonality_adjacency(expect, ATOL)
+        got = _orthogonality_adjacency(expect)
         assert got == brute_orthogonality_adjacency(expect, ATOL)
 
     # The labels equal the full search on both paths (w_state(2) (1,2) is
@@ -897,7 +922,7 @@ class TestOrthogonalityGraph:
     def test_dimension_bound_keeps_the_full_search_answer(self, state, sender):
         rho = partial_trace(state, sender).matrix
         rank = int(np.count_nonzero(np.linalg.eigvalsh(rho) > 1e-12))
-        adj = _orthogonality_adjacency(_expectations(state, sender), ATOL)
+        adj = _orthogonality_adjacency(_expectations(state, sender))
         full = _max_clique(adj)
         assert sdc_orthogonal_labels(state, sender) == full
         assert len(full) <= 2 ** len(sender) * rank
@@ -917,19 +942,16 @@ class TestOrthogonalityGraph:
         sdc_orthogonal_labels(w_state(2), (1, 2))
         assert calls == [16]
 
-    def test_bound_skipped_when_tol_exceeds_orthogonality(self):
-        # a pure sender marginal (rank 1) caps exact orthogonality at 8
-        # encodings, yet at tol 0.4 the graph has a 16-clique: the dimension
-        # bound behind is_tmes's early exit must not be trusted there
+    def test_pure_haar_sender_marginal_carries_one_message(self):
+        # a pure sender marginal (rank 1) caps orthogonality at 8 encodings;
+        # a Haar one has every expectation above ATOL, so Z is the group of
+        # all 64 labels and one message fits
         state = tensor(haar_random_state(3, seed=254), basis_state("0"))
-        assert not _dimension_bounds_hold(0.4, 3)
-        assert _dimension_bounds_hold(ATOL, 6)
-        assert sdc_max_messages(state, (1, 2, 3), tol=0.4) == 16
         assert sdc_max_messages(state, (1, 2, 3)) == 1
 
     def test_adjacency_has_no_self_loops(self):
         expect = np.zeros(16)
-        got = _orthogonality_adjacency(expect, ATOL)
+        got = _orthogonality_adjacency(expect)
         assert got == brute_orthogonality_adjacency(expect, ATOL)
         assert all(not (row >> p) & 1 for p, row in enumerate(got))
 
@@ -1027,7 +1049,7 @@ class TestGraphStates:
         cap, msgs = graph_figures(adj, sender)
         assert teleport_capacity(state, _cut(sender, len(adj))) == cap
         assert sdc_max_messages(state, sender) == msgs
-        graph = _orthogonality_adjacency(_expectations(state, sender), ATOL)
+        graph = _orthogonality_adjacency(_expectations(state, sender))
         assert sdc_orthogonal_labels(state, sender) == _max_clique(graph)
 
 
@@ -1472,18 +1494,10 @@ class TestMaximalityVerdicts:
     def test_reports_refuse_what_the_verdict_refuses(self):
         with pytest.raises(ValueError, match="at least two qubits"):
             next(cut_reports(basis_state("0")))
-        with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
-            next(cut_reports(cluster4(), float("nan")))
 
     @pytest.mark.parametrize("state,maximal,cap,msgs,witness", VERDICT_TABLE)
     def test_fold_over_full_reports_equals_is_tmes(self, state, maximal, cap, msgs, witness):
         assert tmes_verdict(list(cut_reports(state))) == is_tmes(state)
-
-    @pytest.mark.parametrize("tol", BAD_TOLS + [-3.0])
-    def test_fold_refuses_tol_outside_unit_interval(self, tol):
-        reports = list(cut_reports(cluster4()))
-        with pytest.raises(ValueError, match=f"tol must lie in \\[0, 1\\), got {tol}"):
-            tmes_verdict(reports, tol)
 
     def test_scan_reuses_the_memoised_cuts(self, monkeypatch):
         # The balanced cuts are built once per qubit count; a scan slices them.

@@ -17,6 +17,7 @@ from tmes.capacity import (
     build_teleport_protocol,
     default_partition,
     haar_random_state,
+    haar_random_unitary,
     sdc_max_messages,
     sdc_orthogonal_labels,
     simulate_sdc,
@@ -24,7 +25,7 @@ from tmes.capacity import (
     teleport_capacity,
 )
 from tmes.claims import ClaimConfig, run_claim_suite
-from tmes.invariants import conversion_obstruction, orthogonal_family
+from tmes.invariants import all_bipartitions, conversion_obstruction, orthogonal_family
 from tmes.operators import OperatorSet, gamma, operator_family, pauli_string, sigma
 from tmes.pauli import apply_paulis, pauli_digits, pauli_label, pauli_rows, xz_masks
 from tmes.serialize import (
@@ -62,6 +63,8 @@ SCALARS = [
     ("bell_product", bell_product, "need an int of at least 1 Bell pair"),
     ("odd_resource", odd_resource, "need an int of at least 1 Bell pair"),
     ("haar_random_state", haar_random_state, "a state needs an int of at least 1 qubit"),
+    ("haar_random_unitary", lambda v: haar_random_unitary(v, np.random.default_rng(0)), "a unitary needs an int dimension of at least 1"),
+    ("all_bipartitions", all_bipartitions, "bipartitions need an int of at least 2 qubits"),
     ("default_partition", default_partition, "a partition needs an int of at least 2 qubits"),
     ("from_sender-count", lambda v: Partition.from_sender((1,), v), "a partition needs an int of at least 2 qubits"),
     ("sigma", sigma, "Pauli index must be an int in 0..3"),

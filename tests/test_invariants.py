@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_genuine_multipartite, brute_spectrum
-from tmes import statevec
+from tmes import invariants, statevec
 from tmes.capacity import haar_random_state
 from tmes.claims import VERDICTS
 from tmes.invariants import (
@@ -87,10 +87,10 @@ class TestBipartitionEnumeration:
             raise AssertionError("enumerated beyond the cap")
 
         monkeypatch.setattr(statevec, "combinations", refuse)
-        before = all_bipartitions.cache_info().currsize
+        before = invariants._bipartitions.cache_info().currsize
         with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits, got {n}"):
             all_bipartitions(n)
-        assert all_bipartitions.cache_info().currsize == before
+        assert invariants._bipartitions.cache_info().currsize == before
 
 
 class TestSpectraEnumeration:

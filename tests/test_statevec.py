@@ -574,7 +574,7 @@ class TestCutLayout:
             "import tmes\n"
             "from tmes import invariants, statevec\n"
             "print(statevec._cut_layout.cache_info().currsize,"
-            " invariants.all_bipartitions.cache_info().currsize)\n"
+            " invariants._bipartitions.cache_info().currsize)\n"
         )
         src = str(Path(tmes.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -700,23 +700,27 @@ class TestClusterValues:
         assert len(signatures) > 80
 
     def test_only_counts_take_a_tolerance(self):
-        # A threshold is a parameter only where it defines a count (the SDC
-        # message count, the verdicts built on it, genuine multipartiteness).
-        # What asserts, builds, compares or reports (the claim suite,
-        # codebooks, the closeness and unitarity predicates) decides at ATOL.
+        # A threshold is a parameter only where it defines a figure: the
+        # product test of genuine multipartiteness.  Message counts, the
+        # verdicts built on them and what asserts, builds, compares or
+        # reports decide at ATOL.  sdc_max_messages keeps a ``tol`` that
+        # names ATOL and refuses any other value: perfbench/spans.py reads a
+        # call's threshold from its third argument.
         takes = {
             name
             for name, params in _public_signatures()
             if {"tol", "atol", "tolerance"} & set(params)
         }
-        assert takes == {
-            "sdc_orthogonal_labels",
-            "sdc_max_messages",
-            "cut_reports",
-            "is_tmes",
-            "tmes_verdict",
-            "genuine_multipartite",
+        assert takes == {"genuine_multipartite", "sdc_max_messages"}
+        # Private helpers too: no def in src/ takes a parameter named tol
+        # but those two.
+        defs = {
+            where
+            for node, _, where in _src_nodes()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "tol" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
         }
+        assert defs == {"invariants.genuine_multipartite", "capacity.sdc_max_messages"}
         assert "tolerance" not in inspect.signature(tmes.ClaimConfig).parameters
         assert list(inspect.signature(tmes.build_sdc_codebook).parameters) == [
             "state", "sender_set", "num_messages"
