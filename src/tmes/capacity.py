@@ -9,12 +9,15 @@ Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
 
 ``cut_reports``, which the maximality verdict folds over, scores the balanced
-cuts a chunk at a time: one stack of amplitude matrices gives every cut's
-Schmidt spectrum (a batched SVD) and sender marginal (a batched Gram
-product), the marginals give the Pauli expectations in one transform, and
-one vectorised GF(2) reduction tells which cuts have a group of labels.
-Each value equals the one-cut call's to the bit; ``teleport_capacity`` and
-``sdc_orthogonal_labels`` are the one-cut case of the same helpers.
+cuts a chunk at a time through one kernel over any stack of amplitude
+matrices: the stack gives every cut's Schmidt spectrum (a batched SVD) and
+sender marginal (a batched Gram product), the marginals give the Pauli
+expectations in one transform, and one vectorised GF(2) reduction tells
+which cuts have a group of labels.  Each value equals the one-cut call's to
+the bit; ``teleport_capacity`` and ``sdc_orthogonal_labels`` are the one-cut
+case of the same helpers.  The claim suite's seeded trials run as stacks
+too: through that kernel, and through the kernels that
+``haar_random_unitary`` and ``simulate_teleportation`` take for one item.
 """
 
 from __future__ import annotations
@@ -66,14 +69,25 @@ def haar_random_state(num_qubits: int, seed: int = 0) -> PureState:
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with phases fixed.
     A ``dim`` whose 16 dim^2 bytes exceed MAX_DENSE_BYTES is refused before
-    anything is drawn."""
+    anything is drawn.  This is the one-matrix case of the stacked draw
+    that a claim's seeded trials take in one call."""
+    return _haar_unitaries(dim, 1, rng)[0]
+
+
+def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` successive ``haar_random_unitary(dim, rng)`` draws as one
+    stack, bit for bit, leaving ``rng`` where they would: the same
+    real-then-imaginary Ginibre draws, matrix by matrix, then one stacked QR,
+    which runs the same LAPACK routines on each matrix."""
     dim = _integer(dim, 1, math.inf, "a unitary needs an int dimension of at least 1")
     if 16 * dim * dim > MAX_DENSE_BYTES:
         raise ValueError(f"a {dim} x {dim} unitary is above the {MAX_DENSE_BYTES // 2**20} MiB cap")
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = np.empty((count, dim, dim), dtype=complex)
+    for ginibre in z:
+        ginibre[...] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def _two_adic_valuation(x: int) -> int:
@@ -234,23 +248,27 @@ class TeleportResult:
         return float(self.fidelities.min())
 
 
-# The last protocol simulate_teleportation built, keyed weakly on its
-# resource: a PureState hashes by identity and its amplitudes are read-only,
-# so the protocol stays valid for as long as the state lives, and goes with
-# it.  A new dict replaces the old one on every miss, so at most one
-# protocol is ever held.
+# The last protocol simulate_teleportation built, with its resource's cut
+# matrix, keyed weakly on that resource: a PureState hashes by identity and
+# its amplitudes are read-only, so both stay valid for as long as the state
+# lives, and go with it (the matrix refers to the amplitudes, not the state).
+# A new dict replaces the old one on every miss, so at most one protocol is
+# ever held.
 _PROTOCOLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _memo_protocol(state: PureState, cut: Partition, n_payload: int) -> TeleportProtocol:
-    """``build_teleport_protocol(state, cut, n_payload)``, built once for a
-    stream of payloads through one resource; a refused request stores nothing."""
+def _memo_protocol(
+    state: PureState, cut: Partition, n_payload: int
+) -> tuple[TeleportProtocol, np.ndarray]:
+    """``build_teleport_protocol(state, cut, n_payload)`` and the state's
+    ``_cut_matrix`` across ``cut``, made once for a stream of payloads
+    through one resource; a refused request stores nothing."""
     global _PROTOCOLS
-    key, protocol = _PROTOCOLS.get(state, (None, None))
+    key, built = _PROTOCOLS.get(state, (None, None))
     if key != (cut, n_payload):
-        protocol = build_teleport_protocol(state, cut, n_payload)
-        _PROTOCOLS = weakref.WeakKeyDictionary({state: ((cut, n_payload), protocol)})
-    return protocol
+        built = build_teleport_protocol(state, cut, n_payload), _cut_matrix(state, *cut.sides())
+        _PROTOCOLS = weakref.WeakKeyDictionary({state: ((cut, n_payload), built)})
+    return built
 
 
 def simulate_teleportation(
@@ -266,27 +284,46 @@ def simulate_teleportation(
     Every outcome reports its exact probability and the fidelity of the
     corrected receiver state with the payload, one array entry each.
     Consecutive calls with the same ``state`` object, cut and payload size
-    share one protocol, built and validated on the first of them.  No joint
-    state is formed: the payload meets the conjugated family first, then one
-    GEMM with the resource's own cut matrix projects every outcome.
+    share one protocol, built and validated on the first of them.  This is
+    the one-payload case of the kernel that a claim's seeded payloads run
+    through as one stack.
     """
     seed = _seed(seed)
-    p = payload.num_qubits if isinstance(payload, PureState) else _payload_qubits(payload)
-    protocol = _memo_protocol(state, cut, p)
     if not isinstance(payload, PureState):
+        p = _payload_qubits(payload)
+        _memo_protocol(state, cut, p)  # refuse an oversize payload before drawing it
         payload = haar_random_state(p, seed)
-    # Row i of v is the receiver's unnormalised state after outcome i.
-    proj = protocol.measurement_conj.reshape(-1, 2**p, 2 ** len(cut.sender))
-    v = payload.amplitudes @ proj @ _cut_matrix(state, *cut.sides())
-    prob = np.sum(v.real**2 + v.imag**2, axis=1)
+    protocol, prob, fid = _teleport_rows(state, cut, payload.amplitudes[None])
+    return TeleportResult(payload, protocol, prob[0], fid[0])
+
+
+def _teleport_rows(
+    state: PureState, cut: Partition, payloads: np.ndarray
+) -> tuple[TeleportProtocol, np.ndarray, np.ndarray]:
+    """The memoised protocol for 2^p-amplitude ``payloads`` rows, and the
+    probability and fidelity of its every outcome, one row per payload.
+
+    No joint state is formed: each payload meets the conjugated family
+    first, then one GEMM with the resource's own cut matrix projects every
+    outcome.  Every product is the one-payload product broadcast over the
+    payload axis, so row i equals the call on payload i alone, bit for bit.
+    """
+    p = payloads.shape[1].bit_length() - 1
+    protocol, matrix = _memo_protocol(state, cut, p)
+    # x[i, 0, 0] is payload i; v[i, o] the receiver's unnormalised state
+    # after outcome o.
+    x = payloads[:, None, None, :]
+    proj = protocol.measurement_conj.reshape(-1, 2**p, matrix.shape[0])
+    v = (x @ proj)[:, :, 0] @ matrix
+    prob = np.sum(v.real**2 + v.imag**2, axis=2)
     ok = prob > EXACT_ATOL
-    unit = v / np.sqrt(np.where(ok, prob, 1.0))[:, None]
-    reduced = (protocol.corrections @ unit[:, :, None]).reshape(len(prob), 2**p, -1)
+    unit = v / np.sqrt(np.where(ok, prob, 1.0))[:, :, None]
+    reduced = (protocol.corrections @ unit[:, :, :, None]).reshape(*prob.shape, 2**p, -1)
     # The payload sits on the first p receiver qubits, so the fidelity of the
     # reduced state is sum_j |<payload| reduced[:, :, j]>|^2.
-    overlap = payload.amplitudes.conj() @ reduced
-    fid = np.sum(overlap.real**2 + overlap.imag**2, axis=1)
-    return TeleportResult(payload, protocol, np.where(ok, prob, 0.0), np.where(ok, fid, 1.0))
+    overlap = (x.conj() @ reduced)[:, :, 0]
+    fid = np.sum(overlap.real**2 + overlap.imag**2, axis=2)
+    return protocol, np.where(ok, prob, 0.0), np.where(ok, fid, 1.0)
 
 
 def _sender_qubits(state: PureState, sender_set: Iterable[int]) -> tuple[int, ...]:
@@ -559,17 +596,30 @@ def cut_reports(state: PureState) -> Iterator[CutReport]:
     check_qubits(n, "the maximal-task test")
     cuts = _cut_layout(n, (n + 1) // 2).cuts
     for where, stack in _cut_stacks(state, cuts):
-        spectra = _stack_spectra(stack)
-        expect = pauli_expectations(_stack_marginals(stack))
-        pivots, closed = _coset_pivots(expect)
+        scored = _stack_figures(stack, n // 2)
         for i, j in enumerate(where):
             if i < len(stack):  # past the end, a shared matrix's figures stand
-                if closed[i]:
-                    msgs = expect.shape[1] >> int(pivots[i]).bit_count()
-                else:
-                    msgs = len(_max_clique(_orthogonality_adjacency(expect[i])))
-                figures = spectra[i], _capacity(spectra[i], n // 2), msgs
+                figures = next(scored)
             yield CutReport(cuts[j], *figures)
+
+
+def _stack_figures(stack: np.ndarray, receivers: int) -> Iterator[tuple[SchmidtSpectrum, int, int]]:
+    """(Schmidt spectrum, teleport capacity, message count) of each
+    sender-by-receiver matrix of ``stack`` in turn, every matrix with
+    ``receivers`` receiver qubits: one batched SVD gives the spectra and one
+    batched Gram product the sender marginals, whose Pauli expectations the
+    coset rule reads.  Nothing runs before the first figure is asked for,
+    and a row whose Z is not a group gets its clique search only when it is
+    reached.  Each figure equals the one-cut call's on that matrix."""
+    spectra = _stack_spectra(stack)
+    expect = pauli_expectations(_stack_marginals(stack))
+    pivots, closed = _coset_pivots(expect)
+    for i, spectrum in enumerate(spectra):
+        if closed[i]:
+            msgs = expect.shape[1] >> int(pivots[i]).bit_count()
+        else:
+            msgs = len(_max_clique(_orthogonality_adjacency(expect[i])))
+        yield spectrum, _capacity(spectrum, receivers), msgs
 
 
 def is_tmes(state: PureState) -> TmesVerdict:

@@ -6,27 +6,34 @@ Each claim checks one documented assertion and yields a verdict: ``pass`` or
 measurements that are reported as evidence rather than asserted (the two
 construction ambiguities and the independence ranks of the larger operator
 families).  Reports are deterministic given the configuration.
+
+The seeded trial loops run as stacks, each through the private kernel that
+its one-item public call already takes: the sender unitaries are one draw
+of ``haar_random_unitary``'s kernel and are scored by the chunk kernel of
+``cut_reports``, and each teleport case's payloads go through the kernel of
+``simulate_teleportation`` in one call.  Every row equals its one-item call.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .capacity import (
+    _haar_unitaries,
     _seed,
+    _stack_figures,
+    _teleport_rows,
     build_sdc_codebook,
     build_teleport_protocol,
     haar_random_state,
-    haar_random_unitary,
     is_tmes,
     sdc_max_messages,
     sdc_orthogonal_labels,
     simulate_sdc,
-    simulate_teleportation,
     teleport_capacity,
 )
 from .invariants import (
@@ -76,8 +83,8 @@ from .states import (
 from .statevec import (
     ATOL,
     EXACT_ATOL,
-    LocalOperator,
     Partition,
+    _cut_matrix,
     apply_local,
     entropy,
     negativity,
@@ -585,16 +592,18 @@ def _basis_not_maximal(config: ClaimConfig):
 
 
 def _teleport_trials(state, sender, n_payload, outcomes, config):
-    """Seeded payload trials that should each have ``outcomes`` outcomes; returns (bad, data)."""
-    cut = _cut(sender, state.num_qubits)
-    runs = [
-        simulate_teleportation(state, cut, haar_random_state(n_payload, config.seed + t))
-        for t in range(PAYLOAD_TRIALS)
-    ]
-    count = len(runs[-1].probabilities)
-    worst_fid = min(1.0, *(r.min_fidelity for r in runs))
-    worst_prob_dev = max(0.0, *(float(np.max(np.abs(r.probabilities - 1.0 / count))) for r in runs))
-    worst_total_dev = max(0.0, *(abs(r.total_probability - 1.0) for r in runs))
+    """Seeded payload trials that should each have ``outcomes`` outcomes,
+    run as one stack; returns (bad, data)."""
+    payloads = np.array(
+        [haar_random_state(n_payload, config.seed + t).amplitudes for t in range(PAYLOAD_TRIALS)]
+    )
+    _, probs, fids = _teleport_rows(state, _cut(sender, state.num_qubits), payloads)
+    count = probs.shape[1]
+    # The figures of one TeleportResult per payload: a row's total is
+    # summed left to right, as ``total_probability`` sums it.
+    worst_fid = min(1.0, float(fids.min()))
+    worst_prob_dev = max(0.0, float(np.max(np.abs(probs - 1.0 / count))))
+    worst_total_dev = max(0.0, *(abs(sum(row) - 1.0) for row in probs.tolist()))
     bad = []
     if worst_fid < 1.0 - ATOL:
         bad.append(f"worst fidelity {worst_fid} below 1")
@@ -734,19 +743,22 @@ def _sdc_rejects(config: ClaimConfig):
     return _finish(bad, "all oversize codebook requests rejected", data)
 
 
+def _invariance_figures(seed: int) -> list[tuple[int, int]]:
+    """(capacity, message count) of cluster4 across (1,3)|(2,4) after each
+    of INVARIANCE_TRIALS seeded Haar unitaries on the sender pair, in draw
+    order.  The unitaries are drawn as one stack, and U M (M the cut matrix,
+    sender rows) is the matrix ``apply_local`` gives."""
+    unitaries = _haar_unitaries(4, INVARIANCE_TRIALS, np.random.default_rng(seed))
+    scored = _stack_figures(unitaries @ _cut_matrix(cluster4(), (1, 3), (2, 4)), 2)
+    return [(cap, msgs) for _, cap, msgs in scored]
+
+
 @_register("sender-unitary-invariance", "Relabeling the cluster-state sender pair by any unitary preserves capacity two and sixteen messages.")
 def _sender_invariance(config: ClaimConfig):
-    rng = np.random.default_rng(config.seed)
-    state = cluster4()
-    cut = _cut((1, 3), 4)
     want = FIGURES["cluster4", (1, 3)]
-    caps = set()
-    msgs = set()
-    for _ in range(INVARIANCE_TRIALS):
-        u = LocalOperator(2, haar_random_unitary(4, rng))
-        moved = apply_local(state, u, (1, 3))
-        caps.add(teleport_capacity(moved, cut))
-        msgs.add(sdc_max_messages(moved, (1, 3)))
+    figures = _invariance_figures(config.seed)
+    caps = {cap for cap, _ in figures}
+    msgs = {count for _, count in figures}
     bad = []
     if caps != {want.capacity}:
         bad.append(f"capacities drifted to {sorted(caps)}")
@@ -1108,5 +1120,9 @@ def suite_report_doc(
             "claim_ids": list(config.claim_ids) if config.claim_ids else None,
         },
         "summary": counts,
-        "claims": [asdict(r) for r in reports],
+        # asdict's entries, sharing each ``data`` dict instead of deep-copying it.
+        "claims": [
+            {"claim_id": r.claim_id, "anchor": r.anchor, "verdict": r.verdict, "detail": r.detail, "data": r.data}
+            for r in reports
+        ],
     }

@@ -155,7 +155,20 @@ class TestHaarSampling:
         want = "at least 1" if dim < 1 else "above the 256 MiB cap"
         with pytest.raises(ValueError, match=want):
             haar_random_unitary(dim, rng)
+        with pytest.raises(ValueError, match=want):
+            capacity._haar_unitaries(dim, 2, rng)
         assert np.array_equal(haar_random_unitary(8, rng), haar_random_unitary(8, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_stacked_unitaries_are_successive_draws(self, dim):
+        # k unitaries drawn at once are k single draws on a twin stream, bit
+        # for bit, and both streams go on to the same next draw
+        stacked_rng, single_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        stack = capacity._haar_unitaries(dim, 50, stacked_rng)
+        singles = [haar_random_unitary(dim, single_rng) for _ in range(50)]
+        assert stack.shape == (50, dim, dim)
+        assert np.array_equal(stack, singles)
+        assert np.array_equal(stacked_rng.standard_normal(3), single_rng.standard_normal(3))
 
     def test_unitary_at_the_cap_is_drawn(self):
         # 4096 x 4096 is exactly 256 MiB: the size check passes it on to the
@@ -302,6 +315,19 @@ def test_protocols_match_pins():
     # The arrays, weights and seeded runs of every pinned protocol are
     # bit-identical to the ones the fixture was written from.
     assert _teleport_pins() == json.loads(PINS.read_text())
+
+
+@pytest.mark.parametrize("state,sender,n_payload", PROTOCOL_CASES)
+def test_payload_stack_rows_are_single_runs(state, sender, n_payload):
+    # The stacked kernel that claims run their seeded payloads through gives,
+    # row by row, the bits of one simulate_teleportation call per payload.
+    cut = _cut(sender, state.num_qubits)
+    payloads = [haar_random_state(n_payload, seed) for seed in range(20)]
+    protocol, probs, fids = capacity._teleport_rows(state, cut, np.array([pl.amplitudes for pl in payloads]))
+    runs = [simulate_teleportation(state, cut, pl) for pl in payloads]
+    assert all(run.protocol is protocol for run in runs)
+    assert np.array_equal(probs, [run.probabilities for run in runs])
+    assert np.array_equal(fids, [run.fidelities for run in runs])
 
 
 class TestTeleportProtocol:

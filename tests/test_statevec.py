@@ -772,7 +772,7 @@ class TestClusterValues:
             "operators.named_operator",
             # numpy scalars the library computed
             "capacity._coset_pivots",
-            "capacity.cut_reports",
+            "capacity._stack_figures",
             "capacity.simulate_sdc",
             "operators.independence_rank",
         }
