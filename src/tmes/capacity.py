@@ -9,7 +9,8 @@ Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
 
 ``cut_reports``, which the maximality verdict folds over, scores the balanced
-cuts a chunk at a time through one kernel over any stack of amplitude
+cuts a chunk at a time, one matrix per class of cuts with equal matrices
+(``statevec._cut_stacks``), through one kernel over any stack of amplitude
 matrices: the stack gives every cut's Schmidt spectrum (a batched SVD) and
 sender marginal (a batched Gram product), the marginals give the Pauli
 expectations in one transform, and one vectorised GF(2) reduction tells
@@ -582,25 +583,36 @@ def cut_reports(state: PureState) -> Iterator[CutReport]:
     equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
     ``sdc_max_messages``).
 
-    The cuts ``statevec._cut_layout`` memoises are scored a ``_cut_stacks``
-    chunk at a time, so a scan that stops early has scored the rest of the
-    chunk that holds its last cut.  Each capacity reads the cut's clustered
-    runs and stops at the first odd one, which in a Haar cut is the first.
-    The clique search runs only for a cut whose Z is not a group, and only
-    when the scan reaches it.  On a qubit-symmetric state one matrix stands
-    for every cut, so one set of figures is scored and shared.
+    The cuts ``statevec._cut_layout`` memoises are scored one
+    ``_cut_stacks`` class per matrix, a chunk of classes at a time: every
+    member of a class has its first member's figures, scored once, and the
+    scan loads a chunk only when it reaches the first cut of the chunk's
+    first class.  So a scan that stops early has gathered the rest of the
+    chunk that holds its last cut's class.  Each capacity reads the cut's
+    clustered runs and stops at the first odd one, which in a Haar cut is
+    the first.  The clique search runs only for a class whose Z is not a
+    group, and only when the scan reaches its first cut.
     """
     n = state.num_qubits
     if n < 2:
         raise ValueError("the maximal-task test needs at least two qubits")
     check_qubits(n, "the maximal-task test")
     cuts = _cut_layout(n, (n + 1) // 2).cuts
-    for where, stack in _cut_stacks(state, cuts):
-        scored = _stack_figures(stack, n // 2)
-        for i, j in enumerate(where):
-            if i < len(stack):  # past the end, a shared matrix's figures stand
-                figures = next(scored)
-            yield CutReport(cuts[j], *figures)
+    chunks = _cut_stacks(state, cuts)
+    owner: list = [None] * len(cuts)  # each cut's class, numbered in order of first cut
+    figures: list[tuple[SchmidtSpectrum, int, int]] = []
+    for j, cut in enumerate(cuts):
+        k = owner[j]
+        if k is None:  # the first cut of the next chunk's first class
+            classes, stack = next(chunks)
+            scored = _stack_figures(stack, n // 2)
+            for c, members in enumerate(classes, len(figures)):
+                for i in members:
+                    owner[i] = c
+            k = owner[j]
+        if k == len(figures):
+            figures.append(next(scored))
+        yield CutReport(cut, *figures[k])
 
 
 def _stack_figures(stack: np.ndarray, receivers: int) -> Iterator[tuple[SchmidtSpectrum, int, int]]:

@@ -39,7 +39,7 @@ from .serialize import (
     write_file,
 )
 from .states import make_state, parse_spec
-from .statevec import EXACT_ATOL, Partition, PureState, schmidt_spectrum
+from .statevec import EXACT_ATOL, Partition, PureState, _integer_text, schmidt_spectrum
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -47,7 +47,7 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError(f"expected a comma-separated qubit list, got {text!r}")
     try:
-        qubits = tuple(int(p) for p in parts)
+        qubits = tuple(_integer_text(p) for p in parts)
     except ValueError:
         raise ValueError(f"expected a comma-separated qubit list, got {text!r}")
     for i, q in enumerate(qubits):
@@ -201,9 +201,13 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def integer(text: str) -> int:
+        # argparse names a refused value by its type's name: "invalid integer value"
+        return _integer_text(text)
+
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
-        "--seed", type=int, default=0, help="base random seed (default 0)"
+        "--seed", type=integer, default=0, help="base random seed (default 0)"
     )
 
     parser = argparse.ArgumentParser(
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_op = sub.add_parser("op", help="generate operator families")
     op_sub = p_op.add_subparsers(dest="op_command", required=True)
     p_gen = op_sub.add_parser("gen", help="generate the level-d family (4^d members)")
-    p_gen.add_argument("--level", type=int, required=True)
+    p_gen.add_argument("--level", type=integer, required=True)
     p_gen.add_argument("--out", help="write JSON here instead of stdout")
     p_gen.set_defaults(handler=_cmd_op_gen)
 
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tel.add_argument("--resource", required=True)
     p_tel.add_argument("--sender", help="comma-separated sender qubits (default: odd)")
-    p_tel.add_argument("--payload-qubits", type=int, required=True)
+    p_tel.add_argument("--payload-qubits", type=integer, required=True)
     p_tel.set_defaults(handler=_cmd_teleport)
 
     p_sdc = sub.add_parser("sdc", help="maximum orthogonal Pauli encodings")

@@ -7,9 +7,11 @@ source and a target state across all such cuts therefore certifies when no
 placement of a local gate can realize the conversion.
 
 Every analysis over many cuts reads a state's ``statevec._cut_stacks``
-chunks: ``cut_spectra`` makes one batched SVD per chunk, and
-``genuine_multipartite`` first screens cuts by purity so that only those
-that may be products get an SVD.
+chunks, one matrix per class of cuts that a permutation within runs of
+exchangeable neighbouring qubits maps onto each other: ``cut_spectra``
+makes one batched SVD per chunk and gives each class's spectrum to all its
+cuts, and ``genuine_multipartite`` first screens classes by purity so that
+only those that may be products get an SVD.
 """
 
 from __future__ import annotations
@@ -114,7 +116,9 @@ def conversion_obstruction(
 
     Checks every cut keeping the subset on one side; any spectrum mismatch is
     a violation.  An empty report is necessary but not sufficient for the
-    conversion to exist.
+    conversion to exist.  Cuts whose classes (``statevec._cut_stacks``) are
+    the same in both states share their spectra, and the pair is compared
+    once.
     """
     if source.num_qubits != target.num_qubits:
         raise ValueError("source and target must have the same qubit count")
@@ -125,11 +129,16 @@ def conversion_obstruction(
         for cut in all_bipartitions(n)
         if subset <= cut.sender or subset <= cut.receiver
     ]
-    violations = [
-        CutViolation(cut, sa, sb)
-        for cut, sa, sb in zip(cuts, cut_spectra(source, cuts), cut_spectra(target, cuts))
-        if not spectra_match(sa, sb)
-    ]
+    # cut_spectra gives each class of a state one spectrum object, so a pair
+    # of objects stands for a pair of classes, matched once.
+    matches: dict[tuple[int, int], bool] = {}
+    violations = []
+    for cut, sa, sb in zip(cuts, cut_spectra(source, cuts), cut_spectra(target, cuts)):
+        pair = id(sa), id(sb)
+        if pair not in matches:
+            matches[pair] = spectra_match(sa, sb)
+        if not matches[pair]:
+            violations.append(CutViolation(cut, sa, sb))
     return ObstructionReport(subset, tuple(violations))
 
 
@@ -138,11 +147,12 @@ def genuine_multipartite(state: PureState, tol: float = ATOL) -> bool:
     eigenvalue lies below 1 - tol, ``tol`` in [0, 1).
 
     A purity screen spares most cuts their SVD.  The purity p = ||rho_A||_F^2
-    = sum lambda_i^2 of every cut comes from one batched Gram product per
-    ``_cut_stacks`` chunk, and lambda_max <= sqrt(p).  Only cuts with
+    = sum lambda_i^2 of every ``_cut_stacks`` class comes from one batched
+    Gram product per chunk, and lambda_max <= sqrt(p).  Only classes with
     sqrt(p) >= 1 - tol - EXACT_ATOL (the slack covers rounding in p) get an
-    SVD; every cut skipped has lambda_max < 1 - tol, so the answer is that
-    of an SVD on every cut.  It returns at the first chunk with a product.
+    SVD; every class skipped has lambda_max < 1 - tol, and its members share
+    its matrix, so the answer is that of an SVD on every cut.  It returns at
+    the first chunk with a product.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol}")

@@ -24,6 +24,7 @@ from .statevec import (
     _check_unitary,
     _freeze,
     _integer,
+    _integer_text,
     apply_local,
     overlap,
 )
@@ -133,7 +134,7 @@ def named_operator(name: str) -> LocalOperator:
     key = name.strip().lower()
     if key.startswith("gamma"):
         try:
-            return gamma(int(key[5:]))
+            return gamma(_integer_text(key[5:]))
         except ValueError:
             raise ValueError(f"unknown operator name {name!r}")
     if key not in _NAMED:

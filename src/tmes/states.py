@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevec import PureState, _integer, check_state_size, tensor
+from .statevec import PureState, _integer, _integer_text, check_state_size, tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -28,7 +28,7 @@ def basis_state(bits: str) -> PureState:
         raise ValueError(f"bit string must be non-empty over {{0,1}}, got {bits!r}")
     check_state_size(len(bits), "a basis state")
     amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[int(bits, 2)] = 1.0
+    amps[sum(1 << k for k, b in enumerate(reversed(bits)) if b == "1")] = 1.0
     return PureState(len(bits), amps)
 
 
@@ -200,7 +200,7 @@ def parse_spec(text: str) -> StateSpec:
         raise ValueError(f"state kind {kind!r} needs a parameter, e.g. {kind}:2")
     if param == "number":
         try:
-            number = int(arg)
+            number = _integer_text(arg)
         except ValueError:
             raise ValueError(f"parameter for {kind!r} must be an integer, got {arg!r}")
         return StateSpec(kind, number=number)

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, cycle
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -90,6 +90,18 @@ def _integer(value, low: float, high: float, what: str) -> int:
         shown = f"an int of {value.bit_length()} bits" if isinstance(value, int) and value.bit_length() > 14000 else repr(value)
         raise ValueError(f"{what}, got {shown}")
     return int(value)
+
+
+def _integer_text(text: str) -> int:
+    """The int that ``text`` spells in ASCII decimal digits, after at most
+    one leading minus sign; else ValueError.  ``int`` alone also takes
+    underscores, a plus sign, surrounding spaces and non-ASCII digits, so
+    every integer the library reads from text is parsed here, and the
+    value then meets ``_integer``'s range check where it is used."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _qubit_list(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, ...]:
@@ -437,44 +449,80 @@ def _cut_layout(num_qubits: int, size: int) -> _CutLayout:
     return _CutLayout(cuts, {cut.sender: i for i, cut in enumerate(cuts)}, rows, cols)
 
 
-def _qubit_symmetric(state: PureState) -> bool:
-    """Whether every qubit permutation fixes ``state`` bit for bit, that is,
-    each adjacent transposition does.  The last one swaps amplitudes 1 and
-    2, a scalar test that rejects most states; bit patterns tell -0.0 from 0.0."""
-    amps = state.amplitudes
-    if amps[1] != amps[2]:
-        return False
-    pairs = (amps.view(np.uint64).reshape(2**q, 2, 2, -1) for q in range(state.num_qubits - 1))
-    return all(np.array_equal(p[:, 0, 1], p[:, 1, 0]) for p in pairs)
+def _qubit_runs(state: PureState) -> tuple[tuple[int, ...], ...]:
+    """The qubits 1..n split into runs of neighbours, in order: q and q + 1
+    share a run when swapping them fixes ``state`` bit for bit, so every
+    permutation within a run fixes it too.  The swap exchanges the amplitude
+    of the basis state with only qubit q + 1 set and the one with only q
+    set, a scalar test that rejects most pairs; the full test compares bit
+    patterns, which tell -0.0 from 0.0."""
+    n, amps = state.num_qubits, state.amplitudes
+    runs = [[1]]
+    for q in range(1, n):
+        low = 1 << (n - q - 1)
+        if amps[low] == amps[2 * low]:
+            quads = amps.view(np.uint64).reshape(2 ** (q - 1), 2, 2, -1)
+            if quads[:, 0, 1].tobytes() == quads[:, 1, 0].tobytes():
+                runs[-1].append(q + 1)
+                continue
+        runs.append([q + 1])
+    return tuple(map(tuple, runs))
+
+
+def _cut_classes(cuts: Sequence[Partition], group: list[int], runs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The positions ``group`` of same-size ``cuts`` split into classes whose
+    senders take the same count from every run, each class ascending, the
+    classes in order of their first position.  A permutation within runs
+    maps one member's sender onto another's keeping both sides in sorted
+    order, so members' cut matrices are equal bit for bit.  With one run
+    (a qubit-symmetric state) the group is one class; with no run of two
+    qubits each position is a class of its own, repeats included."""
+    if len(runs) == 1:
+        return [group]
+    if max(map(len, runs)) == 1:
+        return [[i] for i in group]
+    # A sender's counts, read as the digits of one mixed-radix number.
+    weight: dict[int, int] = {}
+    place = 1
+    for run in runs:
+        weight.update(dict.fromkeys(run, place))
+        place *= len(run) + 1
+    classes: dict[int, list[int]] = {}
+    for i in group:
+        classes.setdefault(sum(map(weight.__getitem__, cuts[i].sender)), []).append(i)
+    return list(classes.values())
 
 
 def _cut_stacks(
     state: PureState, cuts: Sequence[Partition]
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per sender size, ascending, runs of at most max(CHUNK_BYTES // (16 *
-    2^n), 1) consecutive positions in ``cuts`` of that size, each with the
-    stack of their sender-by-receiver matrices, equal to ``_cut_matrix`` on
-    their sorted sides: the one rule that splits a scan over many cuts.  A
-    stack is one gather of the amplitudes at the offsets of its cuts: an
-    exact copy.  Up to MAX_QUBITS qubits the offsets are read from the
-    memoised ``_cut_layout``; above it they are built for the chunk alone.
-    (On a 12-qubit scan, ``take`` made the same stacks with five times the
-    page faults, and the batched calls that read them ran slower.)
+) -> Iterator[tuple[list[list[int]], np.ndarray]]:
+    """Per sender size, ascending, the ``_cut_classes`` of the positions in
+    ``cuts`` of that size, at most max(CHUNK_BYTES // (16 * 2^n), 1) classes
+    at a time, each chunk with the stack of one sender-by-receiver matrix
+    per class: the one rule that splits a scan over many cuts.  Matrix k is
+    every member's of class k, equal to ``_cut_matrix`` on its sorted sides,
+    so a consumer gives each class's figures to all its members.  The runs
+    are found only when some size has two cuts; a generic state has none
+    and pays n - 1 scalar comparisons.
 
-    When some size has two cuts and ``_qubit_symmetric`` holds, each size is
-    one run of all its positions whose stack is one matrix, bit-identical to
-    every cut's: position ``where[i]`` reads matrix ``i % len(stack)``.
+    A stack is one gather of the amplitudes at the offsets of each class's
+    first member: an exact copy.  Up to MAX_QUBITS qubits the offsets are
+    read from the memoised ``_cut_layout``; above it they are built for the
+    chunk alone.  (On a 12-qubit scan, ``take`` made the same stacks with
+    five times the page faults, and the batched calls that read them ran
+    slower.)
     """
     groups: dict[int, list[int]] = {}
     for i, cut in enumerate(cuts):
         _require_cut(state, cut)
         groups.setdefault(len(cut.sender), []).append(i)
     n = state.num_qubits
-    shared = len(groups) < len(cuts) and _qubit_symmetric(state)
-    limit = len(cuts) if shared else max(CHUNK_BYTES // (16 * 2**n), 1)
+    runs = _qubit_runs(state) if len(groups) < len(cuts) else [(q,) for q in range(1, n + 1)]
+    limit = max(CHUNK_BYTES // (16 * 2**n), 1)
     for size, group in sorted(groups.items()):
-        for where in (group[k : k + limit] for k in range(0, len(group), limit)):
-            take = where[:1] if shared else where
+        classes = _cut_classes(cuts, group, runs)
+        for chunk in (classes[k : k + limit] for k in range(0, len(classes), limit)):
+            take = [members[0] for members in chunk]
             if n <= MAX_QUBITS:
                 layout = _cut_layout(n, size)
                 at = [layout.position[cuts[i].sender] for i in take]
@@ -483,7 +531,7 @@ def _cut_stacks(
                 sides = [cuts[i].sides() for i in take]
                 rows = _side_offsets(np.array([r for r, _ in sides]), n)
                 cols = _side_offsets(np.array([c for _, c in sides]), n)
-            yield where, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
+            yield chunk, state.amplitudes[rows[:, :, None] | cols[:, None, :]]
 
 
 def cut_spectra(
@@ -494,14 +542,17 @@ def cut_spectra(
     Each ``_cut_stacks`` chunk is gathered in one indexing step and gets one
     batched SVD.  The gather copies the amplitudes exactly, and numpy runs
     the same LAPACK routine on each matrix of a stack as on the matrix
-    alone, so every spectrum is identical to the bit to a one-cut SVD (on a
-    qubit-symmetric state, one SVD and one spectrum per sender size).
+    alone, so every spectrum is identical to the bit to a one-cut SVD.  One
+    SVD row and one spectrum object serve every member of a class: a
+    qubit-symmetric state takes one per sender size.
     """
     cuts = tuple(cuts)
-    spectra: dict[int, SchmidtSpectrum] = {}
-    for where, stack in _cut_stacks(state, cuts):
-        spectra.update(zip(where, cycle(_stack_spectra(stack))))
-    return tuple(spectra[i] for i in range(len(cuts)))
+    spectra: list = [None] * len(cuts)
+    for classes, stack in _cut_stacks(state, cuts):
+        for members, spectrum in zip(classes, _stack_spectra(stack)):
+            for i in members:
+                spectra[i] = spectrum
+    return tuple(spectra)
 
 
 def _stack_spectra(stack: np.ndarray) -> list[SchmidtSpectrum]:

@@ -16,13 +16,19 @@ settings.load_profile("deterministic")
 
 
 class Chunk(NamedTuple):
-    """One yielded chunk: its positions in the call's cuts, its stack's
-    shape and bytes, and the stack itself unless the spy drops stacks."""
+    """One yielded chunk: its classes of positions in the call's cuts (class
+    k reads matrix k), its stack's shape and bytes, and the stack itself
+    unless the spy drops stacks."""
 
-    where: list[int]
+    classes: list[list[int]]
     shape: tuple[int, ...]
     nbytes: int
     stack: np.ndarray | None
+
+    @property
+    def where(self) -> list[int]:
+        """Every position the chunk's classes hold, ascending."""
+        return sorted(i for members in self.classes for i in members)
 
 
 class CutStackCall(NamedTuple):
@@ -49,10 +55,10 @@ class CutStackSpy(list):
         def recording(state, cuts):
             call = CutStackCall(state, tuple(cuts), [])
             self.append(call)
-            for where, stack in stacks(state, cuts):
+            for classes, stack in stacks(state, cuts):
                 kept = stack if self.keep_stacks else None
-                call.chunks.append(Chunk(where, stack.shape, stack.nbytes, kept))
-                yield where, stack
+                call.chunks.append(Chunk(classes, stack.shape, stack.nbytes, kept))
+                yield classes, stack
 
         return recording
 

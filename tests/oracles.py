@@ -62,6 +62,27 @@ def brute_cut_matrix(amps, num_qubits: int, sender) -> np.ndarray:
     return mat
 
 
+def brute_runs(amps, num_qubits: int) -> tuple[tuple[int, ...], ...]:
+    """Qubits 1..n split into runs of neighbours, in order: q and q + 1 share
+    a run when the amplitude tensor with axes q and q + 1 swapped by
+    ``np.swapaxes`` has the original's bytes (so -0.0 is not 0.0)."""
+    psi = np.asarray(amps, dtype=complex).reshape((2,) * num_qubits)
+    runs = [[1]]
+    for q in range(1, num_qubits):
+        swapped = np.ascontiguousarray(np.swapaxes(psi, q - 1, q))
+        if swapped.tobytes() == psi.tobytes():
+            runs[-1].append(q + 1)
+        else:
+            runs.append([q + 1])
+    return tuple(map(tuple, runs))
+
+
+def run_counts(runs, sender) -> tuple[int, ...]:
+    """How many qubits of ``sender`` each run holds: two cuts with the same
+    counts have the same cut matrix."""
+    return tuple(len(set(run) & set(sender)) for run in runs)
+
+
 def svd_cut_spectrum(amps, num_qubits: int, sender) -> tuple[float, ...]:
     """Squared singular values above 1e-12, descending, of
     ``brute_cut_matrix``: one ``np.linalg.svd`` per cut."""

@@ -14,7 +14,7 @@ import math
 import re
 import sys
 import weakref
-from itertools import combinations, cycle
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from oracles import (
     brute_max_orthogonal,
     brute_orthogonality_adjacency,
     brute_pauli_expectations,
+    brute_runs,
     brute_spectrum,
     brute_teleport_outcome,
     dense_codebook_deviation,
@@ -35,6 +36,7 @@ from oracles import (
     gf2_rank,
     graph_figures,
     graph_verdict,
+    run_counts,
     two_adic,
 )
 from tmes import capacity
@@ -1354,10 +1356,15 @@ def _dicke1(n: int, dressed: bool) -> PureState:
     amps = np.zeros(2**n, dtype=complex)
     amps[1 << np.arange(n)] = 1 / math.sqrt(n)
     state = PureState(n, amps)
+    return _dress(state) if dressed else state
+
+
+def _dress(state: PureState) -> PureState:
+    """``state`` with the local Clifford (I, H, S, HS)[q mod 4] on qubit q."""
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     s = np.diag([1, 1j])
     cliffords = (np.eye(2), h, s, h @ s)
-    for q in range(1, n + 1) if dressed else ():
+    for q in range(1, state.num_qubits + 1):
         state = apply_local(state, LocalOperator(1, cliffords[q % 4]), (q,))
     return state
 
@@ -1438,37 +1445,55 @@ class TestMaximalityVerdicts:
             assert verdict.witnessing_partition is not None
             assert verdict.witnessing_partition.sender == set(witness)
 
-    def test_scan_stops_at_first_joint_witness(self, cut_stack_spy):
-        # Cuts are scored one _cut_stacks chunk at a time (64 balanced cuts
-        # at 10 qubits), so the scan stops at the end of the chunk that holds
-        # the first joint witness.
+    def test_scan_stops_at_first_joint_witness(self, cut_stack_spy, monkeypatch):
+        # Cuts are scored one _cut_stacks class at a time, a chunk of at most
+        # 64 classes at 10 qubits, each scored when the scan reaches its
+        # first cut: the scan stops in the chunk that holds the first joint
+        # witness, having scored no class whose first cut comes after it.
         def scored():
             (call,) = cut_stack_spy
             cut_stack_spy.clear()
             return [[tuple(sorted(call.cuts[i].sender)) for i in c.where] for c in call.chunks]
 
+        capacities = []
+        capacity_of = capacity._capacity
+        monkeypatch.setattr(capacity, "_capacity", lambda *a: capacities.append(a) or capacity_of(*a))
         verdict = is_tmes(cluster4())
         assert verdict.witnessing_partition.sender == {1, 3}
         assert scored() == [list(combinations(range(1, 5), 2))]  # one chunk
-        verdict = is_tmes(bell_product(5))
         senders = list(combinations(range(1, 11), 5))
         assert senders.index((1, 3, 5, 7, 9)) == 76
-        assert verdict.witnessing_partition.sender == {1, 3, 5, 7, 9}
+        # bell_product(5)'s runs are the pairs {1,2}, ..., {9,10}: its 252
+        # cuts fall into 51 classes by the count each pair holds, one chunk,
+        # of which the scan scores the classes met up to cut 76.
+        capacities.clear()
+        plain = is_tmes(bell_product(5))
+        assert plain.witnessing_partition.sender == {1, 3, 5, 7, 9}
+        ((_, cuts, (chunk,)),) = cut_stack_spy
+        pairs = brute_runs(bell_product(5).amplitudes, 10)
+        assert pairs == tuple((q, q + 1) for q in range(1, 11, 2))
+        counts = [run_counts(pairs, cut.sender) for cut in cuts]
+        assert len(chunk.classes) == len(set(counts)) == 51
+        assert scored() == [senders]
+        assert len(capacities) == len(set(counts[:77]))
+        # Dressed, it has the same figures and no run of two qubits: every
+        # cut is a class, and the scan stops after the second chunk of 64.
+        assert is_tmes(_dress(bell_product(5))) == plain
         assert scored() == [senders[:64], senders[64:128]]
 
     @pytest.mark.parametrize(
-        "state,shared",
-        [(haar_random_state(7, seed=7), False), (haar_random_state(8, seed=8), False),
-         (haar_random_state(10, seed=10), False), (haar_random_state(11, seed=11), False),
-         (ghz(8), True)],
+        "state",
+        [haar_random_state(7, seed=7), haar_random_state(8, seed=8),
+         haar_random_state(10, seed=10), haar_random_state(11, seed=11), ghz(8)],
         ids=["haar7", "haar8", "haar10", "haar11", "ghz8"],
     )
-    def test_chunks_match_one_cut_calls(self, monkeypatch, cut_stack_spy, state, shared):
+    def test_chunks_match_one_cut_calls(self, monkeypatch, cut_stack_spy, state):
         # Each chunk is one _cut_stacks stack and one pauli_expectations call
-        # on its stack of marginals; cut_reports scores every balanced cut,
-        # in chunks of CHUNK_BYTES // (16 * 2^n) cuts: one chunk up to 9
-        # qubits, 4 at 10 and 15 at 11.  ghz:8 is qubit-symmetric: its one
-        # chunk holds all 70 cuts and a stack of one matrix for all of them.
+        # on its stack of marginals, one row per class; cut_reports scores
+        # every balanced cut, in chunks of CHUNK_BYTES // (16 * 2^n) classes:
+        # one chunk up to 9 qubits, 4 at 10 and 15 at 11 on a Haar state,
+        # whose every cut is a class.  ghz:8 is one run: its one chunk holds
+        # one class of all 70 cuts and a stack of one matrix.
         expects = []
         transform = capacity.pauli_expectations
 
@@ -1485,12 +1510,14 @@ class TestMaximalityVerdicts:
         assert [r.cut for r in reports] == [cuts[i] for chunk in chunks for i in chunk.where]
         for report in reports:
             assert report.spectrum == schmidt_spectrum(state, report.cut)
+        runs = brute_runs(state.amplitudes, n)
         for chunk, expect in zip(chunks, expects):
-            rows = 1 if shared else len(chunk.where)
-            assert expect.shape == (rows, 4 ** len(cuts[chunk.where[0]].sender))
-            for i, row in zip(chunk.where, cycle(expect)):
-                rho = partial_trace(state, cuts[i].sender).matrix
-                assert np.array_equal(row, pauli_expectations(rho))
+            assert len(chunk.classes) == (len(chunk.where) if len(runs) == n else 1)
+            assert expect.shape == (len(chunk.classes), 4 ** len(cuts[chunk.where[0]].sender))
+            for members, row in zip(chunk.classes, expect):
+                for i in members:
+                    rho = partial_trace(state, cuts[i].sender).matrix
+                    assert np.array_equal(row, pauli_expectations(rho))
 
     @pytest.mark.parametrize(
         "state",

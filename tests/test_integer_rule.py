@@ -1,7 +1,8 @@
 """One integer rule, ``statevec._integer``, at every entry point that takes a
 count, index, label, qubit or seed: a bool, float, string or float array is
 refused with a ValueError that names it, and a numpy integer is taken as the
-Python int it equals."""
+Python int it equals.  Integer text is read by ``statevec._integer_text``
+alone: ASCII digits after at most one minus sign."""
 
 from __future__ import annotations
 
@@ -25,22 +26,25 @@ from tmes.capacity import (
     teleport_capacity,
 )
 from tmes.claims import ClaimConfig, run_claim_suite
+from tmes.cli import main
 from tmes.invariants import all_bipartitions, conversion_obstruction, orthogonal_family
-from tmes.operators import OperatorSet, gamma, operator_family, pauli_string, sigma
+from tmes.operators import OperatorSet, gamma, named_operator, operator_family, pauli_string, sigma
 from tmes.pauli import apply_paulis, pauli_digits, pauli_label, pauli_rows, xz_masks
 from tmes.serialize import (
     operator_from_dict,
     operator_set_from_dict,
     operator_to_dict,
+    save_state,
     state_from_dict,
     state_to_dict,
 )
-from tmes.states import bell, bell_product, cluster4, ghz, odd_resource, w_state
+from tmes.states import bell, bell_product, cluster4, ghz, odd_resource, parse_spec, w_state
 from tmes.statevec import (
     DensityMatrix,
     LocalOperator,
     Partition,
     PureState,
+    _integer_text,
     apply_local,
     partial_trace,
 )
@@ -239,3 +243,87 @@ def test_claim_ids_are_a_tuple_of_strings():
     assert config == ClaimConfig(claim_ids=("bell-catalog",))
     assert hash(config) == hash(ClaimConfig(claim_ids=("bell-catalog",)))
     assert [r.claim_id for r in run_claim_suite(config)] == ["bell-catalog"]
+
+
+# Integer text: ASCII decimal digits after at most one minus sign, and
+# nothing else.  ``int`` takes each of these but the last two.
+LITERAL_FORMS = ["1_0", "+3", " 3", "3 ", "٣", "３", "3 ", "0x3", ""]
+LITERAL_IDS = ["underscore", "plus", "lead-space", "trail-space", "arabic-indic", "fullwidth", "nbsp", "hex", "empty"]
+
+
+@pytest.mark.parametrize("text", LITERAL_FORMS, ids=LITERAL_IDS)
+def test_integer_text_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError) as caught:
+        _integer_text(text)
+    assert str(caught.value) == f"expected an integer in ASCII digits, got {text!r}"
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("007", 7), ("-1", -1), ("12", 12)])
+def test_integer_text_reads_what_it_takes(text, value):
+    assert _integer_text(text) == value
+    assert type(_integer_text(text)) is int
+
+
+# A spec or operator name is stripped of surrounding whitespace first.
+UNSPACED = [(t, i) for t, i in zip(LITERAL_FORMS, LITERAL_IDS) if t and t == t.strip()]
+
+
+@pytest.mark.parametrize("text", [t for t, _ in UNSPACED], ids=[i for _, i in UNSPACED])
+def test_library_text_parsers_refuse_literal_forms(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        parse_spec(f"ghz:{text}")
+    with pytest.raises(ValueError, match="unknown operator name"):
+        named_operator(f"gamma{text}")
+
+
+def test_library_text_parsers_name_the_text():
+    assert parse_spec("ghz: 10 ") == parse_spec("ghz:10")
+    with pytest.raises(ValueError) as caught:
+        parse_spec("ghz:1_0")
+    assert str(caught.value) == "parameter for 'ghz' must be an integer, got '1_0'"
+    with pytest.raises(ValueError) as caught:
+        named_operator("gamma1_0")
+    assert str(caught.value) == "unknown operator name 'gamma1_0'"
+
+
+def _one_error_line(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("text", ["1_0", "+10", "١٠"], ids=["underscore", "plus", "arabic-indic"])
+def test_cli_state_spec_refuses_literal_forms(capsys, text):
+    err = _one_error_line(capsys, ["state", "build", f"ghz:{text}"], 1)
+    assert err == f"error: parameter for 'ghz' must be an integer, got {text!r}\n"
+
+
+@pytest.mark.parametrize("sender", ["1,0_2", "+1,3", "1,٣"], ids=["underscore", "plus", "arabic-indic"])
+def test_cli_qubit_list_refuses_literal_forms(capsys, tmp_path, sender):
+    path = tmp_path / "state.json"
+    save_state(cluster4(), path)
+    for argv in (["capacity", "--state", str(path), "--sender", sender],
+                 ["obstruct", "--source", str(path), "--target", str(path), "--subset", sender]):
+        err = _one_error_line(capsys, argv, 1)
+        assert err == f"error: expected a comma-separated qubit list, got {sender!r}\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", " 1", "٣"], ids=["underscore", "plus", "space", "arabic-indic"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["op", "gen", "--level"],
+        ["teleport", "--resource", "{s}", "--payload-qubits"],
+        ["teleport", "--resource", "{s}", "--payload-qubits", "1", "--seed"],
+        ["verify", "--claims", "bell-catalog", "--seed"],
+    ],
+    ids=["level", "payload-qubits", "teleport-seed", "verify-seed"],
+)
+def test_cli_integer_options_refuse_literal_forms(capsys, tmp_path, argv, text):
+    path = tmp_path / "state.json"
+    save_state(bell_product(2), path)
+    argv = [str(path) if a == "{s}" else a for a in argv] + [text]
+    err = _one_error_line(capsys, argv, 2)
+    assert f"invalid integer value: {text!r}" in err

@@ -21,7 +21,9 @@ from oracles import (
     brute_cut_matrix,
     brute_negativity,
     brute_reduced_density,
+    brute_runs,
     brute_spectrum,
+    run_counts,
     shannon_bits,
     svd_cut_spectrum,
     two_adic,
@@ -421,19 +423,21 @@ class TestCutSpectra:
 
 
 class TestCutStacks:
-    """Every ``_cut_stacks`` matrix equals, byte for byte, the cut matrix
-    laid out entry by entry by bit arithmetic on the joint index."""
+    """Every ``_cut_stacks`` matrix equals, byte for byte, the cut matrix of
+    each member of its class, laid out entry by entry by bit arithmetic on
+    the joint index."""
 
     @staticmethod
     def _assert_oracle(state, cuts, stacks):
         seen = []
-        for where, stack in stacks:
-            assert stack.shape[0] == len(where)
-            for i, mat in zip(where, stack):
-                want = brute_cut_matrix(state.amplitudes, state.num_qubits, cuts[i].sender)
-                assert mat.dtype == want.dtype and mat.shape == want.shape
-                assert mat.tobytes() == want.tobytes()
-            seen += where
+        for classes, stack in stacks:
+            assert stack.shape[0] == len(classes)
+            for members, mat in zip(classes, stack):
+                for i in members:
+                    want = brute_cut_matrix(state.amplitudes, state.num_qubits, cuts[i].sender)
+                    assert mat.dtype == want.dtype and mat.shape == want.shape
+                    assert mat.tobytes() == want.tobytes()
+                seen += members
         assert sorted(seen) == list(range(len(cuts)))
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -456,7 +460,7 @@ class TestCutStacks:
             conversion_obstruction(source, target, subset)
         assert len(cut_stack_spy) == 6
         for state, cuts, chunks in cut_stack_spy:
-            self._assert_oracle(state, cuts, [(c.where, c.stack) for c in chunks])
+            self._assert_oracle(state, cuts, [(c.classes, c.stack) for c in chunks])
 
     @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 17])
     def test_above_the_layout_cap(self, monkeypatch, n):
@@ -464,6 +468,29 @@ class TestCutStacks:
         state = haar_random_state(n, seed=n)
         cuts = _cuts_above_the_cap(n)
         self._assert_oracle(state, cuts, statevec._cut_stacks(state, cuts))
+
+    @pytest.mark.parametrize(
+        "state",
+        [tensor(ghz(5), haar_random_state(2, seed=5)), tensor(bell(), ghz(3)), ghz(MAX_QUBITS + 1)],
+        ids=["ghz5-haar2", "bell-ghz3", "ghz13"],
+    )
+    def test_classes_are_the_run_count_classes(self, state):
+        # Shuffled cuts of every size, with repeats: each class is every
+        # position whose sender takes the same count from each run, in
+        # order of first position, and a repeat joins its original.
+        n = state.num_qubits
+        cuts = _every_cut(n) if n <= MAX_QUBITS else _cuts_above_the_cap(n)
+        order = np.random.default_rng(n).permutation(len(cuts))
+        cuts = [cuts[i] for i in order] + cuts[::7]
+        runs = brute_runs(state.amplitudes, n)
+        assert statevec._qubit_runs(state) == runs
+        chunks = list(statevec._cut_stacks(state, cuts))
+        self._assert_oracle(state, cuts, chunks)
+        want: dict = {}
+        for i, cut in enumerate(cuts):
+            want.setdefault((len(cut.sender), run_counts(runs, cut.sender)), []).append(i)
+        got = [members for classes, _ in chunks for members in classes]
+        assert got == sorted(want.values(), key=lambda members: (len(cuts[members[0]].sender), members[0]))
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
     def test_cut_report_chunks(self, cut_stack_spy, n):
@@ -474,7 +501,7 @@ class TestCutStacks:
         ((_, cuts, chunks),) = cut_stack_spy
         assert len(chunks) == {8: 1, 9: 1, 10: 4, 11: 15}[n]
         assert [r.cut for r in reports] == [cuts[i] for chunk in chunks for i in chunk.where]
-        self._assert_oracle(state, cuts, [(c.where, c.stack) for c in chunks])
+        self._assert_oracle(state, cuts, [(c.classes, c.stack) for c in chunks])
 
 
 def _haar_pair(n: int) -> tuple[PureState, PureState]:
@@ -491,19 +518,22 @@ class TestChunkBound:
 
     @staticmethod
     def _assert_bounded(seen):
+        # On a state with no run of two qubits each cut is a class of its
+        # own, so the chunks hold the cuts per size, in input order.
         assert statevec.CHUNK_BYTES == 1 << 20
         assert seen
         for state, cuts, chunks in seen:
             n = state.num_qubits
+            assert len(statevec._qubit_runs(state)) == n
             per = max(statevec.CHUNK_BYTES // (16 * 2**n), 1)
             want = []
             for size in sorted({len(cut.sender) for cut in cuts}):
-                at = [i for i, cut in enumerate(cuts) if len(cut.sender) == size]
+                at = [[i] for i, cut in enumerate(cuts) if len(cut.sender) == size]
                 want += [at[k : k + per] for k in range(0, len(at), per)]
-            assert [chunk.where for chunk in chunks] == want
-            for where, shape, nbytes, _ in chunks:
-                size = len(cuts[where[0]].sender)
-                assert shape == (len(where), 2**size, 2 ** (n - size))
+            assert [chunk.classes for chunk in chunks] == want
+            for classes, shape, nbytes, _ in chunks:
+                size = len(cuts[classes[0][0]].sender)
+                assert shape == (len(classes), 2**size, 2 ** (n - size))
                 assert nbytes <= max(statevec.CHUNK_BYTES, 16 * 2**n)
 
     @pytest.mark.parametrize("n", [11, MAX_QUBITS])
@@ -525,8 +555,9 @@ class TestChunkBound:
         self._assert_bounded(cut_stack_spy)
 
     def test_one_cut_per_stack_at_16_qubits(self, cut_stack_spy):
-        # A 16-qubit cut matrix is 1 MiB, exactly CHUNK_BYTES: each of 40
-        # cuts of mixed sizes is a stack of its own.
+        # A 16-qubit cut matrix is 1 MiB, exactly CHUNK_BYTES: each class is
+        # a stack of its own.  On a Haar state each of 40 cuts of mixed
+        # sizes is a class; on ghz:16, one run, each sender size is.
         cut_stack_spy.keep_stacks = False
         rng = np.random.default_rng(16)
         cuts = [
@@ -540,6 +571,15 @@ class TestChunkBound:
         assert len(chunks) == 40
         assert all(chunk.nbytes == statevec.CHUNK_BYTES for chunk in chunks)
         assert got == tuple(schmidt_spectrum(state, cut) for cut in cuts)
+        cut_stack_spy.clear()
+        got = cut_spectra(ghz(16), cuts)
+        ((_, _, chunks),) = cut_stack_spy
+        sizes = sorted({len(cut.sender) for cut in cuts})
+        assert [chunk.classes for chunk in chunks] == [
+            [[i for i, cut in enumerate(cuts) if len(cut.sender) == size]] for size in sizes
+        ]
+        assert all(chunk.nbytes == statevec.CHUNK_BYTES for chunk in chunks)
+        assert got == tuple(schmidt_spectrum(ghz(16), cut) for cut in cuts)
 
 
 class TestOneCutCalls:
@@ -753,23 +793,20 @@ class TestClusterValues:
 
     def test_one_integer_rule(self):
         # Every integer a caller hands the library passes statevec._integer,
-        # the one function of that name.  int() is called only by it, by the
-        # text parsers, and on numpy scalars the library computes itself: a
-        # silent int() on a caller's count, index, label or qubit fails here.
+        # and every integer it reads from text statevec._integer_text, the
+        # one function of each name.  int() is called only by those two and
+        # on numpy scalars the library computes itself: a silent int() on a
+        # caller's count, index, label or qubit, or on text, fails here.
         defined, callers = set(), set()
         for node, _, where in _src_nodes():
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_integer":
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("_integer", "_integer_text"):
                 defined.add(where)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
                 callers.add(where)
-        assert defined == {"statevec._integer"}
+        assert defined == {"statevec._integer", "statevec._integer_text"}
         assert callers == {
             "statevec._integer",
-            # text parsers
-            "cli._parse_qubits",
-            "states.parse_spec",
-            "states.basis_state",
-            "operators.named_operator",
+            "statevec._integer_text",
             # numpy scalars the library computed
             "capacity._coset_pivots",
             "capacity._stack_figures",

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import brute_runs, run_counts
 from tmes.claims import FIGURES, VERDICTS
 from tmes.states import make_state, parse_spec
 
@@ -60,13 +61,23 @@ def test_survey_scores_each_cut_once(tmp_path, monkeypatch, cut_stack_spy):
     assert sum(len(call.cuts) for call in cut_stack_spy) == sum(math.comb(n, (n + 1) // 2) for n in qubits)
     for call in cut_stack_spy:
         assert sorted(i for chunk in call.chunks for i in chunk.where) == list(range(len(call.cuts)))
-    # bell, the GHZ states and the uniform basis states are fixed by every
-    # qubit permutation: one matrix stands for all their cuts
-    symmetric = {"bell", "ghz:3", "ghz:4", "ghz:5", "ghz:6", "basis:0000", "basis:00"}
+    # One matrix per class of cuts whose senders take the same count from
+    # every run: one for bell, the GHZ states and the uniform basis states
+    # (a single run), one per cut for hs (no run of two qubits), and in
+    # between for the rest (bell_product:3's runs are {1,2}, {3,4}, {5,6}).
     rows = [sum(chunk.shape[0] for chunk in call.chunks) for call in cut_stack_spy]
-    assert rows == [
-        1 if spec in symmetric else math.comb(n, (n + 1) // 2) for spec, n in zip(VERDICTS, qubits)
-    ]
+    classes = []
+    for call in cut_stack_spy:
+        runs = brute_runs(call.state.amplitudes, call.state.num_qubits)
+        classes.append(len({run_counts(runs, cut.sender) for cut in call.cuts}))
+    assert rows == classes
+    assert dict(zip(VERDICTS, zip(classes, (len(call.cuts) for call in cut_stack_spy)))) == {
+        "bell": (1, 2), "ghz:3": (1, 3), "ghz:4": (1, 6), "ghz:5": (1, 10), "omega": (4, 6),
+        "chi": (4, 6), "hs": (6, 6), "w:2": (3, 3), "bell_product:2": (3, 6),
+        "odd_resource:1": (2, 3), "odd_resource:2": (5, 10), "cluster4": (3, 6),
+        "cluster5": (7, 10), "basis:0000": (1, 6), "basis:00": (1, 2), "bell:psi-": (2, 2),
+        "ghz:6": (1, 20), "w:1": (2, 3), "bell_product:3": (7, 20), "basis:01101": (7, 10),
+    }
 
 
 def test_survey_json_matches_baseline(survey_json):

@@ -1,10 +1,12 @@
-"""Scans over many cuts of a qubit-symmetric state.
+"""Scans over many cuts of a state with runs of exchangeable qubits.
 
-A state fixed bit for bit by every qubit permutation has one cut matrix per
-sender size, so ``_cut_stacks`` yields that one matrix for every cut of the
-size.  Every scan must still equal the one-cut calls to the bit, and a state
-that is symmetric only by value, up to a phase or within rounding must take
-the general path.
+Neighbours q and q + 1 share a run when swapping them fixes the state bit
+for bit.  Two cuts whose senders take the same count from every run have
+the same cut matrix, so ``_cut_stacks`` yields one matrix per such class: a
+state fixed by every qubit permutation is one run, with one class per
+sender size.  Every scan must still equal the one-cut calls to the bit, and
+a swap that fixes the state only by value, up to a phase or within rounding
+must not join a run.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import numpy as np
 import pytest
 
 import tmes
-from tmes import capacity, statevec
+from oracles import brute_runs, run_counts
+from tmes import capacity, invariants, statevec
 from tmes.capacity import (
     TmesVerdict,
     cut_reports,
+    haar_random_state,
     haar_random_unitary,
     is_tmes,
     sdc_max_messages,
@@ -38,8 +42,10 @@ from tmes.invariants import (
     genuine_multipartite,
     spectra_match,
 )
-from tmes.statevec import ATOL, LocalOperator, Partition, PureState, apply_local, cut_spectra, schmidt_spectrum
-from tmes.states import basis_state, bell, ghz
+from tmes.statevec import (
+    ATOL, LocalOperator, Partition, PureState, apply_local, cut_spectra, schmidt_spectrum, tensor,
+)
+from tmes.states import basis_state, bell, bell_product, ghz
 
 _CLIFFORDS = (
     np.eye(2),
@@ -66,6 +72,25 @@ def _with(state: PureState, index: int, value: complex) -> PureState:
     return PureState(state.num_qubits, amps)
 
 
+def _image(state: PureState, qubits: tuple[int, ...], seed: int) -> PureState:
+    """``state`` under a seeded Haar unitary on ``qubits``."""
+    u = haar_random_unitary(2 ** len(qubits), np.random.default_rng(seed))
+    return apply_local(state, LocalOperator(len(qubits), u), qubits)
+
+
+def _one_run_less(n: int, index: int) -> tuple[tuple[int, ...], ...]:
+    """The runs of a one-run n-qubit state after amplitude ``index`` alone
+    changes: the swap of q and q + 1 moves that amplitude, and so no longer
+    fixes the state, exactly when the two bits of ``index`` differ."""
+    runs = [[1]]
+    for q in range(1, n):
+        if (index >> (n - q)) & 1 == (index >> (n - q - 1)) & 1:
+            runs[-1].append(q + 1)
+        else:
+            runs.append([q + 1])
+    return tuple(map(tuple, runs))
+
+
 def _cases(pairs):
     return [pytest.param(state, id=name) for name, state in pairs]
 
@@ -87,18 +112,39 @@ QUICK_VERDICT = [
     )
 ]
 
-# Symmetric by value, up to a global phase or within one ulp: no bit-for-bit
-# symmetry, so every cut is scored.
-NEAR_MISSES = [
-    # -0.0 == 0.0, so the scalar comparison of amplitudes 1 and 2 passes
-    ("ghz:4 with -0.0 at 2", _with(ghz(4), 2, complex(-0.0, 0.0))),
-    ("ghz:5 with -0.0j at 12", _with(ghz(5), 12, complex(0.0, -0.0))),
+# One-run states with one amplitude changed to a value equal to it, or one
+# ulp off: (name, state, index changed).
+ONE_ENTRY_OFF = [
+    # -0.0 == 0.0, so the scalar comparisons pass
+    ("ghz:4 with -0.0 at 2", _with(ghz(4), 2, complex(-0.0, 0.0)), 2),
+    ("ghz:5 with -0.0j at 12", _with(ghz(5), 12, complex(0.0, -0.0)), 12),
+    ("dicke(6,1) one ulp off at 4", _with(dicke(6, 1), 4, np.nextafter(dicke(6, 1).amplitudes[4].real, 1.0)), 4),
+    ("dicke(7,3) one ulp off at 7", _with(dicke(7, 3), 7, np.nextafter(dicke(7, 3).amplitudes[7].real, 0.0)), 7),
+    ("dicke(6,1) one ulp off at 1", _with(dicke(6, 1), 1, np.nextafter(dicke(6, 1).amplitudes[1].real, 1.0)), 1),
+]
+
+# Symmetric by value, up to a global phase or within one ulp: a swap that
+# fixes the state only so joins no run.
+NEAR_MISSES = [(name, state) for name, state, _ in ONE_ENTRY_OFF] + [
     # swapping its qubits gives -psi
     ("bell:psi-", bell("psi-")),
-    ("dicke(6,1) one ulp off at 4", _with(dicke(6, 1), 4, np.nextafter(dicke(6, 1).amplitudes[4].real, 1.0))),
-    ("dicke(7,3) one ulp off at 7", _with(dicke(7, 3), 7, np.nextafter(dicke(7, 3).amplitudes[7].real, 0.0))),
-    ("dicke(6,1) one ulp off at 1", _with(dicke(6, 1), 1, np.nextafter(dicke(6, 1).amplitudes[1].real, 1.0))),
 ] + [(f"dicke({n},1) dressed", dicke(n, 1, dressed=True)) for n in (6, 7, 8)]
+
+# States with planted runs: 1- and 2-qubit Haar images of Dicke states, a
+# GHZ state beside a Haar pair in both orders, and Bell-pair products.
+PLANTED = (
+    [(f"dicke({n},{k}) image on {qubits}", _image(dicke(n, k), qubits, 10 * n + k))
+     for n in range(4, 11) for k in (1, 2) for qubits in [(1,), (1, 2), (2, 3), (n,)]]
+    + [(f"ghz:{n} x haar2", tensor(ghz(n), haar_random_state(2, seed=n))) for n in range(3, 11)]
+    + [(f"haar2 x ghz:{n}", tensor(haar_random_state(2, seed=n), ghz(n))) for n in range(3, 11)]
+    + [(f"bell_product:{m}", bell_product(m)) for m in range(2, 6)]
+)
+
+
+def _classes(state: PureState, cuts) -> int:
+    """How many classes the oracle's runs split ``cuts`` into."""
+    runs = brute_runs(state.amplitudes, state.num_qubits)
+    return len({(len(cut.sender), run_counts(runs, cut.sender)) for cut in cuts})
 
 
 def _balanced(n: int) -> list[Partition]:
@@ -108,19 +154,40 @@ def _balanced(n: int) -> list[Partition]:
 class TestDetection:
     @pytest.mark.parametrize("state", _cases(SYMMETRIC))
     def test_symmetric(self, state):
-        assert statevec._qubit_symmetric(state)
+        one_run = (tuple(range(1, state.num_qubits + 1)),)
+        assert statevec._qubit_runs(state) == brute_runs(state.amplitudes, state.num_qubits) == one_run
 
     @pytest.mark.parametrize("state", _cases(NEAR_MISSES))
     def test_near_misses(self, state):
-        assert not statevec._qubit_symmetric(state)
+        n = state.num_qubits
+        runs = statevec._qubit_runs(state)
+        assert runs == brute_runs(state.amplitudes, n)
+        assert len(runs) > 1
+
+    @pytest.mark.parametrize("state,index", [pytest.param(s, i, id=name) for name, s, i in ONE_ENTRY_OFF])
+    def test_one_entry_breaks_exactly_the_swaps_it_touches(self, state, index):
+        want = _one_run_less(state.num_qubits, index)
+        assert statevec._qubit_runs(state) == brute_runs(state.amplitudes, state.num_qubits) == want
+
+    @pytest.mark.parametrize("state", _cases(PLANTED))
+    def test_planted(self, state):
+        assert statevec._qubit_runs(state) == brute_runs(state.amplitudes, state.num_qubits)
+
+    def test_a_generic_state_pays_scalar_comparisons(self, monkeypatch):
+        # On a Haar state every pair fails its scalar test: no swap is
+        # compared in full.
+        monkeypatch.setattr(np, "array_equal", lambda *a: pytest.fail("a swap was compared in full"))
+        for n in range(2, 13):
+            state = haar_random_state(n, seed=n)
+            assert statevec._qubit_runs(state) == tuple((q,) for q in range(1, n + 1))
 
     def test_skipped_when_no_size_has_two_cuts(self, monkeypatch):
-        # one cut per sender size, 13 qubits included: nothing is shared,
-        # so nothing is tested
+        # one cut per sender size, 13 qubits included: no cut can share,
+        # so no run is looked for
         def refuse(state):
             raise AssertionError("detection ran")
 
-        monkeypatch.setattr(statevec, "_qubit_symmetric", refuse)
+        monkeypatch.setattr(statevec, "_qubit_runs", refuse)
         for n in (4, 13):
             cuts = [Partition.from_sender(range(1, s + 1), n) for s in range(1, n)]
             assert cut_spectra(ghz(n), cuts) == tuple(schmidt_spectrum(ghz(n), c) for c in cuts)
@@ -189,19 +256,25 @@ class TestSharedReports:
         # the general path's verdict, where it is quick (the dressed Dicke
         # test below pins dicke(9,1) and dicke(10,1))
         if n <= 8:
-            monkeypatch.setattr(statevec, "_qubit_symmetric", lambda state: False)
+            monkeypatch.setattr(statevec, "_qubit_runs", lambda state: tuple((q,) for q in range(1, n + 1)))
             assert is_tmes(state) == verdict
 
 
 class TestNearMisses:
     @pytest.mark.parametrize("state", _cases(NEAR_MISSES))
     def test_every_cut_is_scored(self, cut_stack_spy, state):
+        # Each class of the oracle's runs is scored once, and every cut gets
+        # its one-cut figures.
         n = state.num_qubits
         reports = list(cut_reports(state))
-        assert cut_stack_spy.matrices() == math.comb(n, (n + 1) // 2)
+        assert cut_stack_spy.matrices() == _classes(state, [r.cut for r in reports])
+        for report in reports:
+            assert report.spectrum == schmidt_spectrum(state, report.cut)
+            assert report.capacity == teleport_capacity(state, report.cut)
+            assert report.messages == sdc_max_messages(state, report.cut.sender)
         cuts = all_bipartitions(n)
         assert cut_spectra(state, cuts) == tuple(schmidt_spectrum(state, c) for c in cuts)
-        assert cut_stack_spy.matrices() == len(reports) + len(cuts)
+        assert cut_stack_spy.matrices() == _classes(state, [r.cut for r in reports]) + _classes(state, cuts)
 
     @pytest.mark.parametrize("n", range(6, 11))
     def test_dressed_dicke_verdict_is_the_plain_one(self, cut_stack_spy, n):
@@ -209,6 +282,54 @@ class TestNearMisses:
         assert cut_stack_spy.matrices() == 1
         assert is_tmes(dicke(n, 1, dressed=True)) == plain
         assert cut_stack_spy.matrices() == 1 + math.comb(n, (n + 1) // 2)
+
+
+class TestPlanted:
+    """On states with planted runs every scan equals the one-cut calls, bit
+    for bit, having formed one matrix per class."""
+
+    @pytest.mark.parametrize("state", _cases(PLANTED))
+    def test_scans_equal_one_cut_calls(self, cut_stack_spy, state):
+        n = state.num_qubits
+        cuts = all_bipartitions(n)
+        want = {cut: schmidt_spectrum(state, cut) for cut in cuts}
+        assert cut_spectra(state, cuts) == tuple(want.values())
+        assert all_bipartition_spectra(state) == want
+        assert cut_stack_spy.matrices() == 2 * _classes(state, cuts)
+        largest = max(s.eigenvalues[0] for s in want.values())
+        assert genuine_multipartite(state) is (largest < 1.0 - ATOL)
+        target = _image(state, (1, 2), n)
+        for subset in [(1, 2), (n,)]:
+            kept = [c for c in cuts if set(subset) <= c.sender or set(subset) <= c.receiver]
+            expected = []
+            for cut in kept:
+                b = schmidt_spectrum(target, cut)
+                if not spectra_match(want[cut], b):
+                    expected.append(CutViolation(cut, want[cut], b))
+            assert conversion_obstruction(state, target, subset).violated_cuts == tuple(expected)
+
+    @pytest.mark.parametrize("state", _cases([(name, s) for name, s in PLANTED if s.num_qubits <= 7]))
+    def test_reports_equal_one_cut_calls(self, cut_stack_spy, state):
+        reports = list(cut_reports(state))
+        assert [r.cut for r in reports] == _balanced(state.num_qubits)
+        assert cut_stack_spy.matrices() == _classes(state, [r.cut for r in reports])
+        for report in reports:
+            assert report.spectrum == schmidt_spectrum(state, report.cut)
+            assert report.capacity == teleport_capacity(state, report.cut)
+            assert report.messages == sdc_max_messages(state, report.cut.sender)
+        assert is_tmes(state) == tmes_verdict(reports)
+
+    def test_obstruction_matches_each_class_pair_once(self, monkeypatch):
+        # ghz:10 and its image on (1, 2): the image's runs are {1}, {2},
+        # {3..10}, so the 255 cuts that keep (1, 2) on one side fall into 8
+        # pairs of classes, each compared once.
+        calls = []
+        match = invariants.spectra_match
+        monkeypatch.setattr(invariants, "spectra_match", lambda a, b: calls.append((a, b)) or match(a, b))
+        source = ghz(10)
+        report = conversion_obstruction(source, _image(source, (1, 2), 10), (1, 2))
+        assert not report.obstructed
+        assert len(calls) == 8
 
 
 class TestWork:
@@ -236,6 +357,16 @@ class TestWork:
         rows = self._svd_rows(monkeypatch)
         assert len(all_bipartition_spectra(ghz(10))) == 511
         assert rows == [1] * 5
+
+    def test_ghz12_image_verdict_forms_four_matrices(self, cut_stack_spy, monkeypatch):
+        # The image of ghz:12 under a Haar unitary on (1, 2) has runs {1},
+        # {2}, {3..12}: its 924 balanced cuts fall into 4 classes.
+        searches = []
+        search = capacity._max_clique
+        monkeypatch.setattr(capacity, "_max_clique", lambda adj: searches.append(adj) or search(adj))
+        assert is_tmes(_image(ghz(12), (1, 2), 12)) == TmesVerdict(False, 1, 128, None)
+        assert cut_stack_spy.matrices() == 4
+        assert len(searches) <= 4
 
     def test_dicke10_verdict_runs_one_clique_search(self, monkeypatch):
         searches = []
