@@ -7,6 +7,15 @@ measurements that are reported as evidence rather than asserted (the two
 construction ambiguities and the independence ranks of the larger operator
 families).  Reports are deterministic given the configuration.
 
+A claim is one ``@_register(claim_id, anchor, *case)`` row on a checker,
+which the suite calls as ``checker(config, *case)``.  Claims of one family
+stack their rows on one checker, and the rows carry spec strings, qubit
+tuples and detail strings, never states, so importing this module builds
+none.  To add a claim, put a row on the checker of its family; a claim of
+a new kind gets a new checker that returns (verdict, detail, data).  No
+checker looks at its claim id, and the expected figures come from
+``FIGURES`` and ``VERDICTS``.
+
 The seeded trial loops run as stacks, each through the private kernel that
 its one-item public call already takes: the sender unitaries are one draw
 of ``haar_random_unitary``'s kernel and are scored by the chunk kernel of
@@ -91,7 +100,6 @@ from .statevec import (
     overlap,
     partial_trace,
     schmidt_spectrum,
-    states_close,
     tensor,
 )
 
@@ -129,7 +137,9 @@ class ClaimReport:
     data: dict
 
 
-_REGISTRY: dict[str, tuple[str, Callable[[ClaimConfig], tuple[str, str, dict]]]] = {}
+# claim id -> (anchor, checker, case arguments); the checker is called as
+# ``checker(config, *arguments)``.
+_REGISTRY: dict[str, tuple[str, Callable[..., tuple[str, str, dict]], tuple]] = {}
 
 # Claims whose verdict is evidence rather than an assertion.
 RECORDED_CLAIMS = frozenset(
@@ -142,11 +152,14 @@ RECORDED_CLAIMS = frozenset(
 )
 
 
-def _register(claim_id: str, anchor: str):
+def _register(claim_id: str, anchor: str, *args):
+    """Register ``claim_id`` as the decorated checker run on ``args``; a
+    checker shared by several claims carries one of these per claim."""
+
     def wrap(fn):
         if claim_id in _REGISTRY:
             raise ValueError(f"duplicate claim id {claim_id}")
-        _REGISTRY[claim_id] = (anchor, fn)
+        _REGISTRY[claim_id] = (anchor, fn, args)
         return fn
 
     return wrap
@@ -329,28 +342,33 @@ def _spectra_ghz(config: ClaimConfig):
     return _finish(bad, f"all {total} bipartitions across n=3,4,5 give {{1/2, 1/2}}", data)
 
 
-@_register("spectra-cluster", "Cluster states are rank four and flat across the odd/even cut, rank two across neighbor cuts.")
-def _spectra_cluster(config: ClaimConfig):
-    bad4, data4 = _check_spectra("cluster4", [(1, 3), (1, 2), (1,)])
-    bad5, data5 = _check_spectra("cluster5", [(1, 3, 5), (1,)])
-    return _finish(bad4 + bad5, "odd/even cuts flat at 1/4, edge cuts at 1/2", {"cluster4": data4, "cluster5": data5})
+# The balanced cuts of four qubits and the qubit pairs of three.
+_BALANCED = ((1, 2), (1, 3), (1, 4))
+_PAIRS3 = ((1, 2), (1, 3), (2, 3))
 
 
-@_register("spectra-chi-omega", "The four-term and eight-term phase states are flat on two of the three balanced cuts and rank two on the third.")
-def _spectra_chi_omega(config: ClaimConfig):
-    senders = [(1, 2), (1, 3), (1, 4)]
-    bad_c, data_c = _check_spectra("chi", senders)
-    bad_o, data_o = _check_spectra("omega", senders)
-    return _finish(
-        bad_c + bad_o,
-        "both states: flat across {1,2} and {1,3}, two-level across {1,4}",
-        {"chi": data_c, "omega": data_o},
-    )
+@_register("spectra-cluster", "Cluster states are rank four and flat across the odd/even cut, rank two across neighbor cuts.",
+           (("cluster4", "cluster4", ((1, 3), (1, 2), (1,))), ("cluster5", "cluster5", ((1, 3, 5), (1,)))),
+           "odd/even cuts flat at 1/4, edge cuts at 1/2")
+@_register("spectra-chi-omega", "The four-term and eight-term phase states are flat on two of the three balanced cuts and rank two on the third.",
+           (("chi", "chi", _BALANCED), ("omega", "omega", _BALANCED)),
+           "both states: flat across {1,2} and {1,3}, two-level across {1,4}")
+@_register("spectra-products", "Bell-pair products are flat across interleaved cuts and rank one across the pairing cut.",
+           (("bell_product2", "bell_product:2", ((1, 3), (1, 2))), ("odd1", "odd_resource:1", ((1, 3), (3,))), ("odd2", "odd_resource:2", ((1, 3, 5), (5,)))),
+           "interleaved cuts flat, pairing cuts rank one")
+def _spectra_of_states(config: ClaimConfig, rows, ok_detail: str):
+    """``_check_spectra`` on each (label, spec, senders) row, data by label."""
+    bad = []
+    data = {}
+    for label, spec, senders in rows:
+        case_bad, data[label] = _check_spectra(spec, senders)
+        bad += case_bad
+    return _finish(bad, ok_detail, data)
 
 
 @_register("spectra-hs", "The six-term phase state has the same spectrum {1/2, 1/6, 1/6, 1/6} on every balanced cut.")
 def _spectra_hs(config: ClaimConfig):
-    bad, data = _check_spectra("hs", [(1, 2), (1, 3), (1, 4)])
+    bad, data = _check_spectra("hs", _BALANCED)
     ent = entropy(schmidt_spectrum(hs(), _cut((1, 2), 4)))
     data["balanced_entropy"] = float(ent)
     if abs(ent - 1.79248125036058) > ATOL:
@@ -362,18 +380,6 @@ def _spectra_hs(config: ClaimConfig):
 def _spectra_w2(config: ClaimConfig):
     bad, data = _check_spectra("w:2", [(1,), (2,), (3,)])
     return _finish(bad, "qubit spectra match the closed forms", data)
-
-
-@_register("spectra-products", "Bell-pair products are flat across interleaved cuts and rank one across the pairing cut.")
-def _spectra_products(config: ClaimConfig):
-    bad2, data2 = _check_spectra("bell_product:2", [(1, 3), (1, 2)])
-    bad1, data1 = _check_spectra("odd_resource:1", [(1, 3), (3,)])
-    bad3, data3 = _check_spectra("odd_resource:2", [(1, 3, 5), (5,)])
-    return _finish(
-        bad2 + bad1 + bad3,
-        "interleaved cuts flat, pairing cuts rank one",
-        {"bell_product2": data2, "odd1": data1, "odd2": data3},
-    )
 
 
 @_register("uniform-marginals", "GHZ single-qubit marginals and the flat two-qubit marginals of the four-qubit catalog states are maximally mixed.")
@@ -403,30 +409,16 @@ def _uniform_marginals(config: ClaimConfig):
 # constructions
 
 
-@_register("construct-ghz3", "A controlled flip at (1, 3) turns a Bell pair plus ancilla into the three-qubit GHZ state.")
-def _construct_ghz3(config: ClaimConfig):
-    src = tensor(bell(), basis_state("0"))
-    out = apply_local(src, cnot(), (1, 3))
-    ok = states_close(out, ghz(3))
-    dev = float(np.max(np.abs(out.amplitudes - ghz(3).amplitudes)))
-    return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
-
-
-@_register("construct-cluster4", "A controlled flip at (1, 3) turns two interleaved Bell pairs into the four-qubit cluster state.")
-def _construct_cluster4(config: ClaimConfig):
-    out = apply_local(bell_product(2), cnot(), (1, 3))
-    dev = float(np.max(np.abs(out.amplitudes - cluster4().amplitudes)))
-    ok = dev <= ATOL
-    return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
-
-
-@_register("construct-cluster5", "Controlled flips at (1, 3) then (3, 5) turn two Bell pairs plus ancilla into the five-qubit cluster state.")
-def _construct_cluster5(config: ClaimConfig):
-    mid = apply_local(odd_resource(2), cnot(), (1, 3))
-    out = apply_local(mid, cnot(), (3, 5))
-    dev = float(np.max(np.abs(out.amplitudes - cluster5().amplitudes)))
-    ok = dev <= ATOL
-    return _finish([] if ok else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
+@_register("construct-ghz3", "A controlled flip at (1, 3) turns a Bell pair plus ancilla into the three-qubit GHZ state.", "odd_resource:1", ((1, 3),), "ghz:3")
+@_register("construct-cluster4", "A controlled flip at (1, 3) turns two interleaved Bell pairs into the four-qubit cluster state.", "bell_product:2", ((1, 3),), "cluster4")
+@_register("construct-cluster5", "Controlled flips at (1, 3) then (3, 5) turn two Bell pairs plus ancilla into the five-qubit cluster state.", "odd_resource:2", ((1, 3), (3, 5)), "cluster5")
+def _construct(config: ClaimConfig, source: str, placements, target: str):
+    """Controlled flips at ``placements``, in order, turn ``source`` into ``target``."""
+    out = make_state(parse_spec(source))
+    for pair in placements:
+        out = apply_local(out, cnot(), pair)
+    dev = float(np.max(np.abs(out.amplitudes - make_state(parse_spec(target)).amplitudes)))
+    return _finish([] if dev <= ATOL else [f"amplitude deviation {dev:.2e}"], "identity holds exactly", {"deviation": dev})
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +472,33 @@ def _profile(spec: str, caps=(), msgs=()):
     return bad, got_caps, got_msgs, _tmes_doc(verdict)
 
 
-@_register("bell-maximal", "A Bell pair teleports one qubit and carries four messages: maximal on two qubits.")
-def _bell_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("bell", [(1,)], [(1,)])
-    return _finish(bad, "capacity 1, messages 4, maximal", {"capacity": caps["1"], "messages": msgs["1"], "tmes": tmes})
+def _one_sender(spec: str, sender):
+    """``_profile`` with one sender for both counts; returns (bad, data)."""
+    bad, caps, msgs, tmes = _profile(spec, [sender], [sender])
+    return bad, {"capacity": caps[_key(sender)], "messages": msgs[_key(sender)], "tmes": tmes}
 
 
-@_register("ghz3-maximal", "The three-qubit GHZ state teleports one qubit and carries eight messages through a two-qubit sender.")
-def _ghz3_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("ghz:3", [(1, 2)], [(1, 2)])
-    return _finish(bad, "capacity 1, messages 8, maximal", {"capacity": caps["1,2"], "messages": msgs["1,2"], "tmes": tmes})
+@_register("bell-maximal", "A Bell pair teleports one qubit and carries four messages: maximal on two qubits.", "bell", (1,), "capacity 1, messages 4, maximal")
+@_register("ghz3-maximal", "The three-qubit GHZ state teleports one qubit and carries eight messages through a two-qubit sender.", "ghz:3", (1, 2), "capacity 1, messages 8, maximal")
+@_register("cluster5-maximal", "The five-qubit cluster state teleports two qubits and carries thirty-two messages through the odd triple.", "cluster5", (1, 3, 5), "capacity 2 and 32 messages on the odd triple")
+def _one_sender_profile(config: ClaimConfig, spec: str, sender, ok_detail: str):
+    bad, data = _one_sender(spec, sender)
+    return _finish(bad, ok_detail, data)
 
 
-@_register("ghz4-not-maximal", "The four-qubit GHZ state misses both thresholds: one teleported qubit and eight messages on every balanced split.")
-def _ghz4_not_maximal(config: ClaimConfig):
-    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    bad, caps, msgs, tmes = _profile("ghz:4", pairs[:3], pairs)
-    return _finish(bad, "capacity 1 < 2 and 8 < 16 messages on every split", {"capacities": caps, "messages": msgs, "tmes": tmes})
+@_register("ghz4-not-maximal", "The four-qubit GHZ state misses both thresholds: one teleported qubit and eight messages on every balanced split.",
+           "ghz:4", _BALANCED, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), "capacity 1 < 2 and 8 < 16 messages on every split")
+@_register("chi-maximal", "The eight-term phase state is maximal, with the {1,4} split strictly weaker than the other two.",
+           "chi", _BALANCED, _BALANCED, "maximal through {1,2} and {1,3}; {1,4} falls short")
+@_register("omega-maximal", "The four-term phase state is maximal, with the {1,4} split strictly weaker than the other two.",
+           "omega", _BALANCED, ((1, 3), (2, 4)), "maximal through {1,2} and {1,3}; {1,4} falls short")
+@_register("hs-not-maximal", "The six-term phase state teleports nothing across any balanced cut and stays below sixteen messages.",
+           "hs", _BALANCED, _BALANCED, "capacity 0 everywhere; messages stay below 16")
+@_register("w2-maximal", "The weighted three-qubit superposition is maximal through the {1,2} sender but not through every pair.",
+           "w:2", _PAIRS3, _PAIRS3, "maximal through (1, 2); other pairs fall short of 8 messages")
+def _many_sender_profile(config: ClaimConfig, spec: str, caps, msgs, ok_detail: str):
+    bad, got_caps, got_msgs, tmes = _profile(spec, caps, msgs)
+    return _finish(bad, ok_detail, {"capacities": got_caps, "messages": got_msgs, "tmes": tmes})
 
 
 @_register("ghz5-not-maximal", "The five-qubit GHZ state reaches sixteen messages but only one teleported qubit, so it is not maximal.")
@@ -512,43 +514,6 @@ def _cluster4_maximal(config: ClaimConfig):
         bad,
         "capacity 2 and 16 messages on the odd/even split",
         {"capacity_odd": caps["1,3"], "capacity_edge": caps["1,2"], "messages": msgs["1,3"], "tmes": tmes},
-    )
-
-
-@_register("cluster5-maximal", "The five-qubit cluster state teleports two qubits and carries thirty-two messages through the odd triple.")
-def _cluster5_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("cluster5", [(1, 3, 5)], [(1, 3, 5)])
-    return _finish(bad, "capacity 2 and 32 messages on the odd triple", {"capacity": caps["1,3,5"], "messages": msgs["1,3,5"], "tmes": tmes})
-
-
-@_register("chi-maximal", "The eight-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
-def _chi_maximal(config: ClaimConfig):
-    senders = [(1, 2), (1, 3), (1, 4)]
-    bad, caps, msgs, tmes = _profile("chi", senders, senders)
-    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
-
-
-@_register("omega-maximal", "The four-term phase state is maximal, with the {1,4} split strictly weaker than the other two.")
-def _omega_maximal(config: ClaimConfig):
-    bad, caps, msgs, tmes = _profile("omega", [(1, 2), (1, 3), (1, 4)], [(1, 3), (2, 4)])
-    return _finish(bad, "maximal through {1,2} and {1,3}; {1,4} falls short", {"capacities": caps, "messages": msgs, "tmes": tmes})
-
-
-@_register("hs-not-maximal", "The six-term phase state teleports nothing across any balanced cut and stays below sixteen messages.")
-def _hs_not_maximal(config: ClaimConfig):
-    senders = [(1, 2), (1, 3), (1, 4)]
-    bad, caps, msgs, tmes = _profile("hs", senders, senders)
-    return _finish(bad, "capacity 0 everywhere; messages stay below 16", {"capacities": caps, "messages": msgs, "tmes": tmes})
-
-
-@_register("w2-maximal", "The weighted three-qubit superposition is maximal through the {1,2} sender but not through every pair.")
-def _w2_maximal(config: ClaimConfig):
-    senders = [(1, 2), (1, 3), (2, 3)]
-    bad, caps, msgs, tmes = _profile("w:2", senders, senders)
-    return _finish(
-        bad,
-        "maximal through (1, 2); other pairs fall short of 8 messages",
-        {"capacities": caps, "messages": msgs, "tmes": tmes},
     )
 
 
@@ -570,9 +535,8 @@ def _odd_resource_maximal(config: ClaimConfig):
     bad = []
     data = {}
     for label, spec, sender in (("n3", "odd_resource:1", (1, 3)), ("n5", "odd_resource:2", (1, 3, 5))):
-        case_bad, caps, msgs, tmes = _profile(spec, [sender], [sender])
+        case_bad, data[label] = _one_sender(spec, sender)
         bad += case_bad
-        data[label] = {"capacity": caps[_key(sender)], "messages": msgs[_key(sender)], "tmes": tmes}
     return _finish(bad, "three- and five-qubit resources both maximal", data)
 
 
@@ -591,9 +555,10 @@ def _basis_not_maximal(config: ClaimConfig):
 # protocol simulations
 
 
-def _teleport_trials(state, sender, n_payload, outcomes, config):
+def _teleport_trials(spec: str, sender, n_payload, outcomes, config):
     """Seeded payload trials that should each have ``outcomes`` outcomes,
     run as one stack; returns (bad, data)."""
+    state = make_state(parse_spec(spec))
     payloads = np.array(
         [haar_random_state(n_payload, config.seed + t).amplitudes for t in range(PAYLOAD_TRIALS)]
     )
@@ -622,58 +587,60 @@ def _teleport_trials(state, sender, n_payload, outcomes, config):
     return bad, data
 
 
-@_register("teleport-bell", "A Bell pair teleports arbitrary single-qubit payloads perfectly with four uniform outcomes.")
-def _teleport_bell(config: ClaimConfig):
-    bad, data = _teleport_trials(bell(), (1,), 1, 4, config)
-    return _finish(bad, "unit fidelity across seeded payloads, uniform 1/4 outcomes", data)
-
-
-@_register("teleport-cluster4", "The four-qubit cluster state teleports arbitrary two-qubit payloads through the odd pair with sixteen uniform outcomes.")
-def _teleport_cluster4(config: ClaimConfig):
-    bad, data = _teleport_trials(cluster4(), (1, 3), 2, 16, config)
-    return _finish(bad, "unit fidelity across seeded payloads, uniform 1/16 outcomes", data)
-
-
-@_register("teleport-cluster5", "The five-qubit cluster state teleports arbitrary two-qubit payloads through the odd triple with sixteen uniform outcomes.")
-def _teleport_cluster5(config: ClaimConfig):
-    bad, data = _teleport_trials(cluster5(), (1, 3, 5), 2, 16, config)
-    return _finish(bad, "unit fidelity across seeded payloads, uniform 1/16 outcomes", data)
+@_register("teleport-bell", "A Bell pair teleports arbitrary single-qubit payloads perfectly with four uniform outcomes.", "bell", (1,), 1, 4)
+@_register("teleport-cluster4", "The four-qubit cluster state teleports arbitrary two-qubit payloads through the odd pair with sixteen uniform outcomes.", "cluster4", (1, 3), 2, 16)
+@_register("teleport-cluster5", "The five-qubit cluster state teleports arbitrary two-qubit payloads through the odd triple with sixteen uniform outcomes.", "cluster5", (1, 3, 5), 2, 16)
+def _seeded_teleport(config: ClaimConfig, spec: str, sender, n_payload: int, outcomes: int):
+    bad, data = _teleport_trials(spec, sender, n_payload, outcomes, config)
+    return _finish(bad, f"unit fidelity across seeded payloads, uniform 1/{outcomes} outcomes", data)
 
 
 @_register("teleport-below-capacity", "Resources with spare capacity still teleport smaller payloads perfectly.")
 def _teleport_below_capacity(config: ClaimConfig):
     bad = []
     data = {}
-    for label, state, sender, n_payload, count in (
-        ("cluster4_p1", cluster4(), (1, 3), 1, 8),
-        ("cluster5_p1", cluster5(), (1, 3, 5), 1, 8),
-        ("ghz4_single_sender", ghz(4), (1,), 1, 4),
-        ("ghz5_pair_sender", ghz(5), (1, 2), 1, 4),
+    for label, spec, sender, n_payload, count in (
+        ("cluster4_p1", "cluster4", (1, 3), 1, 8),
+        ("cluster5_p1", "cluster5", (1, 3, 5), 1, 8),
+        ("ghz4_single_sender", "ghz:4", (1,), 1, 4),
+        ("ghz5_pair_sender", "ghz:5", (1, 2), 1, 4),
     ):
-        case_bad, data[label] = _teleport_trials(state, sender, n_payload, count, config)
+        case_bad, data[label] = _teleport_trials(spec, sender, n_payload, count, config)
         bad.extend(f"{label}: {b}" for b in case_bad)
     return _finish(bad, "one-qubit payloads ride four resources at unit fidelity", data)
 
 
-@_register("teleport-rejects-insufficient", "Protocol construction refuses payloads beyond the spectral capacity.")
-def _teleport_rejects(config: ClaimConfig):
-    attempts = (
-        ("ghz4_payload2", ghz(4), (1, 3), 2),
-        ("hs_payload1", hs(), (1, 2), 1),
-        ("w2_weak_pair", w_state(2), (1, 3), 1),
-        ("bell_payload2", bell(), (1,), 2),
-    )
+# The refusal rows call the library through these, which look its function
+# up when they run, so a caller that rebinds a name in this module (a span
+# tracer, a test spy) sees each call.
+def _teleport_protocol(state, sender, n_payload: int):
+    return build_teleport_protocol(state, _cut(sender, state.num_qubits), n_payload)
+
+
+def _sdc_codebook(state, sender, num_messages: int):
+    return build_sdc_codebook(state, sender, num_messages)
+
+
+@_register("teleport-rejects-insufficient", "Protocol construction refuses payloads beyond the spectral capacity.", _teleport_protocol,
+           (("ghz4_payload2", "ghz:4", (1, 3), 2), ("hs_payload1", "hs", (1, 2), 1), ("w2_weak_pair", "w:2", (1, 3), 1), ("bell_payload2", "bell", (1,), 2)),
+           "all four over-capacity requests rejected")
+@_register("sdc-rejects-overflow", "Codebook construction refuses message counts above the attainable maximum.", _sdc_codebook,
+           (("ghz4_ask16", "ghz:4", (1, 3), 16), ("hs_ask16", "hs", (1, 2), 16), ("basis_ask3", "basis:00", (1,), 3)),
+           "all oversize codebook requests rejected")
+def _refusals(config: ClaimConfig, build, rows, ok_detail: str):
+    """``build(state, sender, size)`` raises ValueError on every (label,
+    spec, sender, size) row; data holds each message by label."""
     bad = []
     data = {}
-    for label, state, sender, n_payload in attempts:
+    for label, spec, sender, size in rows:
         try:
-            build_teleport_protocol(state, _cut(sender, state.num_qubits), n_payload)
+            build(make_state(parse_spec(spec)), sender, size)
         except ValueError as err:
             data[label] = str(err)
         else:
             bad.append(f"{label}: construction unexpectedly succeeded")
             data[label] = None
-    return _finish(bad, "all four over-capacity requests rejected", data)
+    return _finish(bad, ok_detail, data)
 
 
 @_register("protocol-structure", "The cluster-state protocol exposes sixteen orthonormal measurement states with uniform outcome weights and unitary corrections.")
@@ -722,25 +689,6 @@ def _sdc_roundtrip(config: ClaimConfig):
         if wrong:
             bad.append(f"{label}: decode errors at {wrong}")
     return _finish(bad, "4, 8, 16, and 32-message codebooks decode perfectly", data)
-
-
-@_register("sdc-rejects-overflow", "Codebook construction refuses message counts above the attainable maximum.")
-def _sdc_rejects(config: ClaimConfig):
-    bad = []
-    data = {}
-    for label, state, sender, ask in (
-        ("ghz4_ask16", ghz(4), (1, 3), 16),
-        ("hs_ask16", hs(), (1, 2), 16),
-        ("basis_ask3", basis_state("00"), (1,), 3),
-    ):
-        try:
-            build_sdc_codebook(state, sender, ask)
-        except ValueError as err:
-            data[label] = str(err)
-        else:
-            bad.append(f"{label}: construction unexpectedly succeeded")
-            data[label] = None
-    return _finish(bad, "all oversize codebook requests rejected", data)
 
 
 def _invariance_figures(seed: int) -> list[tuple[int, int]]:
@@ -805,17 +753,17 @@ def _obstruct_ghz4(config: ClaimConfig):
     return _finish(bad, "flat 1/4 spectrum against two-level target certifies impossibility", data)
 
 
+def _pair_obstructions(src, tgt) -> dict:
+    """``conversion_obstruction`` of three-qubit ``src`` to ``tgt`` on each
+    qubit pair, keyed by the pair."""
+    return {pair: conversion_obstruction(src, tgt, pair) for pair in _PAIRS3}
+
+
 @_register("obstruct-bell-ancilla-to-w2", "No two-qubit gate anywhere can turn a Bell pair plus ancilla into the weighted three-qubit superposition.")
 def _obstruct_w2(config: ClaimConfig):
-    src = tensor(bell(), basis_state("0"))
-    tgt = w_state(2)
-    bad = []
-    data = {}
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        report = conversion_obstruction(src, tgt, pair)
-        data[",".join(map(str, pair))] = _violations_doc(report)
-        if not report.obstructed:
-            bad.append(f"subset {pair} is not obstructed")
+    reports = _pair_obstructions(tensor(bell(), basis_state("0")), w_state(2))
+    bad = [f"subset {pair} is not obstructed" for pair, report in reports.items() if not report.obstructed]
+    data = {_key(pair): _violations_doc(report) for pair, report in reports.items()}
     return _finish(bad, "every two-qubit placement hits a spectrum mismatch", data)
 
 
@@ -891,13 +839,10 @@ def _w2_unrealizable(config: ClaimConfig):
     src = tensor(bell(), basis_state("0"))
     tgt = w_state(2)
     place = find_realizing_application(u_w2(), src, tgt)
-    obstructions = {}
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        report = conversion_obstruction(src, tgt, pair)
-        obstructions[",".join(map(str, pair))] = {
-            "obstructed": report.obstructed,
-            "violations": _violations_doc(report),
-        }
+    obstructions = {
+        _key(pair): {"obstructed": report.obstructed, "violations": _violations_doc(report)}
+        for pair, report in _pair_obstructions(src, tgt).items()
+    }
     data = {
         "search_found": place.found,
         "search_best_overlap": place.best_overlap,
@@ -959,20 +904,13 @@ def _gamma_certification(config: ClaimConfig):
     return _finish(bad, "16 unitaries, rank 16, pairwise trace-orthogonal", data)
 
 
-@_register("family-rank-level-3", "The recursion yields 64 three-qubit unitaries; their independence rank is recorded.")
-def _family_level3(config: ClaimConfig):
-    fam = operator_family(3)
-    rank = independence_rank(fam.members)
-    data = {"members": len(fam.members), "rank": rank}
-    return "recorded", f"64 unitaries at arity 3; independence rank {rank}", data
-
-
-@_register("family-rank-level-4", "The recursion yields 256 four-qubit unitaries; their independence rank is recorded.")
-def _family_level4(config: ClaimConfig):
-    fam = operator_family(4)
-    rank = independence_rank(fam.members)
-    data = {"members": len(fam.members), "rank": rank}
-    return "recorded", f"256 unitaries at arity 4; independence rank {rank}", data
+@_register("family-rank-level-3", "The recursion yields 64 three-qubit unitaries; their independence rank is recorded.", 3)
+@_register("family-rank-level-4", "The recursion yields 256 four-qubit unitaries; their independence rank is recorded.", 4)
+def _family_rank(config: ClaimConfig, level: int):
+    members = operator_family(level).members
+    rank = independence_rank(members)
+    data = {"members": len(members), "rank": rank}
+    return "recorded", f"{len(members)} unitaries at arity {level}; independence rank {rank}", data
 
 
 # ---------------------------------------------------------------------------
@@ -1089,8 +1027,8 @@ def run_claim_suite(config: ClaimConfig | None = None) -> tuple[ClaimReport, ...
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
     reports = []
     for cid in selected:
-        anchor, fn = _REGISTRY[cid]
-        verdict, detail, data = fn(config)
+        anchor, fn, args = _REGISTRY[cid]
+        verdict, detail, data = fn(config, *args)
         reports.append(ClaimReport(cid, anchor, verdict, detail, data))
     return tuple(reports)
 

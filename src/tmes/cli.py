@@ -39,11 +39,11 @@ from .serialize import (
     write_file,
 )
 from .states import make_state, parse_spec
-from .statevec import EXACT_ATOL, Partition, PureState, _integer_text, schmidt_spectrum
+from .statevec import EXACT_ATOL, Partition, PureState, _integer_text, _strip_text, schmidt_spectrum
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p for p in map(_strip_text, text.split(",")) if p]
     if not parts:
         raise ValueError(f"expected a comma-separated qubit list, got {text!r}")
     try:
@@ -182,7 +182,7 @@ def _cmd_obstruct(args) -> int:
 def _cmd_verify(args) -> int:
     ids = None
     if args.claims is not None:
-        ids = tuple(p.strip() for p in args.claims.split(",") if p.strip())
+        ids = tuple(p for p in map(_strip_text, args.claims.split(",")) if p)
     config = ClaimConfig(seed=args.seed, claim_ids=ids)
     reports = run_claim_suite(config)
     width = max(len(r.claim_id) for r in reports)

@@ -25,6 +25,7 @@ from .statevec import (
     _freeze,
     _integer,
     _integer_text,
+    _strip_text,
     apply_local,
     overlap,
 )
@@ -131,7 +132,7 @@ _NAMED = {
 def named_operator(name: str) -> LocalOperator:
     """Look up an operator by name: sigma0..sigma3, cnot, u_y, u_z, u_chi,
     u_w2, or gamma1..gamma16."""
-    key = name.strip().lower()
+    key = _strip_text(name).lower()
     if key.startswith("gamma"):
         try:
             return gamma(_integer_text(key[5:]))

@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevec import PureState, _integer, _integer_text, check_state_size, tensor
+from .statevec import PureState, _integer, _integer_text, _strip_text, check_state_size, tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -184,9 +184,9 @@ KINDS = frozenset(_CATALOG)
 
 def parse_spec(text: str) -> StateSpec:
     """Parse a spec string such as ``ghz:4``, ``bell:psi-`` or ``basis:0110``."""
-    kind, sep, arg = text.strip().partition(":")
-    kind = kind.strip().lower()
-    arg = arg.strip()
+    kind, sep, arg = _strip_text(text).partition(":")
+    kind = _strip_text(kind).lower()
+    arg = _strip_text(arg)
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}; expected one of {sorted(KINDS)}")
     param = _CATALOG[kind][1]

@@ -104,6 +104,13 @@ def _integer_text(text: str) -> int:
     return int(text)
 
 
+def _strip_text(text: str) -> str:
+    """``text`` without leading and trailing ASCII whitespace.  The library's
+    text parsers strip with this alone: ``str.strip()`` would also remove
+    Unicode spaces such as U+00A0, which ``_integer_text`` refuses."""
+    return text.strip(" \t\n\r\v\f")
+
+
 def _qubit_list(qubits: Iterable[int], num_qubits: int, what: str) -> tuple[int, ...]:
     """``qubits`` in the order given, each an int in 1..num_qubits under
     ``_integer``, none repeated.  ``what`` names them in the message."""
@@ -349,7 +356,9 @@ def _require_cut(state: PureState, cut: Partition) -> None:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product with ``a``'s qubits first (most significant)."""
+    """Tensor product with ``a``'s qubits first (most significant); an
+    oversize product is refused before it is formed."""
+    check_state_size(a.num_qubits + b.num_qubits, "a state")
     return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tmes
 from tmes.claims import (
     RECORDED_CLAIMS,
     ClaimConfig,
@@ -77,6 +81,29 @@ class TestRegistry:
         reports = run_claim_suite(ClaimConfig(claim_ids=("bell-catalog",)))
         assert len(reports) == 1
         assert reports[0].claim_id == "bell-catalog"
+
+    def test_import_builds_no_state(self):
+        # Claim cases are spec strings and tuples, so state construction stays
+        # inside the claims that run.  The probe counts PureState.__post_init__
+        # calls from before the package body imports tmes.claims.
+        probe = (
+            "import importlib.util, sys\n"
+            "spec = importlib.util.find_spec('tmes')\n"
+            "package = sys.modules['tmes'] = importlib.util.module_from_spec(spec)\n"
+            "from tmes import statevec\n"
+            "built = []\n"
+            "init = statevec.PureState.__post_init__\n"
+            "statevec.PureState.__post_init__ = lambda self: (built.append(self), init(self))[1]\n"
+            "spec.loader.exec_module(package)\n"
+            "import tmes.claims\n"
+            "print(len(tmes.claims.claim_ids()), len(built))\n"
+        )
+        src = str(Path(tmes.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == [str(len(claim_ids())), "0"]
 
 
 class TestFullSuite:

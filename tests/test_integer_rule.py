@@ -7,6 +7,7 @@ alone: ASCII digits after at most one minus sign."""
 from __future__ import annotations
 
 import dataclasses
+import string
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ from tmes.statevec import (
 )
 
 FLOAT_ARRAY = np.array([1.0, 2.0])
-NOT_INTS = [True, 1.0, 1.5, np.float64(1), "1", FLOAT_ARRAY]
-NOT_INT_IDS = ["True", "1.0", "1.5", "np.float64", "str", "float-array"]
+NOT_INTS = [True, False, 1.0, 2.0, 1.5, np.float64(1), "1", FLOAT_ARRAY]
+NOT_INT_IDS = ["True", "False", "1.0", "2.0", "1.5", "np.float64", "str", "float-array"]
 
 _CUT = Partition.from_sender((1, 3), 4)
 _PROTOCOL = build_teleport_protocol(cluster4(), _CUT, 1)
@@ -124,6 +125,23 @@ COLLECTIONS = [
 @pytest.mark.parametrize("value", NOT_INTS, ids=NOT_INT_IDS)
 @pytest.mark.parametrize("call,message", [row[1:] for row in SCALARS], ids=[row[0] for row in SCALARS])
 def test_scalar_refusals(call, message, value):
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert str(caught.value) == f"{message}, got {value!r}"
+
+
+# Values refused at some SCALARS entry points only, as (id, value): None is
+# the default message count, and 0 a valid seed.
+SOME_SCALARS = [
+    *((entry, None) for entry in ("seed-haar", "seed-teleport", "seed-teleport-state")),
+    *((entry, None) for entry in ("payload-build", "payload-simulate", "payload-protocol")),
+    *(("message-count", value) for value in (0, -2, 2.5, "4")),
+]
+
+
+@pytest.mark.parametrize("entry,value", SOME_SCALARS, ids=[f"{e}-{v}" for e, v in SOME_SCALARS])
+def test_refusals_at_some_entry_points(entry, value):
+    call, message = next(row[1:] for row in SCALARS if row[0] == entry)
     with pytest.raises(ValueError) as caught:
         call(value)
     assert str(caught.value) == f"{message}, got {value!r}"
@@ -264,8 +282,9 @@ def test_integer_text_reads_what_it_takes(text, value):
     assert type(_integer_text(text)) is int
 
 
-# A spec or operator name is stripped of surrounding whitespace first.
-UNSPACED = [(t, i) for t, i in zip(LITERAL_FORMS, LITERAL_IDS) if t and t == t.strip()]
+# A spec or operator name is stripped of surrounding ASCII whitespace first;
+# a no-break space is kept and refused.
+UNSPACED = [(t, i) for t, i in zip(LITERAL_FORMS, LITERAL_IDS) if t and t == t.strip(string.whitespace)]
 
 
 @pytest.mark.parametrize("text", [t for t, _ in UNSPACED], ids=[i for _, i in UNSPACED])
@@ -278,6 +297,11 @@ def test_library_text_parsers_refuse_literal_forms(text):
 
 def test_library_text_parsers_name_the_text():
     assert parse_spec("ghz: 10 ") == parse_spec("ghz:10")
+    assert parse_spec("\tghz:10\n") == parse_spec("ghz:10")
+    kind = "\u3000ghz"
+    with pytest.raises(ValueError) as caught:
+        parse_spec(f"{kind}:3")
+    assert str(caught.value).startswith(f"unknown state kind {kind!r};")
     with pytest.raises(ValueError) as caught:
         parse_spec("ghz:1_0")
     assert str(caught.value) == "parameter for 'ghz' must be an integer, got '1_0'"
@@ -300,7 +324,7 @@ def test_cli_state_spec_refuses_literal_forms(capsys, text):
     assert err == f"error: parameter for 'ghz' must be an integer, got {text!r}\n"
 
 
-@pytest.mark.parametrize("sender", ["1,0_2", "+1,3", "1,٣"], ids=["underscore", "plus", "arabic-indic"])
+@pytest.mark.parametrize("sender", ["1,0_2", "+1,3", "1,٣", "1,\u00a03"], ids=["underscore", "plus", "arabic-indic", "nbsp"])
 def test_cli_qubit_list_refuses_literal_forms(capsys, tmp_path, sender):
     path = tmp_path / "state.json"
     save_state(cluster4(), path)
@@ -308,6 +332,14 @@ def test_cli_qubit_list_refuses_literal_forms(capsys, tmp_path, sender):
                  ["obstruct", "--source", str(path), "--target", str(path), "--subset", sender]):
         err = _one_error_line(capsys, argv, 1)
         assert err == f"error: expected a comma-separated qubit list, got {sender!r}\n"
+
+
+def test_cli_qubit_list_strips_ascii_spaces(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    save_state(cluster4(), path)
+    for sender in ("1, 3", "\t1 ,3\n"):
+        assert main(["capacity", "--state", str(path), "--sender", sender]) == 0
+        assert "cut: {1,3} | {2,4}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["1_0", "+1", " 1", "٣"], ids=["underscore", "plus", "space", "arabic-indic"])

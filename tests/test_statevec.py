@@ -277,6 +277,19 @@ def test_dense_constructors_check_size_first(build, message):
     assert str(err.value) == message.format(n=n)
 
 
+def test_tensor_checks_size_before_forming_the_product(monkeypatch):
+    # ghz(12) x ghz(13) would be a 512 MiB product, above the 256 MiB cap
+    left, right = ghz(12), ghz(13)
+
+    def kron(a, b):
+        raise AssertionError("the product was formed before the size check")
+
+    monkeypatch.setattr(statevec.np, "kron", kron)
+    with pytest.raises(ValueError) as err:
+        tensor(left, right)
+    assert str(err.value) == "a state on 25 qubits is above the 256 MiB cap"
+
+
 # Every qubit list a caller names goes through one check: refused when empty
 # or outside 1..n, repeats collapsed.
 @pytest.mark.parametrize(
