@@ -194,6 +194,18 @@ class TestHaarSampling:
         with pytest.raises(ValueError, match="seed must be a non-negative int, got -1"):
             haar_random_state(2, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_is_an_int(self, seed):
+        # a float once reached numpy's TypeError, and True ran as seed 1
+        message = re.escape(f"seed must be a non-negative int, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            haar_random_state(2, seed=seed)
+        state, cut = cluster4(), _cut((1, 3), 4)
+        for payload in (1, haar_random_state(1)):
+            with pytest.raises(ValueError, match=message):
+                simulate_teleportation(state, cut, payload, seed=seed)
+        assert haar_random_state(2, np.int64(3)).amplitudes.tobytes() == haar_random_state(2, 3).amplitudes.tobytes()
+
 
 def _figure_rows(field: str, lead) -> list:
     """(state, sender, expected ``field``) for every row of ``FIGURES``.
@@ -436,6 +448,20 @@ class TestTeleportProtocol:
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
         with pytest.raises(ValueError, match="equal nonzero length"):
             dataclasses.replace(proto, bases=np.zeros((0, 2, 2)), block_probabilities=())
+
+    @pytest.mark.parametrize("size", [1.5, 1.0, True, "1"])
+    def test_payload_size_must_be_int(self, size):
+        # A float once reached an IndexError or AttributeError, and True
+        # passed as one qubit.
+        state, cut = cluster4(), _cut((1, 3), 4)
+        proto = build_teleport_protocol(state, cut, 1)
+        message = re.escape(f"a payload size must be an int of at least 1 qubit, got {size!r}")
+        with pytest.raises(ValueError, match=message):
+            build_teleport_protocol(state, cut, size)
+        with pytest.raises(ValueError, match=message):
+            simulate_teleportation(state, cut, size)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(proto, n_payload=size)
 
     def test_conjugate_family_is_kept_read_only(self):
         proto = build_teleport_protocol(bell(), _cut((1,), 2), 1)
@@ -1160,6 +1186,12 @@ class TestSdcCodebook:
         message = re.escape(f"message index must be an int in 0..15, got {index!r}")
         with pytest.raises(ValueError, match=message):
             simulate_sdc(cluster4(), (1, 3), index, book)
+
+    @pytest.mark.parametrize("count", [1.0, True])
+    def test_message_count_is_an_int(self, count):
+        message = re.escape(f"a codebook needs an int of at least 1 message, got {count!r}")
+        with pytest.raises(ValueError, match=message):
+            build_sdc_codebook(ghz(3), (1, 2), count)
 
     def test_direct_construction_validates(self):
         # basis:00 has <Z> = 1 on qubit 1: I and Z encode the same state
