@@ -8,8 +8,8 @@ cross-checks them.  Superdense-coding verdicts count the largest family of
 Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
 
-``cut_reports``, which the maximality verdict folds over, scores the balanced
-cuts a chunk at a time, one matrix per class of cuts with equal matrices
+The maximality verdict, over one report per class of cuts with equal matrices,
+and ``cut_reports`` score the balanced cuts a chunk of classes at a time
 (``statevec._cut_stacks``), through one kernel over any stack of amplitude
 matrices: the stack gives every cut's Schmidt spectrum (a batched SVD) and
 sender marginal (a batched Gram product), the marginals give the Pauli
@@ -579,40 +579,36 @@ class CutReport(NamedTuple):
 
 def cut_reports(state: PureState) -> Iterator[CutReport]:
     """A ``CutReport`` for every cut with a ceil(n/2)-qubit sender, in
-    ``combinations`` order: the cuts ``is_tmes`` decides over.  Each figure
-    equals the one-cut call's (``schmidt_spectrum``, ``teleport_capacity``,
-    ``sdc_max_messages``).
+    ``combinations`` order, each figure the one-cut call's
+    (``schmidt_spectrum``, ``teleport_capacity``, ``sdc_max_messages``): a
+    cut no class has covered yet pulls the next ``_balanced_classes`` class,
+    whose first cut it is, and gives its figures to every member."""
+    cuts, classes = _balanced_classes(state)
+    figures: list = [None] * len(cuts)
+    for j, cut in enumerate(cuts):
+        if figures[j] is None:
+            members, scored = next(classes)
+            for i in members:
+                figures[i] = scored
+        yield CutReport(cut, *figures[j])
 
-    The cuts ``statevec._cut_layout`` memoises are scored one
-    ``_cut_stacks`` class per matrix, a chunk of classes at a time: every
-    member of a class has its first member's figures, scored once, and the
-    scan loads a chunk only when it reaches the first cut of the chunk's
-    first class.  So a scan that stops early has gathered the rest of the
-    chunk that holds its last cut's class.  Each capacity reads the cut's
-    clustered runs and stops at the first odd one, which in a Haar cut is
-    the first.  The clique search runs only for a class whose Z is not a
-    group, and only when the scan reaches its first cut.
-    """
+
+def _balanced_classes(state: PureState) -> tuple[tuple[Partition, ...], Iterator[tuple[list[int], tuple]]]:
+    """The memoised balanced cuts of ``cut_reports`` and a lazy stream of
+    (members, figures), one per ``_cut_stacks`` class in order of first
+    cut: the positions of the cuts that share one matrix, and its figures.
+    A chunk is gathered when its first class is asked for, and a class
+    scored (its clique search run, when Z is not a group) when it is, so a
+    scan that stops early has gathered the rest of its last class's chunk.
+    Each capacity stops at the first odd clustered run: in a Haar cut, the
+    first."""
     n = state.num_qubits
     if n < 2:
         raise ValueError("the maximal-task test needs at least two qubits")
     check_qubits(n, "the maximal-task test")
     cuts = _cut_layout(n, (n + 1) // 2).cuts
     chunks = _cut_stacks(state, cuts)
-    owner: list = [None] * len(cuts)  # each cut's class, numbered in order of first cut
-    figures: list[tuple[SchmidtSpectrum, int, int]] = []
-    for j, cut in enumerate(cuts):
-        k = owner[j]
-        if k is None:  # the first cut of the next chunk's first class
-            classes, stack = next(chunks)
-            scored = _stack_figures(stack, n // 2)
-            for c, members in enumerate(classes, len(figures)):
-                for i in members:
-                    owner[i] = c
-            k = owner[j]
-        if k == len(figures):
-            figures.append(next(scored))
-        yield CutReport(cut, *figures[k])
+    return cuts, (pair for classes, stack in chunks for pair in zip(classes, _stack_figures(stack, n // 2)))
 
 
 def _stack_figures(stack: np.ndarray, receivers: int) -> Iterator[tuple[SchmidtSpectrum, int, int]]:
@@ -641,17 +637,19 @@ def is_tmes(state: PureState) -> TmesVerdict:
     can teleport floor(n/2) qubits, and some such sender set carries 2^n
     messages.  The reported figures are the best found; the witnessing
     partition meets both thresholds when one exists.  This is
-    ``tmes_verdict`` over the lazy ``cut_reports``, which scores cuts in
-    chunks: when the scan stops early, it stops at the end of the chunk that
-    holds the witness, and the figures are those of a scan that scored one
-    cut at a time.
+    ``tmes_verdict`` over one report per ``_balanced_classes`` class, at its
+    first cut: the verdict of the fold over every cut's ``cut_reports``.
+    When the scan stops early, it stops at the end of the chunk that holds
+    the witness's class.
     """
-    return tmes_verdict(cut_reports(state))
+    cuts, classes = _balanced_classes(state)
+    return tmes_verdict(CutReport(cuts[members[0]], *figures) for members, figures in classes)
 
 
 def tmes_verdict(reports: Iterable[CutReport]) -> TmesVerdict:
-    """The maximality verdict folded over the ``CutReport`` of every
-    balanced cut of one n-qubit state, in ``cut_reports`` order.
+    """The maximality verdict folded over one n-qubit state's ``CutReport``s
+    in ``cut_reports`` order: of every balanced cut, or, as in ``is_tmes``,
+    of a subsequence holding the first cut of each class of equal matrices.
 
     n is read from the reports' cuts.  The fold stops at the first cut that
     meets both thresholds, since no later one can raise either figure.

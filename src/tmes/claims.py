@@ -141,16 +141,6 @@ class ClaimReport:
 # ``checker(config, *arguments)``.
 _REGISTRY: dict[str, tuple[str, Callable[..., tuple[str, str, dict]], tuple]] = {}
 
-# Claims whose verdict is evidence rather than an assertion.
-RECORDED_CLAIMS = frozenset(
-    {
-        "chi-construction-discrepancy",
-        "w2-construction-unrealizable",
-        "family-rank-level-3",
-        "family-rank-level-4",
-    }
-)
-
 
 def _register(claim_id: str, anchor: str, *args):
     """Register ``claim_id`` as the decorated checker run on ``args``; a
@@ -1024,7 +1014,7 @@ def run_claim_suite(config: ClaimConfig | None = None) -> tuple[ClaimReport, ...
             raise ValueError("the claim selection is empty")
         unknown = [cid for cid in selected if cid not in _REGISTRY]
         if unknown:
-            raise ValueError(f"unknown claim ids: {', '.join(unknown)}")
+            raise ValueError(f"unknown claim ids: {', '.join(map(repr, unknown))}")
     reports = []
     for cid in selected:
         anchor, fn, args = _REGISTRY[cid]

@@ -1349,14 +1349,37 @@ VERDICT_TABLE = [
 ]
 
 
-def _dicke1(n: int, dressed: bool) -> PureState:
-    """The n-qubit Dicke state with one excitation, from its amplitudes;
-    dressed, qubit q also gets the local Clifford (I, H, S, HS)[q mod 4],
-    which keeps every figure but not the exact amplitudes."""
-    amps = np.zeros(2**n, dtype=complex)
-    amps[1 << np.arange(n)] = 1 / math.sqrt(n)
-    state = PureState(n, amps)
+def _dicke(n: int, k: int, dressed: bool = False) -> PureState:
+    """The uniform superposition of the weight-k strings on n qubits, from
+    its amplitudes; dressed, qubit q also gets the local Clifford (I, H, S,
+    HS)[q mod 4], which keeps every figure but not the exact amplitudes."""
+    weight = np.array([x.bit_count() for x in range(2**n)])
+    state = PureState(n, (weight == k) / math.sqrt(math.comb(n, k)))
     return _dress(state) if dressed else state
+
+
+def _ghz_image(n: int) -> PureState:
+    """``ghz(n)`` under a seeded Haar unitary on qubits 1 and 2: its runs are
+    {1}, {2} and {3..n}, so its balanced cuts fall into 4 classes."""
+    u = haar_random_unitary(4, np.random.default_rng(n))
+    return apply_local(ghz(n), LocalOperator(2, u), (1, 2))
+
+
+# VERDICT_TABLE's states, and states whose classes of balanced cuts (cuts
+# with one matrix) are not single cuts: qubit-symmetric ones, planted runs
+# and Bell-pair products.
+FOLD_TABLE = (
+    [pytest.param(param.values[0], id=param.id) for param in VERDICT_TABLE]
+    + [pytest.param(haar_random_state(n, seed=0), id=f"haar{n}-seed0") for n in (2, 3)]
+    + [pytest.param(ghz(n), id=f"ghz{n}") for n in (2, 7, 9, 11, 12)]
+    + [pytest.param(_ghz_image(n), id=f"ghz{n}-image") for n in range(3, 11)]
+    + [pytest.param(tensor(ghz(n), haar_random_state(2, seed=n)), id=f"ghz{n}-x-haar2") for n in range(3, 11)]
+    + [pytest.param(tensor(haar_random_state(2, seed=n), ghz(n)), id=f"haar2-x-ghz{n}") for n in range(3, 11)]
+    + [pytest.param(bell_product(m), id=f"bell_product{m}") for m in (4, 5)]
+    # dicke(9, 2) and dicke(10, 2..8) run clique searches of seconds
+    + [pytest.param(_dicke(n, k), id=f"dicke{n},{k}") for n in range(2, 11) for k in range(1, n)
+       if n <= 8 or k in (1, n - 1)]
+)
 
 
 def _dress(state: PureState) -> PureState:
@@ -1527,7 +1550,7 @@ class TestMaximalityVerdicts:
             for n in range(2, 11)
         ]
         + [
-            pytest.param(_dicke1(n, dressed), id=f"dicke{n}" + "-dressed" * dressed)
+            pytest.param(_dicke(n, 1, dressed), id=f"dicke{n}" + "-dressed" * dressed)
             for n in range(2, 9)
             for dressed in (False, True)
         ],
@@ -1548,9 +1571,23 @@ class TestMaximalityVerdicts:
         with pytest.raises(ValueError, match="at least two qubits"):
             next(cut_reports(basis_state("0")))
 
-    @pytest.mark.parametrize("state,maximal,cap,msgs,witness", VERDICT_TABLE)
-    def test_fold_over_full_reports_equals_is_tmes(self, state, maximal, cap, msgs, witness):
+    @pytest.mark.parametrize("state", FOLD_TABLE)
+    def test_fold_over_full_reports_equals_is_tmes(self, state):
+        # is_tmes folds over one report per class; the fold over every cut
+        # must give the same four fields.
         assert tmes_verdict(list(cut_reports(state))) == is_tmes(state)
+
+    def test_verdict_reads_one_report_per_class(self, monkeypatch):
+        # ghz:12 is one run, so its 924 balanced cuts are one class; its image
+        # under a unitary on qubits 1 and 2 has four.  Neither is maximal, so
+        # the verdict reads every class.
+        made = []
+        report = capacity.CutReport
+        monkeypatch.setattr(capacity, "CutReport", lambda *a: made.append(a) or report(*a))
+        for state, classes in [(ghz(12), 1), (_ghz_image(12), 4)]:
+            made.clear()
+            assert not is_tmes(state).is_tmes
+            assert len(made) == classes
 
     def test_scan_reuses_the_memoised_cuts(self, monkeypatch):
         # The balanced cuts are built once per qubit count; a scan slices them.

@@ -12,7 +12,6 @@ import pytest
 
 import tmes
 from tmes.claims import (
-    RECORDED_CLAIMS,
     ClaimConfig,
     claim_ids,
     run_claim_suite,
@@ -21,6 +20,16 @@ from tmes.claims import (
 
 
 GOLDEN_REPORT = Path(__file__).with_name("claims_baseline.json")
+
+# Claims whose verdict is evidence rather than an assertion.
+RECORDED_CLAIMS = frozenset(
+    {
+        "chi-construction-discrepancy",
+        "w2-construction-unrealizable",
+        "family-rank-level-3",
+        "family-rank-level-4",
+    }
+)
 
 
 def _assert_matches(got, want, where: str) -> None:

@@ -462,6 +462,14 @@ class TestVerifyCommand:
         assert main(["verify", "--claims", "made-up"]) == 1
         assert "unknown claim ids" in capsys.readouterr().err
 
+    def test_unknown_claim_ids_are_quoted(self, capsys):
+        # Only ASCII whitespace is stripped from an id, so a no-break space
+        # stays in it; the quotes show that it is part of the refused id.
+        assert main(["verify", "--claims", "bell-catalog,\u00a0spectra-ghz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown claim ids: '\\xa0spectra-ghz'\n"
+
     def test_empty_claim_selection(self, capsys):
         # An empty --claims is a selection of nothing, not the default of all.
         for claims in (",", ""):
