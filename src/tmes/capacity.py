@@ -7,18 +7,21 @@ pairs tensor a leftover state; a simulator that contracts the payload first
 cross-checks them.  Superdense-coding verdicts count the largest family of
 Pauli-string encodings with pairwise orthogonal outputs: one per coset when
 the labels with nonzero sender expectation form a group, else by clique search.
+A search that would expand more than ``MAX_CLIQUE_NODES`` nodes is refused
+with a ``ValueError`` that names the sender, instead of running on.
 
 The maximality verdict, over one report per class of cuts with equal matrices,
 and ``cut_reports`` score the balanced cuts a chunk of classes at a time
 (``statevec._cut_stacks``), through one kernel over any stack of amplitude
-matrices: the stack gives every cut's Schmidt spectrum (a batched SVD) and
-sender marginal (a batched Gram product), the marginals give the Pauli
-expectations in one transform, and one vectorised GF(2) reduction tells
-which cuts have a group of labels.  Each value equals the one-cut call's to
-the bit; ``teleport_capacity`` and ``sdc_orthogonal_labels`` are the one-cut
-case of the same helpers.  The claim suite's seeded trials run as stacks
-too: through that kernel, and through the kernels that
-``haar_random_unitary`` and ``simulate_teleportation`` take for one item.
+matrices: the stack gives every cut's Schmidt spectrum (a batched SVD,
+checked as one array) and sender marginal (a batched Gram product),
+the marginals give the Pauli expectations in one transform, and one
+vectorised GF(2) reduction tells which cuts have a group of labels.  Each
+value equals the one-cut call's to the bit; ``teleport_capacity`` and
+``sdc_orthogonal_labels`` are the one-cut case of the same helpers.  The
+claim suite's seeded trials run as stacks too: through that kernel, and
+through the kernels that ``haar_random_unitary`` and
+``simulate_teleportation`` take for one item.
 """
 
 from __future__ import annotations
@@ -351,15 +354,35 @@ def _orthogonality_adjacency(expect: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+# The most nodes (candidate sets coloured, the first included) that one
+# clique search may expand before it is refused.  The largest search that
+# the tests, the claims and the survey make expands 849 (dressed
+# dicke(9, 1)); plain dicke(9, 2) expanded 328,000 in 6 s without finishing.
+# A node costs about 0.05 ms on a 5-qubit sender and 0.6 ms on a 6-qubit
+# one (4^6 labels), so at this budget the costliest refusal tried, dressed
+# dicke(12, 1), takes about 1.4 s.
+MAX_CLIQUE_NODES = 2_000
+
+
+class _SearchBudget(ValueError):
+    """A clique search that passed MAX_CLIQUE_NODES nodes, with the figures
+    it had reached; ``refusal`` names the sender whose count it was for."""
+
+    def refusal(self, sender: tuple[int, ...]) -> ValueError:
+        return ValueError(f"the message count on sender {sender} is refused: {self}")
+
+
 def _max_clique(adj: list[int]) -> tuple[int, ...]:
     """Exact maximum clique, deterministic: branch-and-bound with greedy
     coloring bounds, vertices explored in a fixed order.  The best clique is
     replaced only on a strict increase, so the first maximum one met wins.
     The depth-first search keeps an explicit stack, so a clique of any size
-    fits in it.
+    fits in it.  A search that would expand more than MAX_CLIQUE_NODES
+    nodes raises ``_SearchBudget`` instead of running on.
     """
     best: list[int] = []
     cur: list[int] = []
+    nodes = 1
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
         order: list[tuple[int, int]] = []
@@ -389,10 +412,23 @@ def _max_clique(adj: list[int]) -> tuple[int, ...]:
             if cur:
                 cur.pop()
             continue
-        v, _ = order.pop()
+        v, color = order.pop()
         frame[0] = cand & ~(1 << v)
         nxt = cand & adj[v]
         if nxt:
+            nodes += 1
+            if nodes > MAX_CLIQUE_NODES:
+                # No clique left to try is larger than this: frame f extends
+                # the f labels below it in ``cur`` by at most its last color,
+                # and v's branch extends ``cur`` by at most v's.  In the
+                # orthogonality graph, label 0's neighbours are the labels
+                # outside Z.
+                tails = [f + o[-1][1] for f, (_, o) in enumerate(frames) if o]
+                bound = max([len(best), len(cur) + color, *tails])
+                raise _SearchBudget(
+                    f"its clique search passed {MAX_CLIQUE_NODES} nodes, with {adj[0].bit_count()} "
+                    f"labels outside Z, a best clique of {len(best)} and a colour bound of {bound}"
+                )
             cur.append(v)
             frames.append([nxt, color_sort(nxt)])
         elif len(cur) + 1 > len(best):
@@ -457,12 +493,16 @@ def sdc_orthogonal_labels(state: PureState, sender_set: Iterable[int]) -> tuple[
     This is the one-cut case of the ``is_tmes`` scan: the marginal comes
     from a one-matrix cut stack.
     """
-    expect = _sender_expectations(state, _sender_qubits(state, sender_set))
+    qubits = _sender_qubits(state, sender_set)
+    expect = _sender_expectations(state, qubits)
     pivots, closed = _coset_pivots(expect[None])
     if closed[0]:
         labels = np.arange(expect.size)
         return tuple(np.flatnonzero(labels & pivots[0] == pivots[0]).tolist())
-    return _max_clique(_orthogonality_adjacency(expect))
+    try:
+        return _max_clique(_orthogonality_adjacency(expect))
+    except _SearchBudget as err:
+        raise err.refusal(qubits) from None
 
 
 def sdc_max_messages(state: PureState, sender_set: Iterable[int], tol: float = ATOL) -> int:
@@ -607,8 +647,23 @@ def _balanced_classes(state: PureState) -> tuple[tuple[Partition, ...], Iterator
         raise ValueError("the maximal-task test needs at least two qubits")
     check_qubits(n, "the maximal-task test")
     cuts = _cut_layout(n, (n + 1) // 2).cuts
-    chunks = _cut_stacks(state, cuts)
-    return cuts, (pair for classes, stack in chunks for pair in zip(classes, _stack_figures(stack, n // 2)))
+    return cuts, _class_figures(cuts, _cut_stacks(state, cuts), n // 2)
+
+
+def _class_figures(
+    cuts: tuple[Partition, ...], chunks: Iterable[tuple[list[list[int]], np.ndarray]], receivers: int
+) -> Iterator[tuple[list[int], tuple]]:
+    """(members, figures) of every class of the ``_cut_stacks`` ``chunks``
+    of ``cuts``, in turn; a refused clique search names the sender of its
+    class's first cut."""
+    for classes, stack in chunks:
+        figures = _stack_figures(stack, receivers)
+        for members in classes:
+            try:
+                scored = next(figures)
+            except _SearchBudget as err:
+                raise err.refusal(cuts[members[0]].sides()[0]) from None
+            yield members, scored
 
 
 def _stack_figures(stack: np.ndarray, receivers: int) -> Iterator[tuple[SchmidtSpectrum, int, int]]:
@@ -622,9 +677,9 @@ def _stack_figures(stack: np.ndarray, receivers: int) -> Iterator[tuple[SchmidtS
     spectra = _stack_spectra(stack)
     expect = pauli_expectations(_stack_marginals(stack))
     pivots, closed = _coset_pivots(expect)
-    for i, spectrum in enumerate(spectra):
-        if closed[i]:
-            msgs = expect.shape[1] >> int(pivots[i]).bit_count()
+    for i, (spectrum, grouped, mask) in enumerate(zip(spectra, closed.tolist(), pivots.tolist())):
+        if grouped:
+            msgs = expect.shape[1] >> mask.bit_count()
         else:
             msgs = len(_max_clique(_orthogonality_adjacency(expect[i])))
         yield spectrum, _capacity(spectrum, receivers), msgs

@@ -7,7 +7,8 @@ immutable values; returned arrays are marked read-only.
 
 Schmidt spectra come from the singular values of the amplitudes laid out as
 a sender-by-receiver matrix.  ``cut_spectra`` takes many cuts of one state
-at once: one batched SVD per chunk, bit-identical to an SVD per cut.
+at once: one batched SVD per chunk, bit-identical to an SVD per cut, whose
+spectra ``SchmidtSpectrum.from_stack`` checks as one array.
 """
 
 from __future__ import annotations
@@ -280,7 +281,12 @@ def cluster_values(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Descending nonzero eigenvalues of a reduced density matrix."""
+    """Descending nonzero eigenvalues of a reduced density matrix.
+
+    Built one at a time, a spectrum is checked by ``__post_init__``.
+    ``from_stack`` builds the spectra of many cuts from one array and checks
+    the whole array there, so ``__post_init__`` does not run for them.
+    """
 
     eigenvalues: tuple[float, ...]
 
@@ -301,6 +307,42 @@ class SchmidtSpectrum:
             raise ValueError(f"eigenvalues sum to {total!r}, expected 1")
         object.__setattr__(self, "eigenvalues", vals)
 
+    @classmethod
+    def from_stack(cls, weights: np.ndarray) -> list[SchmidtSpectrum]:
+        """One spectrum per row of a (k, d) array of descending eigenvalues,
+        such as the squared singular values of a batched SVD (LAPACK returns
+        each matrix's in descending order): the row's values above
+        EXACT_ATOL, a prefix of it.  The invariants hold for every row: it
+        is descending, no value is below -EXACT_ATOL, and its values above
+        EXACT_ATOL (at least one) sum to 1 within ATOL.  ValueError names
+        the first bad row.
+
+        The order, the one check that reads every value, and the kept sums
+        are one numpy reduction each over the whole array; the loop that
+        builds the spectra then compares each row's sum and last value.  No
+        spectrum runs ``__post_init__``.
+        """
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 2 or not w.shape[1]:
+            raise ValueError(f"expected a (k, d) array of eigenvalues with d >= 1, got shape {w.shape}")
+        kept = w > EXACT_ATOL
+        totals = np.add.reduce(w, axis=1, where=kept)
+        # A NaN fails every comparison; a row with no kept value sums to 0.
+        # (A ufunc's own reduce skips the Python wrapper of ndarray.all,
+        # which on a stack of a few rows costs more than the check.)
+        if not np.logical_and.reduce(w[:, :-1] >= w[:, 1:], axis=None):
+            raise ValueError(_stack_fault(w, kept, totals))
+        spectra = []
+        for row, flags, total in zip(w.tolist(), kept.tolist(), totals.tolist()):
+            # Descending, so the last value is the row's least and the kept
+            # values are a prefix.
+            if not (row[-1] >= -EXACT_ATOL and abs(total - 1.0) <= ATOL):
+                raise ValueError(_stack_fault(w, kept, totals))
+            spectrum = object.__new__(cls)
+            object.__setattr__(spectrum, "eigenvalues", tuple(row[: flags.count(True)]))
+            spectra.append(spectrum)
+        return spectra
+
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
@@ -308,6 +350,27 @@ class SchmidtSpectrum:
     def clustered(self) -> tuple[tuple[float, int], ...]:
         """Eigenvalues grouped into (value, multiplicity) clusters."""
         return cluster_values(self.eigenvalues)
+
+
+def _stack_fault(w: np.ndarray, kept: np.ndarray, totals: np.ndarray) -> str:
+    """Why ``SchmidtSpectrum.from_stack`` refuses ``w``: its first bad row,
+    and the first invariant that row breaks."""
+    faults = [
+        ~np.isfinite(w).all(axis=1),
+        ~kept.any(axis=1),
+        ~(w[:, :-1] >= w[:, 1:]).all(axis=1),
+        w.min(axis=1) < -EXACT_ATOL,
+        ~(np.abs(totals - 1.0) <= ATOL),
+    ]
+    i = np.flatnonzero(np.any(faults, axis=0)).tolist()[0]
+    reasons = (
+        "has a NaN or infinite eigenvalue",
+        f"has no eigenvalue above {EXACT_ATOL}",
+        "is not sorted in descending order",
+        f"has a negative eigenvalue {float(w[i].min())!r}",
+        f"sums to {float(totals[i])!r}, expected 1",
+    )
+    return f"spectrum row {i} " + next(r for bad, r in zip(faults, reasons) if bad[i])
 
 
 @dataclass(frozen=True)
@@ -567,9 +630,10 @@ def cut_spectra(
 def _stack_spectra(stack: np.ndarray) -> list[SchmidtSpectrum]:
     """The Schmidt spectrum of every matrix of a ``_cut_stacks`` stack, from
     one batched SVD: the squared singular values above EXACT_ATOL, which
-    LAPACK returns in descending order."""
+    LAPACK returns in descending order.  ``SchmidtSpectrum.from_stack``
+    checks them as one array; no matrix's spectrum runs ``__post_init__``."""
     s = np.linalg.svd(stack, compute_uv=False)
-    return [SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist())) for row in s * s]
+    return SchmidtSpectrum.from_stack(s * s)
 
 
 def _stack_marginals(stack: np.ndarray) -> np.ndarray:

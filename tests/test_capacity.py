@@ -9,10 +9,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import math
 import re
 import sys
+import time
 import weakref
 from itertools import combinations
 from pathlib import Path
@@ -37,9 +39,10 @@ from oracles import (
     graph_figures,
     graph_verdict,
     run_counts,
+    svd_cut_spectrum,
     two_adic,
 )
-from tmes import capacity
+from tmes import capacity, statevec
 from tmes.capacity import (
     SdcCodebook,
     TmesVerdict,
@@ -62,18 +65,21 @@ from tmes.capacity import (
     tmes_verdict,
 )
 from tmes.claims import FIGURES, VERDICTS
-from tmes.invariants import orthogonal_family
+from tmes.invariants import all_bipartitions, orthogonal_family
 from tmes.operators import pauli_string
 from tmes.pauli import pauli_digits, pauli_expectations, pauli_label
 from tmes.statevec import (
     ATOL,
     CLUSTER_RTOL,
+    EXACT_ATOL,
     MAX_QUBITS,
     LocalOperator,
     Partition,
     PureState,
+    SchmidtSpectrum,
     _cut_layout,
     apply_local,
+    cut_spectra,
     partial_trace,
     schmidt_spectrum,
     tensor,
@@ -1415,6 +1421,153 @@ BOUNDARY_COEFFS = [
     for x in ("0x1.186f18122cc9fp-1", "0x1.186f1726ee0d8p-1",
               "0x1.c9f25c64a2ce1p-2", "0x1.c9f25ae47b7e2p-2")
 ]
+
+
+# FOLD_TABLE's states and a Haar state of every size up to 10 qubits.
+STACK_TABLE = FOLD_TABLE + [pytest.param(haar_random_state(n, seed=n), id=f"haar{n}-seed{n}") for n in range(2, 11)]
+
+
+class TestStackedSpectra:
+    """``SchmidtSpectrum.from_stack`` checks a whole stack of squared
+    singular values at once and builds its spectra without ``__post_init__``:
+    every spectrum equals the one-cut SVD oracle and the one-object build of
+    its row, bit for bit, and a bad row is refused by its index."""
+
+    @pytest.mark.parametrize("state", STACK_TABLE)
+    def test_balanced_cuts_match_the_oracle_and_the_one_object_build(self, state):
+        n = state.num_qubits
+        cuts = _cut_layout(n, (n + 1) // 2).cuts
+        for classes, stack in statevec._cut_stacks(state, cuts):
+            s = np.linalg.svd(stack, compute_uv=False)
+            stacked = SchmidtSpectrum.from_stack(s * s)
+            one_by_one = [SchmidtSpectrum(tuple(row[row > EXACT_ATOL].tolist())) for row in s * s]
+            assert [_hex(x.eigenvalues) for x in stacked] == [_hex(x.eigenvalues) for x in one_by_one]
+            assert stacked == one_by_one
+            for members, spectrum in zip(classes, stacked, strict=True):
+                assert type(spectrum) is SchmidtSpectrum
+                for i in members:
+                    assert _hex(spectrum.eigenvalues) == _hex(svd_cut_spectrum(state.amplitudes, n, cuts[i].sender))
+
+    @pytest.mark.parametrize(
+        "row,fault",
+        [
+            ([0.5, np.nan, 0.5], "has a NaN or infinite eigenvalue"),
+            ([np.inf, 0.5, 0.0], "has a NaN or infinite eigenvalue"),
+            ([0.0, 0.0, 0.0], "has no eigenvalue above 1e-12"),
+            ([1e-13, 1e-13, 0.0], "has no eigenvalue above 1e-12"),
+            ([0.25, 0.75, 0.0], "is not sorted in descending order"),
+            ([1.0, 0.0, -1e-9], "has a negative eigenvalue -1e-09"),
+            ([0.5, 0.25, 0.0], "sums to 0.75, expected 1"),
+        ],
+    )
+    def test_refuses_a_bad_row_by_its_index(self, row, fault):
+        good = [0.5, 0.5, 0.0]
+        with pytest.raises(ValueError) as err:
+            SchmidtSpectrum.from_stack(np.array([good, good, row, good, row]))
+        assert str(err.value) == f"spectrum row 2 {fault}"
+
+    def test_names_the_first_bad_row_whatever_it_breaks(self):
+        # The order is checked before the sums, but the first bad row wins.
+        good, unsorted, short = [0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.5, 0.25, 0.0]
+        for rows, message in [
+            ([good, short, good, unsorted], "spectrum row 1 sums to 0.75, expected 1"),
+            ([good, unsorted, short], "spectrum row 1 is not sorted in descending order"),
+            ([good, good, [1.0, 0.0, -1.0], short], "spectrum row 2 has a negative eigenvalue -1.0"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                SchmidtSpectrum.from_stack(np.array(rows))
+            assert str(err.value) == message
+
+    def test_keeps_the_prefix_above_exact_atol(self):
+        # A tail at or below EXACT_ATOL is dropped, rounding below zero included.
+        weights = np.array([[1.0, EXACT_ATOL, -1e-13], [0.5, 0.5 - 1e-10, 1e-10], [1.0, 0.0, 0.0]])
+        spectra = SchmidtSpectrum.from_stack(weights)
+        assert [x.eigenvalues for x in spectra] == [(1.0,), (0.5, 0.5 - 1e-10, 1e-10), (1.0,)]
+        assert SchmidtSpectrum.from_stack(np.empty((0, 4))) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 0), (1, 2, 2)])
+    def test_refuses_an_array_that_is_not_k_by_d(self, shape):
+        with pytest.raises(ValueError, match="expected a \\(k, d\\) array"):
+            SchmidtSpectrum.from_stack(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((), "a Schmidt spectrum cannot be empty"),
+            ((0.25, 0.75), "eigenvalues must be sorted in descending order"),
+            ((1.0, -1e-9), "negative eigenvalue -1e-09"),
+            ((0.5, 0.25), "eigenvalues sum to 0.75, expected 1"),
+            ((0.5, np.nan, 0.5), "eigenvalues sum to nan, expected 1"),
+        ],
+    )
+    def test_one_object_build_keeps_its_messages(self, values, message):
+        with pytest.raises(ValueError) as err:
+            SchmidtSpectrum(values)
+        assert str(err.value) == message
+
+    def test_scans_check_no_spectrum_one_at_a_time(self, monkeypatch):
+        haar10, haar8 = haar_random_state(10, seed=0), haar_random_state(8, seed=0)
+        checked = []
+        check = SchmidtSpectrum.__post_init__
+        monkeypatch.setattr(SchmidtSpectrum, "__post_init__", lambda self: checked.append(self) or check(self))
+        assert len(cut_spectra(haar10, all_bipartitions(10))) == 511
+        assert not is_tmes(haar8).is_tmes
+        assert checked == []
+        SchmidtSpectrum((1.0,))
+        SchmidtSpectrum((0.5, 0.5))
+        assert [x.eigenvalues for x in checked] == [(1.0,), (0.5, 0.5)]
+
+
+class TestSearchBudget:
+    """A clique search that would expand more than MAX_CLIQUE_NODES nodes
+    is refused, naming the sender, the labels outside Z, the best clique
+    and the colour bound it reached, instead of running on."""
+
+    # The one search of each plain Dicke state (one run, so one class): two
+    # 5-qubit senders and a 6-qubit one, whose nodes cost ten times more.
+    REFUSALS = [
+        (9, 2, "762 labels outside Z, a best clique of 32 and a colour bound of 64"),
+        (10, 2, "752 labels outside Z, a best clique of 18 and a colour bound of 32"),
+        (11, 2, "3072 labels outside Z, a best clique of 36 and a colour bound of 64"),
+    ]
+
+    @pytest.mark.parametrize("n,k,figures", REFUSALS, ids=["dicke9,2", "dicke10,2", "dicke11,2"])
+    def test_verdict_is_refused_quickly(self, n, k, figures):
+        state = _dicke(n, k)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            is_tmes(state)
+        assert time.perf_counter() - start < 2.0
+        sender = tuple(range(1, (n + 1) // 2 + 1))
+        assert str(err.value) == (
+            f"the message count on sender {sender} is refused: its clique search "
+            f"passed {capacity.MAX_CLIQUE_NODES} nodes, with {figures}"
+        )
+
+    def test_every_caller_names_the_sender(self):
+        state = _dicke(10, 2)
+        want = "the message count on sender (2, 4, 6, 8, 10) is refused: its clique search passed"
+        for count in (sdc_max_messages, sdc_orthogonal_labels, build_sdc_codebook):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                count(state, (10, 8, 6, 4, 2))
+        with pytest.raises(ValueError, match=re.escape("on sender (1, 2, 3, 4, 5) is refused")):
+            list(cut_reports(state))
+
+    def test_budget_bounds_the_nodes_expanded(self, monkeypatch):
+        # The search of dicke(9, 1) expands 34 nodes, its first included.
+        state = _dicke(9, 1)
+        monkeypatch.setattr(capacity, "MAX_CLIQUE_NODES", 34)
+        assert is_tmes(state) == TmesVerdict(False, 0, 32, None)
+        monkeypatch.setattr(capacity, "MAX_CLIQUE_NODES", 33)
+        with pytest.raises(ValueError) as err:
+            is_tmes(state)
+        assert str(err.value).endswith(
+            "passed 33 nodes, with 832 labels outside Z, a best clique of 32 and a colour bound of 33"
+        )
+
+    def test_budget_is_a_constant_not_a_parameter(self):
+        assert type(capacity.MAX_CLIQUE_NODES) is int
+        assert list(inspect.signature(_max_clique).parameters) == ["adj"]
 
 
 class TestCapacityBoundary:

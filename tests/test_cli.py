@@ -365,6 +365,18 @@ class TestAnalysisCommands:
             "error: senders are capped at 6 qubits: (1, 2, 3, 4, 5, 6, 7)\n"
         )
 
+    def test_verdict_past_the_search_budget_exits_one(self, tmp_path, capsys):
+        # dicke(9, 2): its one clique search passes MAX_CLIQUE_NODES
+        weight = np.array([x.bit_count() for x in range(2**9)])
+        path = str(tmp_path / "dicke92.json")
+        save_state(PureState(9, (weight == 2) / 6.0), path)
+        assert main(["tmes", "--state", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the message count on sender (1, 2, 3, 4, 5) is refused: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_obstruct_refuses_oversized_states(self, tmp_path, capsys):
         amps = np.zeros(2**13)
         amps[0] = 1.0

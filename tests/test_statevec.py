@@ -822,7 +822,6 @@ class TestClusterValues:
             "statevec._integer_text",
             # numpy scalars the library computed
             "capacity._coset_pivots",
-            "capacity._stack_figures",
             "capacity.simulate_sdc",
             "operators.independence_rank",
         }
